@@ -13,6 +13,12 @@
 //! Clauses that do not compile are cached too (as `None`), so the
 //! fallback path pays the rejection walk once per clause, not once per
 //! decode step.
+//!
+//! The cache is a bounded LRU ([`AutomataCache::CAPACITY`] entries,
+//! rejections included): a server that shares it across every query it
+//! ever serves must not retain an automaton per distinct clause for the
+//! life of the process. An evicted clause simply recompiles — masks are
+//! a pure function of the key, so the bits cannot change.
 
 use crate::constraints::memo::fingerprint_expr;
 use crate::Value;
@@ -70,13 +76,26 @@ impl AutomatonKey {
     }
 }
 
-/// Shareable cache of compiled automata (and of compile rejections).
+/// Shareable, LRU-bounded cache of compiled automata (and of compile
+/// rejections).
 #[derive(Default)]
 pub struct AutomataCache {
-    inner: Mutex<HashMap<AutomatonKey, Option<Arc<Automaton>>>>,
+    inner: Mutex<CacheInner>,
+}
+
+#[derive(Default)]
+struct CacheInner {
+    /// Compiled automaton (`None`: known not to compile) and the tick of
+    /// its last use.
+    entries: HashMap<AutomatonKey, (Option<Arc<Automaton>>, u64)>,
+    tick: u64,
 }
 
 impl AutomataCache {
+    /// Entries kept before the least-recently-used one is evicted — the
+    /// same bound as the engine's shared [`MaskMemo`](super::MaskMemo).
+    pub const CAPACITY: usize = 1024;
+
     /// An empty cache, ready to share across runtimes via `Arc`.
     pub fn new() -> Arc<Self> {
         Arc::new(AutomataCache::default())
@@ -84,7 +103,11 @@ impl AutomataCache {
 
     /// Number of cached entries (compiled and rejected clauses both).
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("automata cache poisoned").len()
+        self.inner
+            .lock()
+            .expect("automata cache poisoned")
+            .entries
+            .len()
     }
 
     /// Whether the cache is empty.
@@ -102,10 +125,27 @@ impl AutomataCache {
         build: impl FnOnce() -> Option<Automaton>,
     ) -> Option<Arc<Automaton>> {
         let mut inner = self.inner.lock().expect("automata cache poisoned");
-        inner
-            .entry(key)
-            .or_insert_with(|| build().map(Arc::new))
-            .clone()
+        inner.tick += 1;
+        let tick = inner.tick;
+        if let Some((slot, last_used)) = inner.entries.get_mut(&key) {
+            *last_used = tick;
+            return slot.clone();
+        }
+        if inner.entries.len() >= Self::CAPACITY {
+            // Evict the least-recently-used entry. O(capacity) scan, as
+            // in `MaskMemo`: a miss already pays a compilation.
+            if let Some(victim) = inner
+                .entries
+                .iter()
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(k, _)| *k)
+            {
+                inner.entries.remove(&victim);
+            }
+        }
+        let slot = build().map(Arc::new);
+        inner.entries.insert(key, (slot.clone(), tick));
+        slot
     }
 }
 

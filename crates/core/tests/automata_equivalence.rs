@@ -11,8 +11,8 @@
 //! leaves.
 
 use lmql::constraints::{
-    CustomOp, CustomOps, Fin, FinalValue, MaskConfig, MaskEngine, MaskOutcome, Masker, OpCtx,
-    VocabSource,
+    AutomataCache, CustomOp, CustomOps, Fin, FinalValue, MaskConfig, MaskEngine, MaskOutcome,
+    Masker, OpCtx, VocabSource,
 };
 use lmql::{QueryEvent, Runtime, StreamSink, Value};
 use lmql_lm::corpus;
@@ -194,6 +194,57 @@ fn automaton_metrics_report_hits_states_and_compile_time() {
         compiles > 0,
         "fresh compilations must record automata.compile_us"
     );
+}
+
+/// The shared automata cache is a bounded LRU: a stream of distinct
+/// clauses (compilable and rejected alike) never grows it past its
+/// capacity, and a clause that was evicted recompiles to bit-equal masks.
+#[test]
+fn shared_cache_is_bounded_and_evicted_clauses_recompile_bit_equal() {
+    let vocab = small_vocab();
+    let cache = AutomataCache::new();
+    let masker = || {
+        Masker::new(MaskEngine::Symbolic, vocab.clone())
+            .with_config(MaskConfig {
+                memo: false,
+                ..MaskConfig::default()
+            })
+            .with_automata_cache(Arc::clone(&cache))
+    };
+    let scope = HashMap::new();
+    let first = parse_expr(CONSTRAINTS[0]).unwrap();
+    let grid = |m: &mut Masker| -> Vec<MaskOutcome> {
+        VALUES
+            .iter()
+            .map(|v| m.compute(Some(&first), &scope, "X", v))
+            .collect()
+    };
+    let before = grid(&mut masker());
+    assert_eq!(cache.len(), 1);
+
+    let mut churn = masker();
+    for i in 0..AutomataCache::CAPACITY + 64 {
+        let clause = if i % 8 == 0 {
+            format!("unknown_op_{i}(X)") // a cached rejection
+        } else {
+            format!("X in [\"ab\", \"k{i}\"]")
+        };
+        let expr = parse_expr(&clause).unwrap();
+        churn.compute(Some(&expr), &scope, "X", "a");
+        assert!(cache.len() <= AutomataCache::CAPACITY, "grew past the cap");
+    }
+    assert_eq!(cache.len(), AutomataCache::CAPACITY);
+
+    // `first` was the least recently used entry, so it is long gone: a
+    // fresh masker recompiles it and must reproduce every mask.
+    let after = grid(&mut masker());
+    assert_grids_equal(&after, &before, "recompiled after eviction");
+    let reference: Vec<MaskOutcome> = {
+        let mut m =
+            Masker::new(MaskEngine::Symbolic, vocab.clone()).with_config(MaskConfig::reference());
+        grid(&mut m)
+    };
+    assert_grids_equal(&after, &reference, "recompiled vs reference");
 }
 
 #[test]

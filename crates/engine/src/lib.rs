@@ -9,7 +9,6 @@ mod run;
 pub use radix::{RadixCache, RadixCacheConfig, RadixStats};
 pub use router::{
     is_busy, prompt_prefix, Permit, ReplicaStats, Router, RouterConfig, RouterObs, RouterStats,
-    RouterStream,
 };
 pub use run::{Engine, EngineConfig, EngineObs, EngineStats, QueryStream};
 pub use sched::{BatchPolicy, BatchedLm, SchedMetrics, Scheduler, SchedulerObs};

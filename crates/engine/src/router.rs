@@ -3,9 +3,14 @@
 //! per-replica health tracking (DESIGN.md §15).
 //!
 //! One [`Engine`] is one worker group: a scheduler, a radix prefix
-//! cache, a mask memo. The [`Router`] fans queries out over N of them.
-//! Three mechanisms make the pool behave like one big fast engine
-//! instead of N cold small ones:
+//! cache, a mask memo. The [`Router`] fans queries out over N ≥ 1 of
+//! them — it sits in front of the one runtime path ([`Engine::serve`]),
+//! it is not a second copy of it, and a one-replica router is the same
+//! code. Every query entry point is a thin caller of [`Router::serve`]
+//! (admit → route → fail-over loop, on the calling thread); raw scoring
+//! has its own single loop in [`Router::try_score_many`]. Three
+//! mechanisms make the pool behave like one big fast engine instead of
+//! N cold small ones:
 //!
 //! 1. **Prefix affinity** — the routing key is a fingerprint of the
 //!    query's *tokenized prompt prefix* ([`Bpe::prefix_fingerprint`]),
@@ -31,16 +36,16 @@
 //! a single-node run.
 
 use crate::radix::RadixStats;
-use crate::run::{Engine, EngineConfig, EngineObs};
-use lmql::{QueryEvent, QueryResult};
+use crate::run::{run_pool, worker_threads, Engine, EngineConfig, EngineObs, QueryStream};
+use lmql::{QueryResult, Runtime, StreamSink};
 use lmql_lm::{
     BreakerConfig, BreakerState, CancelToken, CircuitBreaker, LanguageModel, LmError, LmResult,
-    Logits, Usage,
+    Logits, Usage, UsageMeter,
 };
 use lmql_obs::{Counter, Registry, RouterMetrics, Tracer};
 use lmql_tokenizer::{fingerprint_tokens, Bpe, TokenId};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Tunables for a [`Router`].
@@ -79,9 +84,11 @@ impl Default for RouterConfig {
 
 /// Observability hooks for a [`Router`]: a tracer shared by every
 /// replica, and an optional registry collecting `router.*` metrics,
-/// per-replica counters (`router.replica.<i>.queries`, breaker gauges)
-/// and the `engine.replica.failover` counter. Each router needs its own
-/// registry (per-replica names are registered once).
+/// per-replica counters (`router.replica.<i>.queries`, breaker gauges),
+/// the `engine.replica.failover` counter, and — handed on to every
+/// replica — the pool totals of `engine.*`, `lm.*`, `mask.*` and
+/// `stream.*`. Each router needs its own registry (per-replica names and
+/// the pool's usage meter are registered once).
 #[derive(Debug, Clone, Default)]
 pub struct RouterObs {
     /// Trace recorder shared by every replica engine.
@@ -105,6 +112,11 @@ struct Shared {
     inflight: AtomicUsize,
     /// Round-robin cursor for `affinity: false` routing.
     rr: AtomicU64,
+    /// Worker threads [`Router::run_queries`] spreads a batch over: the
+    /// per-replica [`EngineConfig::threads`] times the replica count.
+    threads: usize,
+    /// The pool-wide usage meter every replica records on (`lm.*`).
+    meter: UsageMeter,
     metrics: RouterMetrics,
 }
 
@@ -146,8 +158,6 @@ impl Drop for Permit {
 pub struct ReplicaStats {
     /// Queries this replica was handed (including fail-over retries).
     pub queries: u64,
-    /// The replica engine's §6 usage counters.
-    pub usage: Usage,
     /// The replica's prefix-cache counters.
     pub cache: RadixStats,
     /// Current breaker state.
@@ -166,7 +176,10 @@ pub struct RouterStats {
     /// Routing decisions diverted from their affinity choice because
     /// that replica was unhealthy.
     pub rerouted: u64,
-    /// Per-replica usage, in replica order.
+    /// The pool's §6 usage counters: every replica records on one meter
+    /// (the same cells `lm.*` exposes in the registry).
+    pub usage: Usage,
+    /// Per-replica load, cache and health, in replica order.
     pub replicas: Vec<ReplicaStats>,
 }
 
@@ -293,49 +306,46 @@ impl Shared {
         }
     }
 
-    /// One attempt of `source` on replica `i`, with health recording: a
-    /// model-layer failure counts against the replica's breaker, any
-    /// other outcome (success, or a deterministic query error that no
-    /// replica could serve differently) closes it.
-    fn attempt(
-        &self,
-        i: usize,
+    /// The loop behind [`Router::serve`] (which documents the contract):
+    /// admit, compute the route order, then run `source` down it via
+    /// [`Engine::serve`]. A model-layer failure counts against the
+    /// replica's breaker and moves on (`engine.replica.failover`); any
+    /// other outcome — success, a deterministic query error no replica
+    /// could serve differently, cancellation — closes the breaker and
+    /// ends the loop.
+    fn serve(
+        self: &Arc<Self>,
         source: &str,
-        configure: &(dyn Fn(&mut lmql::Runtime) + Sync),
+        sink: &StreamSink,
+        cancel: &CancelToken,
+        configure: &(dyn Fn(&mut Runtime) + Sync),
     ) -> lmql::Result<QueryResult> {
-        let replica = &self.replicas[i];
-        replica.queries.inc();
-        let result = replica
-            .engine
-            .run_queries_with(&[source], |_, rt| configure(rt))
-            .pop()
-            .expect("one result per query");
-        match &result {
-            Err(lmql::Error::Model { .. }) => replica.breaker.record_failure(),
-            _ => replica.breaker.record_success(),
-        }
-        result
-    }
-
-    /// Runs `source` down a preference order, failing over (and
-    /// counting `engine.replica.failover`) on model-layer errors only:
-    /// query-level errors (syntax, no valid continuation, …) are
-    /// deterministic and identical on every replica.
-    fn run_on(
-        &self,
-        order: &[usize],
-        source: &str,
-        configure: &(dyn Fn(&mut lmql::Runtime) + Sync),
-    ) -> lmql::Result<QueryResult> {
+        let Some(_permit) = self.admit() else {
+            return Err(Shared::busy());
+        };
         let started = Instant::now();
         self.metrics.queries.inc();
-        let mut result = self.attempt(order[0], source, configure);
-        for &i in &order[1..] {
-            if !matches!(result, Err(lmql::Error::Model { .. })) {
+        let order = self.route_order(self.query_key(source));
+        let mut result = Err(lmql::Error::Cancelled);
+        for (attempt, &i) in order.iter().enumerate() {
+            if cancel.is_cancelled() {
                 break;
             }
-            self.metrics.failovers.inc();
-            result = self.attempt(i, source, configure);
+            if attempt > 0 {
+                self.metrics.failovers.inc();
+            }
+            let replica = &self.replicas[i];
+            replica.queries.inc();
+            result = replica
+                .engine
+                .serve(source, sink.clone(), cancel, configure);
+            match &result {
+                Err(lmql::Error::Model { .. }) => replica.breaker.record_failure(),
+                _ => {
+                    replica.breaker.record_success();
+                    break;
+                }
+            }
         }
         self.metrics
             .latency_us
@@ -390,12 +400,17 @@ impl Router {
             Some(registry) => RouterMetrics::registered(registry),
             None => RouterMetrics::default(),
         };
+        // One meter for the pool, registered once: the replicas' model
+        // wrappers and schedulers all record on it, and their scheduler
+        // metrics are get-or-create names in the shared registry, so
+        // `engine.*` / `lm.*` / `mask.*` read as pool totals whatever N is.
+        let meter = UsageMeter::new();
+        if let Some(registry) = &obs.registry {
+            meter.register_into(registry, "lm");
+        }
         let replicas: Vec<Replica> = (0..config.replicas)
             .map(|i| {
-                // Replica engines keep their metrics private (their
-                // meters would collide under one registry); the router
-                // registry carries the per-replica counters instead.
-                let engine = Engine::new_with_obs(
+                let engine = Engine::build(
                     backend(i),
                     Arc::clone(&bpe),
                     // Each replica gets a clone of the engine config;
@@ -404,8 +419,9 @@ impl Router {
                     config.engine.clone(),
                     EngineObs {
                         tracer: obs.tracer.clone(),
-                        registry: None,
+                        registry: obs.registry.clone(),
                     },
+                    Some(meter.clone()),
                 );
                 let breaker = CircuitBreaker::new(config.health);
                 let queries = match &obs.registry {
@@ -434,6 +450,8 @@ impl Router {
                 max_inflight: config.max_inflight,
                 inflight: AtomicUsize::new(0),
                 rr: AtomicU64::new(0),
+                threads: worker_threads(config.engine.threads) * config.replicas,
+                meter,
                 metrics,
             }),
             registry: obs.registry,
@@ -464,107 +482,59 @@ impl Router {
 
     /// Reserves one unit of router capacity, or `None` (counted as
     /// `router.shed`) at the admission cap. [`run_query`](Self::run_query)
-    /// and friends admit internally; the server calls this directly so
-    /// it can answer `BUSY` on the wire before reading the payload.
+    /// and friends admit internally; raw scoring does not, so the server
+    /// holds a permit around each `SCORE`/`BATCH` frame (and answers
+    /// `BUSY` without one).
     pub fn admit(&self) -> Option<Permit> {
         self.shared.admit()
     }
 
-    /// Routes and runs one query, failing over to the next healthy
-    /// replica on model-layer errors. Returns the `BUSY` shed error at
-    /// the admission cap.
+    /// Routes and runs one query **on the calling thread**: admission,
+    /// prefix-affinity placement, and fail-over to the next healthy
+    /// replica on model-layer errors. An active `sink` receives the
+    /// query's events — after a fail-over the retried attempt's events
+    /// follow the failed attempt's partial ones, from the start — and
+    /// firing `cancel` stops the query (it is never retried). `configure`
+    /// runs once per attempt, so a retry decodes under the same settings:
+    /// results depend only on (source, configuration), never on
+    /// placement. Returns the `BUSY` shed error at the admission cap.
+    ///
+    /// Everything else here ([`run_query`](Self::run_query),
+    /// [`run_queries`](Self::run_queries),
+    /// [`stream_query`](Self::stream_query)) is a thin caller of this.
+    pub fn serve(
+        &self,
+        source: &str,
+        sink: &StreamSink,
+        cancel: &CancelToken,
+        configure: &(dyn Fn(&mut Runtime) + Sync),
+    ) -> lmql::Result<QueryResult> {
+        self.shared.serve(source, sink, cancel, configure)
+    }
+
+    /// Routes and runs one query; see [`serve`](Self::serve).
     pub fn run_query(&self, source: &str) -> lmql::Result<QueryResult> {
         self.run_query_with(source, |_| {})
     }
 
     /// Like [`run_query`](Self::run_query), calling `configure` on the
     /// query's runtime before it runs (seed, bindings, decode options).
-    /// The closure runs once per attempt, so a fail-over retry gets the
-    /// same configuration — which is what keeps retried results
-    /// byte-identical.
     pub fn run_query_with<F>(&self, source: &str, configure: F) -> lmql::Result<QueryResult>
     where
-        F: Fn(&mut lmql::Runtime) + Sync,
+        F: Fn(&mut Runtime) + Sync,
     {
-        let Some(_permit) = self.shared.admit() else {
-            return Err(Shared::busy());
-        };
-        let order = self.shared.route_order(self.shared.query_key(source));
-        self.shared.run_on(&order, source, &configure)
+        self.serve(source, &StreamSink::none(), &CancelToken::new(), &configure)
     }
 
-    /// Routes and runs many queries concurrently: sources are grouped by
-    /// their routed replica, each group runs on its replica's own thread
-    /// pool in parallel, and any model-layer failure fails over
-    /// per-query. Results come back in input order, byte-identical to a
-    /// single-node run.
+    /// Routes and runs many queries concurrently on a pool of worker
+    /// threads (the replicas' thread budgets combined), each through
+    /// [`serve`](Self::serve). Results come back in input order,
+    /// byte-identical to a single-node run.
     pub fn run_queries(&self, sources: &[&str]) -> Vec<lmql::Result<QueryResult>> {
-        let n = sources.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let shared = &self.shared;
-        let mut permits = Vec::with_capacity(n);
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shared.replicas.len()];
-        let mut admitted = vec![false; n];
-        for (qi, src) in sources.iter().enumerate() {
-            if let Some(permit) = shared.admit() {
-                permits.push(permit);
-                admitted[qi] = true;
-                let order = shared.route_order(shared.query_key(src));
-                groups[order[0]].push(qi);
-            }
-        }
-        let slots: Vec<std::sync::Mutex<Option<lmql::Result<QueryResult>>>> =
-            (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for (ri, group) in groups.iter().enumerate() {
-                if group.is_empty() {
-                    continue;
-                }
-                let slots = &slots;
-                s.spawn(move || {
-                    let replica = &shared.replicas[ri];
-                    let srcs: Vec<&str> = group.iter().map(|&qi| sources[qi]).collect();
-                    shared.metrics.queries.add(srcs.len() as u64);
-                    replica.queries.add(srcs.len() as u64);
-                    let results = replica.engine.run_queries(&srcs);
-                    for (&qi, result) in group.iter().zip(results) {
-                        match &result {
-                            Err(lmql::Error::Model { .. }) => replica.breaker.record_failure(),
-                            _ => replica.breaker.record_success(),
-                        }
-                        *slots[qi].lock().expect("router slot poisoned") = Some(result);
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(qi, slot)| {
-                if !admitted[qi] {
-                    return Err(Shared::busy());
-                }
-                let result = slot
-                    .into_inner()
-                    .expect("router slot poisoned")
-                    .expect("every admitted query gets a result");
-                if matches!(result, Err(lmql::Error::Model { .. })) {
-                    // Per-query fail-over pass: re-route excluding the
-                    // replica that just failed.
-                    let order = shared.route_order(shared.query_key(sources[qi]));
-                    let failed = order[0];
-                    let rest: Vec<usize> = order.into_iter().filter(|&i| i != failed).collect();
-                    if rest.is_empty() {
-                        return result;
-                    }
-                    self.shared.metrics.failovers.inc();
-                    return shared.run_on(&rest, sources[qi], &|_| {});
-                }
-                result
-            })
-            .collect()
+        let (sink, cancel) = (StreamSink::none(), CancelToken::new());
+        run_pool(sources.len(), self.shared.threads, |i| {
+            self.serve(sources[i], &sink, &cancel, &|_| {})
+        })
     }
 
     /// Scores a raw token context through the pool, routed by the same
@@ -573,140 +543,89 @@ impl Router {
     /// model errors (except cancellation/deadline, which are the
     /// caller's verdicts, not the replica's).
     pub fn try_score(&self, context: &[TokenId]) -> LmResult<Logits> {
+        self.try_score_many(&[context])
+            .pop()
+            .expect("one result per context")
+    }
+
+    /// Batched [`try_score`](Self::try_score) with per-item results —
+    /// the one routed-scoring loop. Each round groups the unanswered
+    /// contexts by their next-choice replica and hands every group to
+    /// that replica's [`Scheduler::try_score_many`](crate::Scheduler::try_score_many)
+    /// in one submission (one microbatch per replica when it fits);
+    /// items that failed at the model layer move on to the next round.
+    pub fn try_score_many(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
         let shared = &self.shared;
-        let key = fingerprint_tokens(context, shared.prefix_tokens);
-        let order = shared.route_order(key);
-        let mut last: Option<LmError> = None;
-        for (attempt, &i) in order.iter().enumerate() {
-            if attempt > 0 {
-                shared.metrics.failovers.inc();
+        let orders: Vec<Vec<usize>> = contexts
+            .iter()
+            .map(|ctx| shared.route_order(fingerprint_tokens(ctx, shared.prefix_tokens)))
+            .collect();
+        let mut results: Vec<Option<LmResult<Logits>>> = vec![None; contexts.len()];
+        let mut pending: Vec<usize> = (0..contexts.len()).collect();
+        for attempt in 0..shared.replicas.len() {
+            if pending.is_empty() {
+                break;
             }
-            let replica = &shared.replicas[i];
-            match replica.engine.scheduler().try_score(context) {
-                Ok(logits) => {
-                    replica.breaker.record_success();
-                    return Ok(logits);
+            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shared.replicas.len()];
+            for qi in pending.drain(..) {
+                groups[orders[qi][attempt]].push(qi);
+            }
+            for (replica, group) in shared.replicas.iter().zip(&groups) {
+                if group.is_empty() {
+                    continue;
                 }
-                Err(e @ (LmError::Cancelled | LmError::DeadlineExceeded { .. })) => {
-                    return Err(e);
+                if attempt > 0 {
+                    shared.metrics.failovers.add(group.len() as u64);
                 }
-                Err(e) => {
-                    replica.breaker.record_failure();
-                    last = Some(e);
+                let batch: Vec<&[TokenId]> = group.iter().map(|&qi| contexts[qi]).collect();
+                let scored = replica.engine.scheduler().try_score_many(&batch);
+                for (&qi, result) in group.iter().zip(scored) {
+                    match &result {
+                        Ok(_) => replica.breaker.record_success(),
+                        Err(LmError::Cancelled | LmError::DeadlineExceeded { .. }) => {}
+                        Err(_) => {
+                            replica.breaker.record_failure();
+                            pending.push(qi);
+                        }
+                    }
+                    results[qi] = Some(result);
                 }
             }
         }
-        Err(last.expect("at least one replica attempted"))
+        results
+            .into_iter()
+            .map(|r| r.expect("every context is attempted at least once"))
+            .collect()
     }
 
-    /// Batched [`try_score`](Self::try_score) with per-item results.
-    pub fn try_score_many(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
-        contexts.iter().map(|ctx| self.try_score(ctx)).collect()
-    }
-
-    /// Routes and streams one query; events arrive as decoding
-    /// progresses. On a replica failure mid-stream the query fails over:
-    /// the event stream *restarts from the beginning* on the next
-    /// healthy replica (consumers see the new attempt's events after the
-    /// old attempt's partial ones), and [`RouterStream::wait`] returns
+    /// Routes and streams one query on its own thread; events arrive as
+    /// decoding progresses. On a replica failure mid-stream the query
+    /// fails over: the event stream *restarts from the beginning* on the
+    /// next healthy replica (consumers see the new attempt's events after
+    /// the old attempt's partial ones), and [`QueryStream::wait`] returns
     /// the retried run's result — byte-identical to a single-node run,
-    /// because results depend only on (source, seed).
-    pub fn stream_query(&self, source: &str) -> RouterStream {
+    /// because results depend only on (source, seed). Dropping the handle
+    /// cancels the query.
+    pub fn stream_query(&self, source: &str) -> QueryStream {
         self.stream_query_with(source, |_| {})
     }
 
     /// [`Router::stream_query`] with a configuration hook applied to the
-    /// per-query [`Runtime`](lmql::Runtime) before decoding starts. The
-    /// closure runs once per attempt, so a fail-over retry streams under
-    /// the same configuration (and thus the same result bytes).
-    pub fn stream_query_with<F>(&self, source: &str, configure: F) -> RouterStream
+    /// per-query [`Runtime`] before decoding starts (once per attempt).
+    pub fn stream_query_with<F>(&self, source: &str, configure: F) -> QueryStream
     where
-        F: Fn(&mut lmql::Runtime) + Send + Sync + 'static,
+        F: Fn(&mut Runtime) + Send + Sync + 'static,
     {
-        let configure = Arc::new(configure);
-        let (evt_tx, events) = mpsc::channel();
-        let (res_tx, result) = mpsc::channel();
-        let cancel = CancelToken::new();
-        let Some(permit) = self.shared.admit() else {
-            let _ = res_tx.send(Err(Shared::busy()));
-            return RouterStream {
-                events,
-                cancel,
-                result,
-            };
-        };
         let shared = Arc::clone(&self.shared);
         let source = source.to_owned();
-        let outer = cancel.clone();
-        std::thread::Builder::new()
-            .name("lmql-router-stream".to_owned())
-            .spawn(move || {
-                let _permit = permit;
-                let started = Instant::now();
-                shared.metrics.queries.inc();
-                let order = shared.route_order(shared.query_key(&source));
-                let mut outcome: lmql::Result<QueryResult> = Err(Shared::busy());
-                for (attempt, &i) in order.iter().enumerate() {
-                    if outer.is_cancelled() {
-                        outcome = Err(lmql::Error::Cancelled);
-                        break;
-                    }
-                    if attempt > 0 {
-                        shared.metrics.failovers.inc();
-                    }
-                    let replica = &shared.replicas[i];
-                    replica.queries.inc();
-                    let cfg = Arc::clone(&configure);
-                    let stream = replica.engine.stream_query_with(&source, move |rt| cfg(rt));
-                    let mut consumer_gone = false;
-                    for event in stream.events() {
-                        if outer.is_cancelled() {
-                            stream.cancel();
-                        }
-                        if evt_tx.send(event).is_err() {
-                            // Consumer dropped the handle: cancel the
-                            // query instead of decoding for nobody.
-                            consumer_gone = true;
-                            stream.cancel();
-                            break;
-                        }
-                    }
-                    let result = stream.wait();
-                    match &result {
-                        Err(lmql::Error::Model { .. }) if !consumer_gone => {
-                            replica.breaker.record_failure();
-                            outcome = result;
-                            continue;
-                        }
-                        Err(lmql::Error::Model { .. }) => {
-                            replica.breaker.record_failure();
-                            outcome = result;
-                            break;
-                        }
-                        _ => {
-                            replica.breaker.record_success();
-                            outcome = result;
-                            break;
-                        }
-                    }
-                }
-                shared
-                    .metrics
-                    .latency_us
-                    .record(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-                let _ = res_tx.send(outcome);
-            })
-            .expect("failed to spawn router stream thread");
-        RouterStream {
-            events,
-            cancel,
-            result,
-        }
+        QueryStream::spawn("lmql-router-stream", move |sink, cancel| {
+            shared.serve(&source, &sink, cancel, &configure)
+        })
     }
 
     /// Streams many queries; handles are independent (consume, wait, or
     /// drop-to-cancel in any order).
-    pub fn stream_queries(&self, sources: &[&str]) -> Vec<RouterStream> {
+    pub fn stream_queries(&self, sources: &[&str]) -> Vec<QueryStream> {
         sources.iter().map(|src| self.stream_query(src)).collect()
     }
 
@@ -718,73 +637,26 @@ impl Router {
         }
     }
 
-    /// A point-in-time snapshot of router counters and every replica's
-    /// usage, cache, and breaker state.
+    /// A point-in-time snapshot of router counters, pool usage, and
+    /// every replica's load, cache, and breaker state.
     pub fn stats(&self) -> RouterStats {
         RouterStats {
             routed: self.shared.metrics.queries.get(),
             shed: self.shared.metrics.shed.get(),
             failovers: self.shared.metrics.failovers.get(),
             rerouted: self.shared.metrics.rerouted.get(),
+            usage: self.shared.meter.snapshot(),
             replicas: self
                 .shared
                 .replicas
                 .iter()
                 .map(|r| ReplicaStats {
                     queries: r.queries.get(),
-                    usage: r.engine.meter().snapshot(),
                     cache: r.engine.scheduler().cache_stats(),
                     breaker: r.breaker.state(),
                 })
                 .collect(),
         }
-    }
-}
-
-/// A live streamed query routed through the pool; the router-side
-/// analogue of [`QueryStream`](crate::QueryStream), with the same
-/// consume/cancel/wait surface. Dropping the handle cancels the query.
-#[derive(Debug)]
-pub struct RouterStream {
-    events: mpsc::Receiver<QueryEvent>,
-    cancel: CancelToken,
-    result: mpsc::Receiver<lmql::Result<QueryResult>>,
-}
-
-impl RouterStream {
-    /// Blocks for the next event; `None` once the stream is over.
-    pub fn next_event(&self) -> Option<QueryEvent> {
-        self.events.recv().ok()
-    }
-
-    /// A blocking iterator over the remaining events.
-    pub fn events(&self) -> impl Iterator<Item = QueryEvent> + '_ {
-        std::iter::from_fn(move || self.next_event())
-    }
-
-    /// Requests cooperative cancellation (idempotent).
-    pub fn cancel(&self) {
-        self.cancel.cancel();
-    }
-
-    /// Whether cancellation was requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel.is_cancelled()
-    }
-
-    /// Discards unconsumed events and blocks for the final result.
-    pub fn wait(self) -> lmql::Result<QueryResult> {
-        self.result.recv().unwrap_or_else(|_| {
-            Err(lmql::Error::Model {
-                message: "router stream worker vanished without a result".to_owned(),
-            })
-        })
-    }
-}
-
-impl Drop for RouterStream {
-    fn drop(&mut self) {
-        self.cancel.cancel();
     }
 }
 

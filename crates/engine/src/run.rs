@@ -1,11 +1,13 @@
 //! The thread-pool query runner: many LMQL queries, one shared model.
 //!
-//! [`Engine::run_queries`] executes a set of queries concurrently on a
-//! pool of worker threads. Every query gets its own fresh
-//! [`Runtime`] (own seed, own per-run cache, own meter), but they all
-//! score through one shared [`Scheduler`] — so shared prompt prefixes
-//! are paid for once, identical in-flight contexts single-flight, and
-//! concurrent steps coalesce into microbatches.
+//! [`Engine::serve`] is the one blocking primitive: it runs a query on
+//! the calling thread, on a fresh [`Runtime`] (own seed, own per-run
+//! cache, own meter) that scores through the shared [`Scheduler`] — so
+//! shared prompt prefixes are paid for once, identical in-flight
+//! contexts single-flight, and concurrent steps coalesce into
+//! microbatches. [`Engine::run_queries`] calls it from a pool of worker
+//! threads, [`Engine::stream_query`] from one spawned thread with a
+//! channel sink.
 //!
 //! Results are deterministic and bit-identical to running each query
 //! alone on the bare model: the scheduler only ever returns what a
@@ -74,7 +76,9 @@ pub struct EngineStats {
 }
 
 /// A concurrent inference engine: one shared model behind a
-/// [`Scheduler`], a thread pool for query execution.
+/// [`Scheduler`], a thread pool for query execution. Every field is a
+/// shared handle, so a clone is the same engine (same scheduler, caches
+/// and counters) — that is how a streamed query's thread owns one.
 ///
 /// # Example
 ///
@@ -96,6 +100,7 @@ pub struct EngineStats {
 ///     assert_eq!(r.unwrap().best().var_str("A"), Some(" fine."));
 /// }
 /// ```
+#[derive(Clone)]
 pub struct Engine {
     sched: Arc<Scheduler>,
     bpe: Arc<Bpe>,
@@ -103,6 +108,8 @@ pub struct Engine {
     threads: usize,
     tracer: Tracer,
     registry: Option<Registry>,
+    /// `stream.*` delivery counters (registered when a registry is set).
+    stream_metrics: StreamMetrics,
     /// Cross-query mask memo: every worker runtime masks over the same
     /// `bpe`, so memoized masks transfer between concurrent queries with
     /// identical constraints (the engine's analogue of the radix prefix
@@ -153,15 +160,36 @@ impl Engine {
         config: EngineConfig,
         obs: EngineObs,
     ) -> Self {
+        Self::build(model, bpe, config, obs, None)
+    }
+
+    /// The constructor behind [`new_with_obs`](Self::new_with_obs).
+    /// `pool_meter` is the [`Router`](crate::Router)'s pool-wide usage
+    /// meter, already registered under `lm.*`: replicas record on it
+    /// instead of each registering (and colliding on) their own.
+    pub(crate) fn build(
+        model: Arc<dyn LanguageModel>,
+        bpe: Arc<Bpe>,
+        config: EngineConfig,
+        obs: EngineObs,
+        pool_meter: Option<UsageMeter>,
+    ) -> Self {
         assert_eq!(
             model.vocab().len(),
             bpe.vocab().len(),
             "model and tokenizer vocabulary mismatch"
         );
-        let meter = UsageMeter::new();
-        if let Some(registry) = &obs.registry {
-            meter.register_into(registry, "lm");
-        }
+        let meter = pool_meter.unwrap_or_else(|| {
+            let meter = UsageMeter::new();
+            if let Some(registry) = &obs.registry {
+                meter.register_into(registry, "lm");
+            }
+            meter
+        });
+        let stream_metrics = match &obs.registry {
+            Some(registry) => StreamMetrics::registered(registry),
+            None => StreamMetrics::default(),
+        };
         // The meter wraps the model *inside* the scheduler: it counts
         // real dispatches after caching/single-flighting, which is what
         // the Tables 3–5 binaries and benches compare against.
@@ -184,6 +212,7 @@ impl Engine {
             threads: config.threads,
             tracer: obs.tracer,
             registry: obs.registry,
+            stream_metrics,
             mask_memo: MaskMemo::new(1024),
             automata: AutomataCache::new(),
             subquery: config.subquery,
@@ -245,6 +274,69 @@ impl Engine {
         &self.automata
     }
 
+    /// Runs one query to completion **on the calling thread** — the one
+    /// place a per-query [`Runtime`] is built and fenced. The runtime
+    /// scores through a [`BatchedLm::with_cancel`] handle on `cancel`
+    /// and carries the engine's tracer, shared mask memo and automata
+    /// cache, subquery limits, tools and registry; `configure` then
+    /// adjusts it (seed, bindings, decode options). An active `sink`
+    /// receives the query's events, metered under `stream.*`.
+    ///
+    /// A model failure past the scheduler's retry budget surfaces as a
+    /// panic inside the runtime's `score` calls; it is contained here
+    /// and returned as [`lmql::Error::Model`], so neither the caller's
+    /// thread nor any other query is disturbed.
+    pub fn serve<F>(
+        &self,
+        source: &str,
+        sink: StreamSink,
+        cancel: &CancelToken,
+        configure: F,
+    ) -> lmql::Result<QueryResult>
+    where
+        F: FnOnce(&mut Runtime),
+    {
+        let lm = BatchedLm::with_cancel(Arc::clone(&self.sched), cancel.clone());
+        let mut rt = Runtime::new(Arc::new(lm), Arc::clone(&self.bpe));
+        rt.set_tracer(self.tracer.clone());
+        rt.set_mask_memo(Arc::clone(&self.mask_memo));
+        rt.set_automata_cache(Arc::clone(&self.automata));
+        rt.set_subquery_limits(self.subquery);
+        if !self.tools.is_empty() {
+            rt.set_tools(self.tools.clone());
+        }
+        if let Some(registry) = &self.registry {
+            rt.set_metrics_registry(registry.clone());
+        }
+        configure(&mut rt);
+        let sink = if sink.is_active() {
+            StreamSink::new(Arc::new(MeteredSink {
+                inner: sink,
+                metrics: self.stream_metrics.clone(),
+                started: Instant::now(),
+                saw_token: AtomicBool::new(false),
+            }))
+        } else {
+            sink
+        };
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt.run_streamed(source, sink)
+        }))
+        .unwrap_or_else(|payload| {
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("query worker panicked")
+                .to_owned();
+            Err(lmql::Error::Model { message })
+        });
+        if matches!(result, Err(lmql::Error::Cancelled)) {
+            self.stream_metrics.cancelled.inc();
+        }
+        result
+    }
+
     /// Runs each query source concurrently over the shared model,
     /// returning results in input order.
     ///
@@ -265,66 +357,12 @@ impl Engine {
     where
         F: Fn(usize, &mut Runtime) + Sync,
     {
-        let n = sources.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let threads = match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-            t => t,
-        }
-        .min(n);
-
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<lmql::Result<QueryResult>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let mut rt = Runtime::new(Arc::new(self.handle()), Arc::clone(&self.bpe));
-                    rt.set_tracer(self.tracer.clone());
-                    rt.set_mask_memo(Arc::clone(&self.mask_memo));
-                    rt.set_automata_cache(Arc::clone(&self.automata));
-                    rt.set_subquery_limits(self.subquery);
-                    if !self.tools.is_empty() {
-                        rt.set_tools(self.tools.clone());
-                    }
-                    if let Some(registry) = &self.registry {
-                        rt.set_metrics_registry(registry.clone());
-                    }
-                    configure(i, &mut rt);
-                    // A model failure past the scheduler's retry budget
-                    // surfaces as a panic inside the runtime's `score`
-                    // calls; contain it to this query — the other
-                    // queries (and this worker) keep running.
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        rt.run(sources[i])
-                    }))
-                    .unwrap_or_else(|payload| {
-                        let message = payload
-                            .downcast_ref::<String>()
-                            .map(String::as_str)
-                            .or_else(|| payload.downcast_ref::<&str>().copied())
-                            .unwrap_or("query worker panicked")
-                            .to_owned();
-                        Err(lmql::Error::Model { message })
-                    });
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every query slot is filled by a worker")
+        let cancel = CancelToken::new();
+        run_pool(sources.len(), worker_threads(self.threads), |i| {
+            self.serve(sources[i], StreamSink::none(), &cancel, |rt| {
+                configure(i, rt)
             })
-            .collect()
+        })
     }
 
     /// Streaming variant of [`run_queries`](Self::run_queries): each
@@ -350,76 +388,55 @@ impl Engine {
     where
         F: FnOnce(&mut Runtime) + Send + 'static,
     {
-        let (channel_sink, events, cancel) = StreamSink::channel();
-        let metrics = match &self.registry {
-            Some(registry) => StreamMetrics::registered(registry),
-            None => StreamMetrics::default(),
-        };
-        let sink = StreamSink::new(Arc::new(MeteredSink {
-            inner: channel_sink,
-            metrics: metrics.clone(),
-            started: Instant::now(),
-            saw_token: AtomicBool::new(false),
-        }));
-        let (result_tx, result) = mpsc::channel();
-
-        let lm = BatchedLm::with_cancel(Arc::clone(&self.sched), cancel.clone());
-        let bpe = Arc::clone(&self.bpe);
-        let tracer = self.tracer.clone();
-        let registry = self.registry.clone();
-        let mask_memo = Arc::clone(&self.mask_memo);
-        let automata = Arc::clone(&self.automata);
-        let subquery = self.subquery;
-        let tools = self.tools.clone();
+        let engine = self.clone();
         let source = source.to_owned();
-        std::thread::Builder::new()
-            .name("lmql-engine-stream".to_owned())
-            .spawn(move || {
-                let mut rt = Runtime::new(Arc::new(lm), bpe);
-                rt.set_tracer(tracer);
-                rt.set_mask_memo(mask_memo);
-                rt.set_automata_cache(automata);
-                rt.set_subquery_limits(subquery);
-                if !tools.is_empty() {
-                    rt.set_tools(tools);
-                }
-                if let Some(registry) = &registry {
-                    rt.set_metrics_registry(registry.clone());
-                }
-                configure(&mut rt);
-                // Same containment as the pooled runner: a model failure
-                // past the retry budget panics inside `score`; keep it
-                // inside this query's thread.
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    rt.run_streamed(&source, sink)
-                }))
-                .unwrap_or_else(|payload| {
-                    let message = payload
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| payload.downcast_ref::<&str>().copied())
-                        .unwrap_or("query worker panicked")
-                        .to_owned();
-                    Err(lmql::Error::Model { message })
-                });
-                if matches!(result, Err(lmql::Error::Cancelled)) {
-                    metrics.cancelled.inc();
-                }
-                // The consumer may already be gone (dropped handle) —
-                // then the result is simply discarded.
-                let _ = result_tx.send(result);
-            })
-            .expect("failed to spawn stream worker thread");
-
-        QueryStream {
-            events,
-            cancel,
-            result,
-        }
+        QueryStream::spawn("lmql-engine-stream", move |sink, cancel| {
+            engine.serve(&source, sink, cancel, configure)
+        })
     }
 }
 
-/// A live streamed query (see [`Engine::stream_queries`]): an event
+/// The worker count for a configured `threads` value: `0` means the
+/// machine's available parallelism.
+pub(crate) fn worker_threads(configured: usize) -> usize {
+    match configured {
+        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        t => t,
+    }
+}
+
+/// Runs `job(0..n)` on up to `threads` scoped worker threads pulling
+/// indices off a shared cursor; results come back in index order.
+pub(crate) fn run_pool<R: Send>(
+    n: usize,
+    threads: usize,
+    job: impl Fn(usize) -> R + Sync,
+) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|s| {
+        for _ in 0..threads.min(n) {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                *slots[i].lock().expect("result slot poisoned") = Some(job(i));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .expect("result slot poisoned")
+                .expect("every slot is filled by a worker")
+        })
+        .collect()
+}
+
+/// A live streamed query (see [`Engine::stream_queries`] and
+/// [`Router::stream_query`](crate::Router::stream_query)): an event
 /// receiver, a cancellation handle, and the final result.
 ///
 /// Dropping the handle cancels the query cooperatively: the runtime
@@ -434,6 +451,30 @@ pub struct QueryStream {
 }
 
 impl QueryStream {
+    /// Spawns the one thread a streamed query runs on: `run` gets the
+    /// channel sink feeding this handle and the token the handle fires.
+    pub(crate) fn spawn(
+        thread_name: &str,
+        run: impl FnOnce(StreamSink, &CancelToken) -> lmql::Result<QueryResult> + Send + 'static,
+    ) -> QueryStream {
+        let (sink, events, cancel) = StreamSink::channel();
+        let (result_tx, result) = mpsc::channel();
+        let token = cancel.clone();
+        std::thread::Builder::new()
+            .name(thread_name.to_owned())
+            .spawn(move || {
+                // The consumer may already be gone (dropped handle) —
+                // then the result is simply discarded.
+                let _ = result_tx.send(run(sink, &token));
+            })
+            .expect("failed to spawn stream worker thread");
+        QueryStream {
+            events,
+            cancel,
+            result,
+        }
+    }
+
     /// Blocks for the next event; `None` once the stream is over (the
     /// terminal `Done`/`Error` event was already delivered, or the
     /// producer is gone).

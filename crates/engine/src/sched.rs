@@ -779,10 +779,12 @@ fn admit_batch(
 }
 
 fn dispatch_loop(shared: &Shared) {
-    // Eviction totals live in the cache; the dispatcher (its only writer
+    // Cache totals live in the cache; the dispatcher (its only writer
     // besides the rare shutdown-drain path) mirrors them into the
-    // monotonic counter by delta.
-    let mut evictions_seen = 0u64;
+    // metrics by delta — so several schedulers registered under the same
+    // names (a replica pool) sum to pool totals instead of clobbering
+    // each other.
+    let mut seen = crate::radix::RadixStats::default();
     loop {
         let batch = {
             let mut st = shared.state.lock().expect("scheduler poisoned");
@@ -911,16 +913,25 @@ fn dispatch_loop(shared: &Shared) {
             shared
                 .metrics
                 .cache_evictions
-                .add(stats.evictions.saturating_sub(evictions_seen));
-            evictions_seen = stats.evictions;
-            shared.metrics.cache_entries.set(stats.entries as u64);
-            shared.metrics.cache_bytes.set(stats.bytes as u64);
+                .add(stats.evictions.saturating_sub(seen.evictions));
+            move_gauge(&shared.metrics.cache_entries, seen.entries, stats.entries);
+            move_gauge(&shared.metrics.cache_bytes, seen.bytes, stats.bytes);
+            seen = stats;
         }
         let mut st = shared.state.lock().expect("scheduler poisoned");
         for (p, result) in batch.into_iter().zip(results) {
             st.inflight.remove(&p.context);
             p.slot.fill(result);
         }
+    }
+}
+
+/// Moves a shared gauge by this scheduler's own change `from` → `to`.
+fn move_gauge(gauge: &Gauge, from: usize, to: usize) {
+    if to >= from {
+        gauge.add((to - from) as u64);
+    } else {
+        gauge.sub((from - to) as u64);
     }
 }
 

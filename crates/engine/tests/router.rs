@@ -194,3 +194,54 @@ fn shared_prefix_queries_share_a_replica() {
         stats.cache_hit_rate()
     );
 }
+
+/// Replicas share the router's registry and one pool-wide usage meter,
+/// so `engine.*` / `lm.*` read as pool totals: each equals the sum over
+/// [`Router::stats`], whatever the replica count.
+#[test]
+fn registry_carries_pool_totals_matching_router_stats() {
+    for replicas in [1, 2] {
+        let bpe = bpe();
+        let registry = Registry::new();
+        let router = Router::new_with_obs(
+            clean_model(&bpe),
+            Arc::clone(&bpe),
+            // Round-robin, so every replica serves (and caches) traffic.
+            RouterConfig {
+                affinity: false,
+                ..config(replicas)
+            },
+            RouterObs {
+                registry: Some(registry.clone()),
+                ..RouterObs::default()
+            },
+        );
+        let sources: Vec<&str> = (0..12).map(|i| QUERIES[i % QUERIES.len()]).collect();
+        for result in router.run_queries(&sources) {
+            result.expect("query must succeed");
+        }
+        let stats = router.stats();
+        assert_eq!(
+            stats.replicas.iter().filter(|r| r.queries > 0).count(),
+            replicas,
+            "round-robin must exercise every replica"
+        );
+        let cache = stats.cache_totals();
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("engine.cache.hits"), Some(cache.hits));
+        assert_eq!(
+            snap.gauge("engine.cache.entries"),
+            Some(cache.entries as u64)
+        );
+        assert_eq!(snap.gauge("engine.cache.bytes"), Some(cache.bytes as u64));
+        assert_eq!(
+            snap.counter("engine.batch.dispatches"),
+            Some(stats.usage.batch_dispatches)
+        );
+        assert_eq!(
+            snap.counter("lm.model_queries"),
+            Some(stats.usage.model_queries)
+        );
+        assert!(stats.usage.model_queries > 0);
+    }
+}

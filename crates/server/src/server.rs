@@ -1,28 +1,30 @@
 //! The inference server: hosts a model behind the shared batching engine,
-//! answers `SCORE` and `BATCH` requests.
+//! answers `SCORE`, `BATCH` and `STREAM` requests.
 //!
-//! Every connection scores through one shared [`Scheduler`], so concurrent
-//! clients coalesce into microbatches and share a prefix cache — the
-//! server side of the paper's Appendix A.2 split, where "the server is
-//! responsible for inference, loading and managing the model".
+//! Every connection is served by one [`Router`] over
+//! [`ServerConfig::replicas`] ≥ 1 engines, so concurrent clients coalesce
+//! into microbatches and share prefix caches — the server side of the
+//! paper's Appendix A.2 split, where "the server is responsible for
+//! inference, loading and managing the model". One replica is a
+//! one-replica pool: the same code, not a second path.
 
 use crate::faults::{FaultAction, FaultHook};
 use crate::protocol::{
     parse_batch_request, parse_score_request, write_batch_logits, write_busy, write_logits,
     write_stats, write_tokenizer,
 };
-use lmql::{QueryEvent, Runtime, StreamSink, ToolRegistry};
+use lmql::{EventSink, QueryEvent, StreamSink, ToolRegistry};
 use lmql_engine::{
-    router, BatchPolicy, BatchedLm, EngineConfig, RadixCacheConfig, RadixStats, Router,
-    RouterConfig, RouterObs, Scheduler, SchedulerObs,
+    router, BatchPolicy, EngineConfig, RadixCacheConfig, RadixStats, Router, RouterConfig,
+    RouterObs,
 };
-use lmql_lm::{LanguageModel, LmError, LmResult, Logits, RetryPolicy};
-use lmql_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry, StreamMetrics};
+use lmql_lm::{CancelToken, LanguageModel, LmError, RetryPolicy};
+use lmql_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use lmql_tokenizer::{Bpe, TokenId};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -36,13 +38,13 @@ const READ_POLL: Duration = Duration::from_millis(50);
 pub struct ServerConfig {
     /// Connections idle (no complete request) this long are dropped.
     pub read_timeout: Duration,
-    /// Microbatch formation policy for the shared scheduler.
+    /// Microbatch formation policy for each replica's scheduler.
     pub policy: BatchPolicy,
-    /// Budgets for the shared prefix cache.
+    /// Budgets for each replica's prefix cache.
     pub cache: RadixCacheConfig,
-    /// Retry/deadline policy for the shared scheduler's dispatch-time
-    /// fault recovery (matters when the hosted model is itself fallible,
-    /// e.g. a chaos wrapper).
+    /// Retry/deadline policy for the schedulers' dispatch-time fault
+    /// recovery (matters when the hosted model is itself fallible, e.g.
+    /// a chaos wrapper).
     pub retry: RetryPolicy,
     /// Load shedding: connections over this budget receive a typed
     /// `BUSY` frame and are closed immediately (counted in
@@ -50,17 +52,16 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Deterministic fault injection for chaos tests (inert by default).
     pub faults: FaultHook,
-    /// Worker groups behind this server. `1` (the default) keeps the
-    /// classic single shared scheduler; `> 1` puts a prefix-affinity
-    /// [`Router`] in front of that many replica engines, each with its
-    /// own scheduler and radix cache (DESIGN.md §15).
+    /// Replica engines behind this server's [`Router`], each with its
+    /// own scheduler and radix cache (DESIGN.md §15). `1` (the default)
+    /// is a one-replica pool — the same serving path as any other count.
     pub replicas: usize,
-    /// Prefix-affinity routing across replicas (`replicas > 1` only);
-    /// `false` deals queries round-robin — the cache-oblivious baseline.
+    /// Prefix-affinity routing across replicas; `false` deals queries
+    /// round-robin — the cache-oblivious baseline.
     pub affinity: bool,
-    /// Router-level admission cap on concurrently served frames
-    /// (`replicas > 1` only); over budget, frames get a `BUSY` reply.
-    /// `0` (the default) disables query-level shedding.
+    /// Router-level admission cap on concurrently served frames; over
+    /// budget, frames get a `BUSY` reply. `0` (the default) disables
+    /// query-level shedding.
     pub max_inflight: usize,
     /// First-class tools installed on every server-side query runtime
     /// (DESIGN.md §16): `STREAM` queries can `import` and call these.
@@ -86,8 +87,9 @@ impl Default for ServerConfig {
 }
 
 /// The server's metric handles, registered under `server.*` in the
-/// shared registry (which also carries the scheduler's `engine.*`
-/// metrics). Incremented from every connection-handler thread.
+/// shared registry (which also carries the pool's `router.*`,
+/// `engine.*`, `lm.*` and `stream.*` metrics). Incremented from every
+/// connection-handler thread.
 #[derive(Debug, Clone)]
 struct ServerMetrics {
     /// Connections accepted over the server's lifetime.
@@ -117,59 +119,22 @@ impl ServerMetrics {
     }
 }
 
-/// What serves the model calls behind the wire: the classic single
-/// shared scheduler, or a prefix-affinity replica pool.
-enum Backend {
-    Single(Arc<Scheduler>),
-    Pool(Arc<Router>),
-}
-
-impl Backend {
-    /// Scores one context; `None` means the frame was shed (pool at its
-    /// admission cap) and the caller must answer `BUSY`.
-    fn try_score(&self, ids: &[TokenId]) -> Option<LmResult<Logits>> {
-        match self {
-            Backend::Single(sched) => Some(sched.try_score(ids)),
-            Backend::Pool(pool) => {
-                let _permit = pool.admit()?;
-                Some(pool.try_score(ids))
-            }
-        }
-    }
-
-    /// Scores a batch of contexts; `None` means the frame was shed.
-    fn try_score_many(&self, contexts: &[&[TokenId]]) -> Option<Vec<LmResult<Logits>>> {
-        match self {
-            Backend::Single(sched) => Some(sched.try_score_many(contexts)),
-            Backend::Pool(pool) => {
-                let _permit = pool.admit()?;
-                Some(pool.try_score_many(contexts))
-            }
-        }
-    }
-}
-
 /// Everything a connection handler needs, shared across all handlers.
 struct ConnShared {
-    backend: Backend,
+    /// The one backend: routes `SCORE`/`BATCH`/`STREAM` over the pool.
+    router: Router,
     serialized_tokenizer: Arc<String>,
-    /// The hosted tokenizer itself — `STREAM` queries decode server-side
-    /// and need to encode/mask against it.
-    bpe: Arc<Bpe>,
+    /// Vocabulary size of the hosted tokenizer — the bound network
+    /// token ids are checked against.
+    vocab_len: usize,
     stop: Arc<AtomicBool>,
     registry: Registry,
     metrics: ServerMetrics,
-    /// Streaming delivery counters (`stream.*`): events shipped,
-    /// time-to-first-token, abandoned streams.
-    stream_metrics: StreamMetrics,
     /// Global request ordinal (1-based, arrival order) — the fault
     /// hook's deterministic trigger.
     next_request: AtomicU64,
     faults: FaultHook,
     read_timeout: Duration,
-    /// Tools installed on the single-backend `STREAM` runtime (the
-    /// pooled path carries them inside each replica's [`EngineConfig`]).
-    tools: ToolRegistry,
 }
 
 /// Constructor namespace for spawning inference servers.
@@ -178,8 +143,8 @@ pub struct InferenceServer;
 
 impl InferenceServer {
     /// Binds `127.0.0.1:0` and serves `lm` (with `bpe`'s tokenizer) on a
-    /// background thread, one handler thread per connection, all scoring
-    /// through a shared [`Scheduler`] with default [`ServerConfig`].
+    /// background thread, one handler thread per connection, all served
+    /// by one [`Router`] with default [`ServerConfig`].
     ///
     /// # Errors
     ///
@@ -206,55 +171,37 @@ impl InferenceServer {
         let serialized = Arc::new(bpe.to_text());
         let registry = Registry::new();
         let metrics = ServerMetrics::registered(&registry);
-        // One replica keeps the classic shared scheduler (its `engine.*`
-        // metrics land in the server registry); more puts the router in
-        // front, whose `router.*` metrics land there instead.
-        let backend = if config.replicas > 1 {
-            Backend::Pool(Arc::new(Router::new_with_obs(
-                lm,
-                Arc::clone(&bpe),
-                RouterConfig {
-                    replicas: config.replicas,
-                    affinity: config.affinity,
-                    max_inflight: config.max_inflight,
-                    engine: EngineConfig {
-                        policy: config.policy,
-                        cache: config.cache,
-                        retry: config.retry,
-                        tools: config.tools.clone(),
-                        ..EngineConfig::default()
-                    },
-                    ..RouterConfig::default()
+        let router = Router::new_with_obs(
+            lm,
+            Arc::clone(&bpe),
+            RouterConfig {
+                replicas: config.replicas,
+                affinity: config.affinity,
+                max_inflight: config.max_inflight,
+                engine: EngineConfig {
+                    policy: config.policy,
+                    cache: config.cache,
+                    retry: config.retry,
+                    tools: config.tools,
+                    ..EngineConfig::default()
                 },
-                RouterObs {
-                    registry: Some(registry.clone()),
-                    ..RouterObs::default()
-                },
-            )))
-        } else {
-            Backend::Single(Arc::new(Scheduler::with_retry(
-                Box::new(lm),
-                config.policy,
-                config.cache,
-                config.retry,
-                SchedulerObs {
-                    registry: Some(registry.clone()),
-                    ..SchedulerObs::default()
-                },
-            )))
-        };
+                ..RouterConfig::default()
+            },
+            RouterObs {
+                registry: Some(registry.clone()),
+                ..RouterObs::default()
+            },
+        );
         let shared = Arc::new(ConnShared {
-            backend,
+            router,
             serialized_tokenizer: serialized,
-            bpe,
+            vocab_len: bpe.vocab().len(),
             stop: Arc::clone(&stop),
             registry: registry.clone(),
             metrics,
-            stream_metrics: StreamMetrics::registered(&registry),
             next_request: AtomicU64::new(0),
             faults: config.faults,
             read_timeout: config.read_timeout.max(Duration::from_millis(1)),
-            tools: config.tools,
         });
         let max_connections = config.max_connections;
 
@@ -449,162 +396,74 @@ fn read_exact_polling(
     Ok(())
 }
 
-/// Executes one streamed query: events ship as `EVENT <wire>` lines
-/// (flushed per event, so the client sees tokens as they decode), then
-/// a terminal frame — `DONE` on success, `RETRY <msg>` for transient
-/// serving faults (same client semantics as a scoring `RETRY`), `ERR
-/// <msg>` otherwise.
+/// The wire end of a streamed query: every event is written and flushed
+/// as an `EVENT <wire>` line from inside the decode loop, on the
+/// connection-handler thread. The first failed write means the client is
+/// gone: it fires the query's [`CancelToken`] — wired into both the
+/// runtime's sink and its scheduler handle — so the decode loop stops at
+/// its next step and queued scheduler work is released instead of
+/// decoding for nobody.
+struct WireSink {
+    out: Mutex<BufWriter<TcpStream>>,
+    cancel: CancelToken,
+}
+
+impl EventSink for WireSink {
+    fn emit(&self, event: QueryEvent) {
+        if self.cancel.is_cancelled() {
+            return;
+        }
+        let mut out = self.out.lock().expect("wire sink poisoned");
+        let ok = writeln!(out, "EVENT {}", event.to_wire())
+            .and_then(|()| out.flush())
+            .is_ok();
+        if !ok {
+            self.cancel.cancel();
+        }
+    }
+
+    fn cancelled(&self) -> bool {
+        self.cancel.is_cancelled()
+    }
+}
+
+/// Executes one streamed query through the router, on this handler
+/// thread: events ship as `EVENT <wire>` lines (flushed per event, so
+/// the client sees tokens as they decode), then a terminal frame —
+/// `DONE` on success, `BUSY` when the router shed the query at its
+/// admission cap, `RETRY <msg>` for transient serving faults (same
+/// client semantics as a scoring `RETRY`), `ERR <msg>` otherwise.
 ///
-/// A client that disconnects mid-stream cancels the query cooperatively:
-/// the first failed event write fires the [`CancelToken`] wired into
-/// both the runtime's sink and its scheduler handle, so the decode loop
-/// stops at its next step and queued scheduler work is released.
-///
-/// [`CancelToken`]: lmql_lm::CancelToken
-fn serve_stream<W: Write>(
+/// On a replica failure mid-stream the router retries on a healthy
+/// replica and replays the stream from the start, so the client may see
+/// the leading events twice — the terminal result is byte-identical
+/// either way.
+fn serve_stream(
     source: &str,
-    writer: &mut W,
+    writer: &mut BufWriter<TcpStream>,
     shared: &ConnShared,
 ) -> std::io::Result<()> {
-    let sched = match &shared.backend {
-        Backend::Single(sched) => sched,
-        Backend::Pool(pool) => return serve_stream_pooled(source, writer, shared, pool),
-    };
-    let (sink, events, cancel) = StreamSink::channel();
-    let lm = BatchedLm::with_cancel(Arc::clone(sched), cancel.clone());
-    let bpe = Arc::clone(&shared.bpe);
-    let registry = shared.registry.clone();
-    let tools = shared.tools.clone();
-    let started = Instant::now();
-
-    let result = std::thread::scope(|s| {
-        let producer = s.spawn(move || {
-            let mut rt = Runtime::new(Arc::new(lm), bpe);
-            rt.set_metrics_registry(registry);
-            if !tools.is_empty() {
-                rt.set_tools(tools);
-            }
-            // Contain model panics to this query, as the engine does.
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                rt.run_streamed(source, sink)
-            }))
-            .unwrap_or_else(|payload| {
-                let message = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("stream worker panicked")
-                    .to_owned();
-                Err(lmql::Error::Model { message })
-            })
-        });
-
-        let mut saw_token = false;
-        let mut write_failed = false;
-        for event in events {
-            shared.stream_metrics.events.inc();
-            if !saw_token && matches!(event, QueryEvent::TokenDelta { .. }) {
-                saw_token = true;
-                shared
-                    .stream_metrics
-                    .first_token_us
-                    .record(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-            }
-            if write_failed {
-                continue; // drain so the producer's sends keep landing
-            }
-            let ok = writeln!(writer, "EVENT {}", event.to_wire())
-                .and_then(|()| writer.flush())
-                .is_ok();
-            if !ok {
-                // The client is gone: stop the query instead of
-                // decoding for nobody.
-                cancel.cancel();
-                write_failed = true;
-            }
-        }
-        producer.join().unwrap_or_else(|_| {
-            Err(lmql::Error::Model {
-                message: "stream worker panicked".to_owned(),
-            })
-        })
-    });
-
-    match result {
+    // Every earlier reply was flushed, so a second handle onto the
+    // socket cannot reorder bytes; it lets the sink own its writer.
+    let cancel = CancelToken::new();
+    let sink = StreamSink::new(Arc::new(WireSink {
+        out: Mutex::new(BufWriter::new(writer.get_ref().try_clone()?)),
+        cancel: cancel.clone(),
+    }));
+    match shared.router.serve(source, &sink, &cancel, &|_| {}) {
         Ok(_) => writeln!(writer, "DONE")?,
+        Err(e) if router::is_busy(&e) => return write_busy(writer),
         Err(e) => {
-            if matches!(e, lmql::Error::Cancelled) {
-                shared.stream_metrics.cancelled.inc();
-            }
-            let msg = e.to_string();
+            let msg = e.to_string().replace('\n', " ");
             // Preserve the taxonomy across the hop: transient model
             // faults (including expired deadlines) are retryable, the
             // rest — including cancellation — are terminal.
             let transient = msg.contains("transient model error")
                 || msg.contains("model call deadline exceeded");
             if transient {
-                writeln!(writer, "RETRY {}", msg.replace('\n', " "))?;
+                writeln!(writer, "RETRY {msg}")?;
             } else {
-                writeln!(writer, "ERR {}", msg.replace('\n', " "))?;
-            }
-        }
-    }
-    writer.flush()
-}
-
-/// The replica-pool variant of [`serve_stream`]: the query routes
-/// through the [`Router`] (prefix affinity, health fail-over, admission
-/// control) and its events forward to the wire. A shed query answers
-/// with the typed `BUSY` frame. On a replica failure mid-stream the
-/// router retries on a healthy replica and replays the stream from the
-/// start, so the client may see the leading events twice — the terminal
-/// result is byte-identical either way.
-fn serve_stream_pooled<W: Write>(
-    source: &str,
-    writer: &mut W,
-    shared: &ConnShared,
-    pool: &Router,
-) -> std::io::Result<()> {
-    let started = Instant::now();
-    let stream = pool.stream_query(source);
-    let mut saw_token = false;
-    let mut write_failed = false;
-    for event in stream.events() {
-        shared.stream_metrics.events.inc();
-        if !saw_token && matches!(event, QueryEvent::TokenDelta { .. }) {
-            saw_token = true;
-            shared
-                .stream_metrics
-                .first_token_us
-                .record(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-        }
-        if write_failed {
-            continue; // drain so the router's sends keep landing
-        }
-        let ok = writeln!(writer, "EVENT {}", event.to_wire())
-            .and_then(|()| writer.flush())
-            .is_ok();
-        if !ok {
-            // The client is gone: stop the query instead of decoding
-            // for nobody.
-            stream.cancel();
-            write_failed = true;
-        }
-    }
-    match stream.wait() {
-        Ok(_) => writeln!(writer, "DONE")?,
-        Err(e) if router::is_busy(&e) => write_busy(writer)?,
-        Err(e) => {
-            if matches!(e, lmql::Error::Cancelled) {
-                shared.stream_metrics.cancelled.inc();
-            }
-            let msg = e.to_string();
-            let transient = msg.contains("transient model error")
-                || msg.contains("model call deadline exceeded");
-            if transient {
-                writeln!(writer, "RETRY {}", msg.replace('\n', " "))?;
-            } else {
-                writeln!(writer, "ERR {}", msg.replace('\n', " "))?;
+                writeln!(writer, "ERR {msg}")?;
             }
         }
     }
@@ -626,7 +485,7 @@ fn check_ids(ids: &[TokenId], vocab_len: usize) -> Result<(), String> {
 
 /// Answers one request line. Returns `true` when the client said `QUIT`.
 fn respond<W: Write>(line: &str, writer: &mut W, shared: &ConnShared) -> std::io::Result<bool> {
-    let vocab_len = shared.bpe.vocab().len();
+    let vocab_len = shared.vocab_len;
     if line == "QUIT" {
         return Ok(true);
     }
@@ -643,8 +502,12 @@ fn respond<W: Write>(line: &str, writer: &mut W, shared: &ConnShared) -> std::io
             check_ids(&ids, vocab_len)?;
             Ok(ids)
         }) {
-            Ok(ids) => match shared.backend.try_score(&ids) {
-                // The pool shed the frame at its admission cap.
+            // `None`: the router shed the frame at its admission cap.
+            Ok(ids) => match shared
+                .router
+                .admit()
+                .map(|_permit| shared.router.try_score(&ids))
+            {
                 None => write_busy(writer)?,
                 Some(Ok(logits)) => write_logits(writer, &logits)?,
                 Some(Err(e)) => write_model_error(writer, &e)?,
@@ -665,7 +528,11 @@ fn respond<W: Write>(line: &str, writer: &mut W, shared: &ConnShared) -> std::io
         }) {
             Ok(contexts) => {
                 let refs: Vec<&[TokenId]> = contexts.iter().map(Vec::as_slice).collect();
-                match shared.backend.try_score_many(&refs) {
+                let scored = shared
+                    .router
+                    .admit()
+                    .map(|_permit| shared.router.try_score_many(&refs));
+                match scored {
                     None => write_busy(writer)?,
                     // The wire batch reply is all-or-nothing; if any item
                     // failed (after the scheduler's own per-item recovery),
@@ -723,19 +590,16 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Counters of the prefix cache(s) connections score through: the
-    /// shared scheduler's cache, or — behind a replica pool — every
+    /// Counters of the prefix caches connections score through: every
     /// replica's cache summed.
     pub fn cache_stats(&self) -> RadixStats {
-        match &self.shared.backend {
-            Backend::Single(sched) => sched.cache_stats(),
-            Backend::Pool(pool) => pool.stats().cache_totals(),
-        }
+        self.shared.router.stats().cache_totals()
     }
 
     /// The server's metrics registry: `server.*` connection/request
-    /// counters plus the shared scheduler's `engine.*` metrics. The same
-    /// data clients fetch with a `STATS` frame.
+    /// counters plus the pool's `router.*`, `engine.*`, `lm.*` and
+    /// `stream.*` metrics. The same data clients fetch with a `STATS`
+    /// frame.
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -746,7 +610,7 @@ impl ServerHandle {
     }
 
     /// Stops accepting connections, joins the accept thread, and shuts the
-    /// scheduler down — draining every in-flight batch, so requests being
+    /// schedulers down — draining every in-flight batch, so requests being
     /// processed still get their replies. Handler threads notice the stop
     /// flag on their next read poll and close their connections.
     pub fn shutdown(mut self) {
@@ -759,11 +623,8 @@ impl ServerHandle {
             let _ = h.join();
         }
         // Drain queued and in-flight work; late scores from still-running
-        // handlers fall back to inline scoring inside the scheduler(s).
-        match &self.shared.backend {
-            Backend::Single(sched) => sched.shutdown(),
-            Backend::Pool(pool) => pool.shutdown(),
-        }
+        // handlers fall back to inline scoring inside the schedulers.
+        self.shared.router.shutdown();
     }
 }
 

@@ -1,7 +1,9 @@
 //! Server-side streaming acceptance: a `STREAM` frame runs the whole
 //! query on the server, `EVENT` lines reassemble client-side
-//! byte-identically to a local run, and the terminal `DONE`/`RETRY`/`ERR`
-//! frames carry the error taxonomy across the hop.
+//! byte-identically to a local run, and the terminal
+//! `DONE`/`BUSY`/`RETRY`/`ERR` frames carry the error taxonomy across the
+//! hop. Every test runs over both deployment shapes (`replicas` 1 and 2):
+//! they are the same serving path and must behave the same.
 
 use lmql::{QueryEvent, Runtime};
 use lmql_lm::{Episode, FaultKind, LanguageModel, LmError, LmResult, Logits, ScriptedLm};
@@ -11,6 +13,24 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The deployment shapes every test covers.
+const SHAPES: [usize; 2] = [1, 2];
+
+fn spawn(
+    lm: Arc<dyn LanguageModel>,
+    bpe: &Arc<Bpe>,
+    config: ServerConfig,
+) -> lmql_server::ServerHandle {
+    InferenceServer::spawn_with(lm, Arc::clone(bpe), config).unwrap()
+}
+
+fn shape(replicas: usize) -> ServerConfig {
+    ServerConfig {
+        replicas,
+        ..ServerConfig::default()
+    }
+}
 
 const QUERY: &str = r#"
 argmax
@@ -40,89 +60,100 @@ fn scripted(bpe: &Arc<Bpe>) -> Arc<ScriptedLm> {
 
 #[test]
 fn streamed_remote_query_matches_local_bit_for_bit() {
-    let bpe = Arc::new(Bpe::char_level(""));
-    let lm = scripted(&bpe);
+    for replicas in SHAPES {
+        let bpe = Arc::new(Bpe::char_level(""));
+        let server = spawn(scripted(&bpe), &bpe, shape(replicas));
+        let (remote, _bpe) = RemoteLm::connect(server.addr()).unwrap();
+        for query in [QUERY, BEAM_QUERY] {
+            let local_rt = Runtime::new(scripted(&bpe) as Arc<dyn LanguageModel>, Arc::clone(&bpe));
+            let local = local_rt.run(query).unwrap();
+            let stream = remote.stream_query(query, TIMEOUT).unwrap();
+            let rebuilt = stream.into_result().unwrap();
 
-    let server = InferenceServer::spawn(lm, Arc::clone(&bpe)).unwrap();
-    let (remote, _bpe) = RemoteLm::connect(server.addr()).unwrap();
-    for query in [QUERY, BEAM_QUERY] {
-        let local = Runtime::new(scripted(&bpe) as Arc<dyn LanguageModel>, Arc::clone(&bpe))
-            .run(query)
-            .unwrap();
-        let stream = remote.stream_query(query, TIMEOUT).unwrap();
-        let rebuilt = stream.into_result().unwrap();
-
-        assert!(rebuilt.error.is_none());
-        assert_eq!(rebuilt.runs.len(), local.runs.len());
-        for (got, want) in rebuilt.runs.iter().zip(&local.runs) {
-            assert_eq!(got.trace, want.trace, "{query:?}: trace differs");
-            let want_holes: Vec<(String, String)> = want
-                .hole_records
-                .iter()
-                .map(|r| (r.var.clone(), r.value.clone()))
-                .collect();
-            assert_eq!(got.holes, want_holes);
+            assert!(rebuilt.error.is_none());
+            assert_eq!(rebuilt.runs.len(), local.runs.len());
+            for (got, want) in rebuilt.runs.iter().zip(&local.runs) {
+                assert_eq!(got.trace, want.trace, "{query:?}: trace differs");
+                let want_holes: Vec<(String, String)> = want
+                    .hole_records
+                    .iter()
+                    .map(|r| (r.var.clone(), r.value.clone()))
+                    .collect();
+                assert_eq!(got.holes, want_holes);
+                assert_eq!(
+                    got.log_prob.to_bits(),
+                    want.log_prob.to_bits(),
+                    "{query:?}: log-prob not bit-exact"
+                );
+            }
+            let usage = local_rt.meter().snapshot();
             assert_eq!(
-                got.log_prob.to_bits(),
-                want.log_prob.to_bits(),
-                "{query:?}: log-prob not bit-exact"
+                rebuilt.usage,
+                Some((
+                    usage.model_queries,
+                    usage.decoder_calls,
+                    usage.billable_tokens
+                )),
+                "replicas={replicas} {query:?}: Usage event differs"
             );
         }
+        server.shutdown();
     }
-    server.shutdown();
 }
 
 #[test]
 fn streamed_events_arrive_incrementally() {
-    let bpe = Arc::new(Bpe::char_level(""));
-    let lm = scripted(&bpe);
-    let server = InferenceServer::spawn(lm, Arc::clone(&bpe)).unwrap();
-    let (remote, _bpe) = RemoteLm::connect(server.addr()).unwrap();
+    for replicas in SHAPES {
+        let bpe = Arc::new(Bpe::char_level(""));
+        let server = spawn(scripted(&bpe), &bpe, shape(replicas));
+        let (remote, _bpe) = RemoteLm::connect(server.addr()).unwrap();
 
-    let stream = remote.stream_query(QUERY, TIMEOUT).unwrap();
-    let events: Vec<QueryEvent> = stream.map(|e| e.expect("clean stream")).collect();
+        let stream = remote.stream_query(QUERY, TIMEOUT).unwrap();
+        let events: Vec<QueryEvent> = stream.map(|e| e.expect("clean stream")).collect();
 
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, QueryEvent::TokenDelta { .. })),
-        "no token deltas crossed the wire"
-    );
-    assert!(matches!(
-        events.first(),
-        Some(QueryEvent::PromptChunk { .. })
-    ));
-    assert!(matches!(events.last(), Some(QueryEvent::Done { .. })));
-    server.shutdown();
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, QueryEvent::TokenDelta { .. })),
+            "no token deltas crossed the wire"
+        );
+        assert!(matches!(
+            events.first(),
+            Some(QueryEvent::PromptChunk { .. })
+        ));
+        assert!(matches!(events.last(), Some(QueryEvent::Done { .. })));
+        server.shutdown();
+    }
 }
 
 #[test]
 fn malformed_query_gets_err_frame() {
-    let bpe = Arc::new(Bpe::char_level(""));
-    let lm = scripted(&bpe);
-    let server = InferenceServer::spawn(lm, Arc::clone(&bpe)).unwrap();
-    let (remote, _bpe) = RemoteLm::connect(server.addr()).unwrap();
+    for replicas in SHAPES {
+        let bpe = Arc::new(Bpe::char_level(""));
+        let server = spawn(scripted(&bpe), &bpe, shape(replicas));
+        let (remote, _bpe) = RemoteLm::connect(server.addr()).unwrap();
 
-    let stream = remote
-        .stream_query("argmax this is not lmql", TIMEOUT)
-        .unwrap();
-    let err = stream.into_result().unwrap_err();
-    assert!(
-        matches!(&err, ServerError::Query(_)),
-        "parse failure should be a non-retryable query error, got {err:?}"
-    );
-    assert!(!err.is_transient());
+        let stream = remote
+            .stream_query("argmax this is not lmql", TIMEOUT)
+            .unwrap();
+        let err = stream.into_result().unwrap_err();
+        assert!(
+            matches!(&err, ServerError::Query(_)),
+            "parse failure should be a non-retryable query error, got {err:?}"
+        );
+        assert!(!err.is_transient());
 
-    // The connection-level protocol survives: the same server still
-    // answers a well-formed streamed query afterwards.
-    let ok = remote
-        .stream_query(QUERY, TIMEOUT)
-        .unwrap()
-        .into_result()
-        .unwrap();
-    assert!(ok.error.is_none());
-    assert!(!ok.runs.is_empty());
-    server.shutdown();
+        // The connection-level protocol survives: the same server still
+        // answers a well-formed streamed query afterwards.
+        let ok = remote
+            .stream_query(QUERY, TIMEOUT)
+            .unwrap()
+            .into_result()
+            .unwrap();
+        assert!(ok.error.is_none());
+        assert!(!ok.runs.is_empty());
+        server.shutdown();
+    }
 }
 
 /// A model that fails every call with a transient fault — what a flaky
@@ -148,54 +179,142 @@ impl LanguageModel for FlakyLm {
 
 #[test]
 fn exhausted_transient_fault_gets_retry_frame() {
-    let bpe = Arc::new(Bpe::char_level(""));
-    let lm = Arc::new(FlakyLm {
-        inner: scripted(&bpe),
-    });
-    let config = ServerConfig {
-        retry: lmql_lm::RetryPolicy {
-            max_retries: 1,
-            base_backoff: Duration::from_millis(1),
-            ..lmql_lm::RetryPolicy::default()
-        },
-        ..ServerConfig::default()
-    };
-    let server = InferenceServer::spawn_with(lm, Arc::clone(&bpe), config).unwrap();
-    let (remote, _bpe) = RemoteLm::connect(server.addr()).unwrap();
+    for replicas in SHAPES {
+        let bpe = Arc::new(Bpe::char_level(""));
+        let lm = Arc::new(FlakyLm {
+            inner: scripted(&bpe),
+        });
+        let config = ServerConfig {
+            retry: lmql_lm::RetryPolicy {
+                max_retries: 1,
+                base_backoff: Duration::from_millis(1),
+                ..lmql_lm::RetryPolicy::default()
+            },
+            ..shape(replicas)
+        };
+        let server = spawn(lm, &bpe, config);
+        let (remote, _bpe) = RemoteLm::connect(server.addr()).unwrap();
 
-    let stream = remote.stream_query(QUERY, TIMEOUT).unwrap();
-    let err = stream.into_result().unwrap_err();
-    assert!(
-        matches!(&err, ServerError::Model(e) if e.is_transient()),
-        "exhausted transient fault should arrive as a RETRY frame, got {err:?}"
-    );
-    assert!(err.is_transient());
-    server.shutdown();
+        // Read to the terminal frame without reassembling: with more
+        // than one replica the router fails over before giving up, and
+        // each attempt replays the stream's leading events.
+        let stream = remote.stream_query(QUERY, TIMEOUT).unwrap();
+        let err = stream
+            .filter_map(Result::err)
+            .next()
+            .expect("the stream must end in an error frame");
+        assert!(
+            matches!(&err, ServerError::Model(e) if e.is_transient()),
+            "exhausted transient fault should arrive as a RETRY frame, got {err:?}"
+        );
+        assert!(err.is_transient());
+        server.shutdown();
+    }
+}
+
+/// A model that takes `delay` per call, so a streamed query stays in
+/// flight long enough for a test to act on it.
+struct SlowLm {
+    inner: Arc<dyn LanguageModel>,
+    delay: Duration,
+}
+
+impl LanguageModel for SlowLm {
+    fn vocab(&self) -> &Vocabulary {
+        self.inner.vocab()
+    }
+
+    fn score(&self, context: &[TokenId]) -> Logits {
+        std::thread::sleep(self.delay);
+        self.inner.score(context)
+    }
+}
+
+fn slow(bpe: &Arc<Bpe>) -> Arc<SlowLm> {
+    Arc::new(SlowLm {
+        inner: scripted(bpe),
+        delay: Duration::from_millis(20),
+    })
+}
+
+/// Polls the server's registry until `name` reaches `at_least`.
+fn poll_counter(server: &lmql_server::ServerHandle, name: &str, at_least: u64) -> u64 {
+    let deadline = std::time::Instant::now() + TIMEOUT;
+    loop {
+        let v = server.metrics_snapshot().counter(name).unwrap_or(0);
+        if v >= at_least || std::time::Instant::now() >= deadline {
+            return v;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 #[test]
-fn dropped_remote_stream_leaves_server_healthy() {
-    let bpe = Arc::new(Bpe::char_level(""));
-    let lm = scripted(&bpe);
-    let server = InferenceServer::spawn(lm, Arc::clone(&bpe)).unwrap();
-    let (remote, _bpe) = RemoteLm::connect(server.addr()).unwrap();
+fn admission_cap_answers_busy_frame() {
+    for replicas in SHAPES {
+        let bpe = Arc::new(Bpe::char_level(""));
+        let config = ServerConfig {
+            max_inflight: 1,
+            ..shape(replicas)
+        };
+        let server = spawn(slow(&bpe), &bpe, config);
+        let (remote, _bpe) = RemoteLm::connect(server.addr()).unwrap();
 
-    // Read a couple of events, then hang up mid-query. Server-side this
-    // turns into a write failure, which cancels the query cooperatively.
-    let mut stream = remote.stream_query(QUERY, TIMEOUT).unwrap();
-    let first = stream.next().expect("at least one event").unwrap();
-    assert!(matches!(first, QueryEvent::PromptChunk { .. }));
-    drop(stream);
+        // The first stream is admitted (its first event proves it) and
+        // holds the only slot for the ~second its slow decode takes.
+        let mut first = remote.stream_query(QUERY, TIMEOUT).unwrap();
+        first.next().expect("at least one event").unwrap();
+        let err = remote
+            .stream_query(QUERY, TIMEOUT)
+            .unwrap()
+            .into_result()
+            .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ServerError::Model(LmError::Transient {
+                    kind: FaultKind::Busy,
+                    ..
+                })
+            ),
+            "replicas={replicas}: over-cap STREAM should get BUSY, got {err:?}"
+        );
+        assert!(first.into_result().unwrap().error.is_none());
+        assert_eq!(server.metrics_snapshot().counter("router.shed"), Some(1));
+        server.shutdown();
+    }
+}
 
-    // The server keeps serving both protocols after the abandonment.
-    let rebuilt = remote
-        .stream_query(QUERY, TIMEOUT)
-        .unwrap()
-        .into_result()
-        .unwrap();
-    let local = Runtime::new(scripted(&bpe) as Arc<dyn LanguageModel>, Arc::clone(&bpe))
-        .run(QUERY)
-        .unwrap();
-    assert_eq!(rebuilt.runs[0].trace, local.best().trace);
-    server.shutdown();
+#[test]
+fn dropped_remote_stream_cancels_and_leaves_server_healthy() {
+    for replicas in SHAPES {
+        let bpe = Arc::new(Bpe::char_level(""));
+        let server = spawn(slow(&bpe), &bpe, shape(replicas));
+        let (remote, _bpe) = RemoteLm::connect(server.addr()).unwrap();
+
+        // Read one event, then hang up mid-query. Server-side this turns
+        // into a write failure, which cancels the query cooperatively
+        // long before its slow decode would have finished.
+        let mut stream = remote.stream_query(QUERY, TIMEOUT).unwrap();
+        let first = stream.next().expect("at least one event").unwrap();
+        assert!(matches!(first, QueryEvent::PromptChunk { .. }));
+        drop(stream);
+        assert_eq!(
+            poll_counter(&server, "stream.cancelled", 1),
+            1,
+            "replicas={replicas}: the abandoned query was not cancelled"
+        );
+
+        // The server keeps serving both protocols after the abandonment.
+        let rebuilt = remote
+            .stream_query(QUERY, TIMEOUT)
+            .unwrap()
+            .into_result()
+            .unwrap();
+        let local = Runtime::new(scripted(&bpe) as Arc<dyn LanguageModel>, Arc::clone(&bpe))
+            .run(QUERY)
+            .unwrap();
+        assert_eq!(rebuilt.runs[0].trace, local.best().trace);
+        server.shutdown();
+    }
 }

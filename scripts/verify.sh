@@ -1,16 +1,22 @@
 #!/usr/bin/env bash
 # Full verification: formatting, lints, release build, tests.
 #
-# Usage: scripts/verify.sh [--slow | --quick | --chaos | --stream | --automata | --decode | --parallel | --router | --tools | --bench-smoke | --bench-publish]
+# Usage: scripts/verify.sh [--slow | --quick | --chaos | --serve | --automata | --decode | --parallel | --tools | --bench-smoke | --bench-publish]
 #   --slow    also runs the proptest suites (slow-tests feature)
 #   --quick   build + tests only (skips rustfmt/clippy; useful where the
 #             toolchain components are not installed)
 #   --chaos   fault-injection suites only (deterministic seeds, offline):
 #             chaos determinism, engine chaos, server fault tolerance,
 #             scheduler fault handling
-#   --stream  streaming suites only (DESIGN.md §11): byte-identical
-#             reassembly per decoder, engine cancellation, the server's
-#             STREAM frame, plus an `lmql-run --stream` CLI smoke run
+#   --serve   the one serving path (DESIGN.md §11, §15): streaming
+#             (byte-identical reassembly per decoder, engine
+#             cancellation) and the router (affinity hashing, admission,
+#             health-aware routing, replica fail-over + multi-replica
+#             soak, pool-total metrics), the server's STREAM / SCORE /
+#             BATCH / STATS wire suites over `replicas` 1 and 2, the
+#             scheduler starvation regression, the zero-alloc prefix-key
+#             budget pin, plus `lmql-run --stream` and `--replicas` CLI
+#             smoke runs
 #   --automata  constraint-automata suites only (DESIGN.md §12): the
 #             automata crate's unit tests, differential mask equality
 #             against the uncompiled engines, and fast-forward decoder
@@ -25,12 +31,6 @@
 #             tests (with the >=2x dispatch-round pin), the streaming
 #             drop-cancels-tree regression, plus an
 #             `lmql-run --no-parallel-holes` bisection smoke run
-#   --router  scale-out router suites only (DESIGN.md §15): router unit
-#             tests (affinity hashing, admission, health-aware routing),
-#             the replica fail-over + multi-replica soak acceptance
-#             tests, the pooled-server wire suite, the scheduler
-#             starvation regression, the zero-alloc prefix-key budget
-#             pin, plus an `lmql-run --replicas` bisection smoke run
 #   --tools   first-class tool API + retrieval suites (DESIGN.md §16):
 #             the core tool-registry unit tests, the BM25/corpus/session
 #             crate, the legacy-closure differential byte-identity suite
@@ -59,16 +59,15 @@ case "${1:-}" in
     --slow) MODE=slow ;;
     --quick) MODE=quick ;;
     --chaos) MODE=chaos ;;
-    --stream) MODE=stream ;;
+    --serve) MODE=serve ;;
     --automata) MODE=automata ;;
     --decode) MODE=decode ;;
     --parallel) MODE=parallel ;;
-    --router) MODE=router ;;
     --tools) MODE=tools ;;
     --bench-smoke) MODE=bench-smoke ;;
     --bench-publish) MODE=bench-publish ;;
     *)
-        echo "usage: scripts/verify.sh [--slow | --quick | --chaos | --stream | --automata | --decode | --parallel | --router | --tools | --bench-smoke | --bench-publish]" >&2
+        echo "usage: scripts/verify.sh [--slow | --quick | --chaos | --serve | --automata | --decode | --parallel | --tools | --bench-smoke | --bench-publish]" >&2
         exit 2
         ;;
 esac
@@ -170,35 +169,6 @@ if [[ "$MODE" == parallel ]]; then
     exit 0
 fi
 
-if [[ "$MODE" == router ]]; then
-    echo "==> scale-out router suites (prefix affinity + fail-over + admission)"
-    cargo test -q -p lmql-engine --lib router
-    cargo test -q -p lmql-engine --test router
-    cargo test -q -p lmql-engine --lib sched
-    cargo test -q -p lmql-server --test pool
-    cargo test -q -p lmql --test alloc_budget router_prefix
-    echo "==> lmql-run --replicas bisection smoke"
-    QUERY_FILE="$(mktemp /tmp/lmql-router-smoke.XXXXXX.lmql)"
-    trap 'rm -f "$QUERY_FILE"' EXIT
-    printf '%s\n' \
-        'argmax' \
-        '    "A list of things not to forget when travelling:\n-[THING]"' \
-        'from "ngram"' \
-        'where stops_at(THING, "\n")' > "$QUERY_FILE"
-    # The result blocks must be byte-identical across the single-runtime
-    # path, the pooled path, and the pooled round-robin path; only the
-    # usage footer differs, so strip it before comparing.
-    ONE_OUT="$(cargo run -q --bin lmql-run -- "$QUERY_FILE" --max-tokens 16 | grep -v '^--- usage:')"
-    POOL_OUT="$(cargo run -q --bin lmql-run -- "$QUERY_FILE" --max-tokens 16 --replicas 3 | grep -v '^--- usage:')"
-    RR_OUT="$(cargo run -q --bin lmql-run -- "$QUERY_FILE" --max-tokens 16 --replicas 3 --no-affinity | grep -v '^--- usage:')"
-    if [[ "$ONE_OUT" != "$POOL_OUT" || "$ONE_OUT" != "$RR_OUT" ]]; then
-        echo "error: lmql-run output differs with --replicas/--no-affinity" >&2
-        exit 1
-    fi
-    echo "==> OK"
-    exit 0
-fi
-
 if [[ "$MODE" == tools ]]; then
     echo "==> first-class tool + retrieval suites (DESIGN.md §16)"
     cargo test -q -p lmql --lib tool
@@ -254,25 +224,42 @@ if [[ "$MODE" == chaos ]]; then
     exit 0
 fi
 
-if [[ "$MODE" == stream ]]; then
-    echo "==> streaming suites (byte-identical reassembly + cancellation)"
+if [[ "$MODE" == serve ]]; then
+    echo "==> serving-path suites (streaming + router: one path, every replica count)"
     cargo test -q -p lmql-repro --test streaming
-    cargo test -q -p lmql-engine --test streaming
-    cargo test -q -p lmql-server --test streaming
     cargo test -q -p lmql --lib stream
-    echo "==> lmql-run --stream smoke"
-    QUERY_FILE="$(mktemp /tmp/lmql-stream-smoke.XXXXXX.lmql)"
+    cargo test -q -p lmql-engine --lib router
+    cargo test -q -p lmql-engine --lib sched
+    cargo test -q -p lmql-engine --test streaming
+    cargo test -q -p lmql-engine --test router
+    cargo test -q -p lmql-server --test streaming
+    cargo test -q -p lmql-server --test pool
+    cargo test -q -p lmql-server --test stats
+    cargo test -q -p lmql --test alloc_budget router_prefix
+    QUERY_FILE="$(mktemp /tmp/lmql-serve-smoke.XXXXXX.lmql)"
     trap 'rm -f "$QUERY_FILE"' EXIT
     printf '%s\n' \
         'argmax' \
         '    "A list of things not to forget when travelling:\n-[THING]"' \
         'from "ngram"' \
         'where stops_at(THING, "\n")' > "$QUERY_FILE"
+    echo "==> lmql-run --stream smoke"
     STREAM_OUT="$(cargo run -q --bin lmql-run -- "$QUERY_FILE" --stream --max-tokens 16)"
     echo "$STREAM_OUT" | grep -q -- "--- result ---" || {
         echo "error: lmql-run --stream produced no result summary" >&2
         exit 1
     }
+    echo "==> lmql-run --replicas bisection smoke"
+    # The result blocks must be byte-identical across the single-runtime
+    # path, the pooled path, and the pooled round-robin path; only the
+    # usage footer differs, so strip it before comparing.
+    ONE_OUT="$(cargo run -q --bin lmql-run -- "$QUERY_FILE" --max-tokens 16 | grep -v '^--- usage:')"
+    POOL_OUT="$(cargo run -q --bin lmql-run -- "$QUERY_FILE" --max-tokens 16 --replicas 3 | grep -v '^--- usage:')"
+    RR_OUT="$(cargo run -q --bin lmql-run -- "$QUERY_FILE" --max-tokens 16 --replicas 3 --no-affinity | grep -v '^--- usage:')"
+    if [[ "$ONE_OUT" != "$POOL_OUT" || "$ONE_OUT" != "$RR_OUT" ]]; then
+        echo "error: lmql-run output differs with --replicas/--no-affinity" >&2
+        exit 1
+    fi
     echo "==> OK"
     exit 0
 fi

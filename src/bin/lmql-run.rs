@@ -514,16 +514,20 @@ fn run_pooled(
         );
     }
 
-    // Pooled runs have no single runtime meter; the replica engines
-    // meter model dispatches (after caching / single-flighting), so sum
-    // those plus the prefix-cache totals across the pool.
+    // Pooled runs have no single runtime meter; the router's pool-wide
+    // meter counts model dispatches (after caching / single-flighting),
+    // next to the prefix-cache totals across the pool.
     let stats = router.stats();
-    let model_queries: u64 = stats.replicas.iter().map(|r| r.usage.model_queries).sum();
     let cache = stats.cache_totals();
     println!(
         "--- usage: {} model queries, {} prefix-cache hits ({} misses) \
          (pooled: {} replicas, {} routed, {} failovers) ---",
-        model_queries, cache.hits, cache.misses, args.replicas, stats.routed, stats.failovers
+        stats.usage.model_queries,
+        cache.hits,
+        cache.misses,
+        args.replicas,
+        stats.routed,
+        stats.failovers
     );
     router.shutdown();
     Ok(())
