@@ -28,7 +28,7 @@
 
 use lmql::constraints::{MaskConfig, MaskEngine, Masker};
 use lmql::{compile_source, decode_hole, DecodeOptions, Externals, Pick, Step, VmState};
-use lmql_lm::{corpus, LanguageModel, Logits};
+use lmql_lm::{corpus, LanguageModel, LmResult, Logits};
 use lmql_syntax::parse_expr;
 use lmql_tokenizer::{TokenId, Vocabulary};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -202,9 +202,12 @@ impl LanguageModel for LatencyLm {
         self.inner.vocab()
     }
 
-    fn score(&self, context: &[TokenId]) -> Logits {
-        std::thread::sleep(self.delay);
-        self.inner.score(context)
+    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
+        let one = |context: &&[TokenId]| {
+            std::thread::sleep(self.delay);
+            self.inner.try_score(context)
+        };
+        contexts.iter().map(one).collect()
     }
 }
 

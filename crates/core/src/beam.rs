@@ -181,7 +181,8 @@ pub fn run_beam_search<L: LanguageModel + ?Sized>(
 
         // One batched forward pass covers the whole step — through a
         // batching backend this is a single dispatch instead of one per
-        // beam (and bit-identical either way, see `score_batch`).
+        // beam (and bit-identical either way: `try_score_batch` is the model's
+        // one scoring primitive).
         let contexts: Vec<&[TokenId]> = planned
             .iter()
             .filter_map(|p| match p {

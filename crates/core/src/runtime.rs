@@ -7,7 +7,7 @@ use crate::decode::{decode_hole_traced, DecodeOptions, DecodedValue, Pick};
 use crate::interp::{Externals, HoleRecord, Step, VmState};
 use crate::program::Instr;
 use crate::stream::{EventSink, QueryEvent, StreamSink};
-use crate::tool::{FnTool, Tool, ToolRegistry};
+use crate::tool::{Tool, ToolRegistry};
 use crate::{compile_source, Error, Program, QueryRequest, Result, Value};
 use lmql_lm::{CachedLm, LanguageModel, MeteredLm, RetryLm, UsageMeter};
 use lmql_tokenizer::{Bpe, TokenId};
@@ -249,22 +249,6 @@ impl Runtime {
     /// was called).
     pub fn tracer(&self) -> &lmql_obs::Tracer {
         &self.options.tracer
-    }
-
-    /// Registers an external function callable as `module.func(args)`
-    /// (after `import module` in the query).
-    ///
-    /// **Deprecated** in favour of [`Runtime::register_tool`]: this is
-    /// now a thin adapter that wraps the closure in an [`FnTool`] and
-    /// registers it, so the call appears in [`Runtime::tools`] under the
-    /// name `"module.func"` and is billed like any other tool. Kept for
-    /// one release; prefer implementing [`Tool`] (or constructing an
-    /// [`FnTool`] directly) so the capability carries a schema.
-    pub fn register_external<F>(&mut self, module: &str, func: &str, f: F)
-    where
-        F: Fn(&[Value]) -> std::result::Result<Value, String> + Send + Sync + 'static,
-    {
-        self.register_tool(Arc::new(FnTool::new(module, func, f)));
     }
 
     /// Registers a first-class [`Tool`]: every function in its schema
@@ -1413,6 +1397,7 @@ fn counter_inc(metrics: &Option<lmql_obs::Registry>, name: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FnTool;
     use lmql_lm::{Branch, Episode, ScriptedLm};
 
     fn runtime(episodes: Vec<Episode>) -> Runtime {
@@ -1487,13 +1472,13 @@ mod tests {
     #[test]
     fn externals_in_query() {
         let mut rt = runtime(vec![Episode::plain("calc:", " 2*3")]);
-        rt.register_external("calculator", "run", |args| {
+        rt.register_tool(Arc::new(FnTool::new("calculator", "run", |args| {
             let s = args[0].as_str().ok_or("expected str")?;
             let parts: Vec<&str> = s.trim().split('*').collect();
             let a: i64 = parts[0].parse().map_err(|_| "bad int")?;
             let b: i64 = parts[1].parse().map_err(|_| "bad int")?;
             Ok(Value::Int(a * b))
-        });
+        })));
         let result = rt
             .run(
                 "import calculator\nargmax\n    \"calc:[EXPR]\"\n    r = calculator.run(EXPR)\n    \" = {r}\"\nfrom \"m\"\nwhere stops_at(EXPR, \"3\")\n",

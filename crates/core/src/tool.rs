@@ -3,9 +3,9 @@
 //! The paper's augmented-generation queries (§4: calculator arithmetic,
 //! wiki-lookup ReAct) call *external functions* — pure, deterministic
 //! host code invoked mid-query as `module.func(args)`. Earlier PRs wired
-//! each one as an ad-hoc [`Runtime::register_external`] closure, so
-//! every new capability was a runtime special case. This module redesigns
-//! that surface: a [`Tool`] is a named, schema-described, deterministic
+//! each one as an ad-hoc closure registered on the runtime, so every new
+//! capability was a runtime special case. This module redesigns that
+//! surface: a [`Tool`] is a named, schema-described, deterministic
 //! capability, and a [`ToolRegistry`] is the unit that travels — through
 //! [`QueryRequest`](crate::QueryRequest), `EngineConfig`, the server,
 //! and down into subqueries, which inherit the parent's registry.
@@ -27,8 +27,6 @@
 //!   engine replicas and subquery children report into the same cells,
 //!   so [`ToolRegistry::usage`] is a tree-wide rollup, and runtimes with
 //!   a metrics registry export `tool.calls.<name>` counters.
-//!
-//! [`Runtime::register_external`]: crate::Runtime::register_external
 
 use crate::interp::Externals;
 use crate::Value;
@@ -111,10 +109,9 @@ pub trait Tool: Send + Sync {
     fn invoke(&self, func: &str, args: &[Value]) -> std::result::Result<Value, String>;
 }
 
-/// A single-function [`Tool`] built from a closure — the adapter behind
-/// the legacy [`Runtime::register_external`](crate::Runtime::register_external)
-/// hook, and a convenient way to lift any pure `fn(&[Value])` into the
-/// tool API without a dedicated type.
+/// A single-function [`Tool`] built from a closure — a convenient way to
+/// lift any pure `fn(&[Value])` into the tool API without a dedicated
+/// type: `rt.register_tool(Arc::new(FnTool::new(module, func, closure)))`.
 pub struct FnTool {
     name: String,
     schema: ToolSchema,

@@ -1,7 +1,7 @@
 //! Integration tests for scripted beam search (§4) through the public
 //! runtime API.
 
-use lmql::{Runtime, Value};
+use lmql::{FnTool, Runtime, Value};
 use lmql_lm::{Branch, Episode, ScriptedLm, SCRIPT_LOGIT};
 use lmql_tokenizer::Bpe;
 use std::sync::Arc;
@@ -78,13 +78,13 @@ fn beam_branches_run_different_externals() {
                 weight: SCRIPT_LOGIT - 0.3,
             }],
         }]);
-        rt.register_external("nav", "reward", |args| {
+        rt.register_tool(Arc::new(FnTool::new("nav", "reward", |args| {
             let side = args[0].as_str().ok_or("expected str")?;
             Ok(Value::Str(format!(
                 "reward-for-{}",
                 side.trim_matches('\'')
             )))
-        });
+        })));
         rt
     };
     let rt = rt_builder();

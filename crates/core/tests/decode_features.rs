@@ -3,7 +3,7 @@
 //! debug trace.
 
 use lmql::{DecodeOptions, Runtime, StopReason};
-use lmql_lm::{Episode, LanguageModel, Logits, MeteredLm, ScriptedLm, UsageMeter};
+use lmql_lm::{Episode, LanguageModel, LmResult, Logits, MeteredLm, ScriptedLm, UsageMeter};
 use lmql_tokenizer::{Bpe, TokenId, Vocabulary};
 use std::sync::Arc;
 
@@ -25,12 +25,15 @@ impl LanguageModel for Repeater {
     fn vocab(&self) -> &Vocabulary {
         self.bpe.vocab()
     }
-    fn score(&self, context: &[TokenId]) -> Logits {
-        let mut logits = Logits::constant(self.bpe.vocab().len(), 0.0);
-        let text = self.bpe.decode(context);
-        let next = if text.ends_with('a') { "b" } else { "a" };
-        logits.set(self.bpe.vocab().id_of(next).unwrap(), 10.0);
-        logits
+    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
+        let one = |context: &&[TokenId]| {
+            let mut logits = Logits::constant(self.bpe.vocab().len(), 0.0);
+            let text = self.bpe.decode(context);
+            let next = if text.ends_with('a') { "b" } else { "a" };
+            logits.set(self.bpe.vocab().id_of(next).unwrap(), 10.0);
+            Ok(logits)
+        };
+        contexts.iter().map(one).collect()
     }
 }
 

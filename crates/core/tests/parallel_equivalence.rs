@@ -17,7 +17,9 @@
 //! legitimately differ while every produced byte stays the same.
 
 use lmql::constraints::{CustomOp, Fin, FinalValue, OpCtx};
-use lmql::{compile_source, plan_holes, QueryEvent, Reassembler, Runtime, StreamSink, Value};
+use lmql::{
+    compile_source, plan_holes, FnTool, QueryEvent, Reassembler, Runtime, StreamSink, Value,
+};
 use lmql_lm::{corpus, Branch, Digression, Episode, ScriptedLm, ScriptedLmBuilder, SCRIPT_LOGIT};
 use lmql_tokenizer::Bpe;
 use std::sync::Arc;
@@ -418,7 +420,7 @@ fn example_arithmetic() {
             "A: Let's think step by step.\n",
             " << 2+3 = 5 >> So the answer is 5.",
         )]);
-        rt.register_external("calculator", "run", |args| {
+        rt.register_tool(Arc::new(FnTool::new("calculator", "run", |args| {
             let s = args[0].as_str().ok_or("run expects a string")?;
             let sum: i64 = s
                 .trim()
@@ -428,7 +430,7 @@ fn example_arithmetic() {
                 .map(|p| p.trim().parse::<i64>().unwrap_or(0))
                 .sum();
             Ok(Value::Int(sum))
-        });
+        })));
         rt.bind("FEWSHOT", Value::Str(String::new()));
         rt.bind("QUESTION", Value::Str("What is 2+3?".into()));
         rt
@@ -497,10 +499,10 @@ fn example_react() {
             "Where is cheese made?\n",
             "Tho: I should search.\nAct: Search 'cheese'\nObs: result\nAct: Finish 'done'\n",
         )]);
-        rt.register_external("wikipedia_utils", "search", |args| {
+        rt.register_tool(Arc::new(FnTool::new("wikipedia_utils", "search", |args| {
             let _ = args[0].as_str().ok_or("search expects a string")?;
             Ok(Value::Str("result".into()))
-        });
+        })));
         rt.bind("FEWSHOT", Value::Str(String::new()));
         rt.bind("QUESTION", Value::Str("Where is cheese made?".into()));
         rt

@@ -2,8 +2,8 @@
 //! [`Tool`]s (DESIGN.md §16).
 //!
 //! Earlier PRs wired the calculator and the mini-wiki lookup as ad-hoc
-//! `Runtime::register_external` closures at every call site. With the
-//! tool API they are two ordinary registrations: [`CalculatorTool`]
+//! closures at every call site. With the tool API they are two ordinary
+//! registrations: [`CalculatorTool`]
 //! exports `calculator.run` and [`WikiTool`] exports
 //! `wikipedia_utils.search`, byte-identical in behaviour to the legacy
 //! closures (pinned by the differential suite in the umbrella crate's

@@ -578,7 +578,7 @@ impl Router {
                     shared.metrics.failovers.add(group.len() as u64);
                 }
                 let batch: Vec<&[TokenId]> = group.iter().map(|&qi| contexts[qi]).collect();
-                let scored = replica.engine.scheduler().try_score_many(&batch);
+                let scored = replica.engine.scheduler().try_score_many(&batch, None);
                 for (&qi, result) in group.iter().zip(scored) {
                     match &result {
                         Ok(_) => replica.breaker.record_success(),

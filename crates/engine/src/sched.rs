@@ -10,17 +10,16 @@
 //! 2. **Single-flight** — identical contexts requested while a compute is
 //!    queued or in flight join that compute instead of re-issuing it.
 //! 3. **Microbatching** — pending distinct contexts are coalesced into one
-//!    [`score_batch`](LanguageModel::score_batch) dispatch, bounded by a
-//!    [`BatchPolicy`] (dispatch when `max_batch` contexts are pending, or
-//!    when the oldest has waited `max_wait`).
+//!    [`try_score_batch`](LanguageModel::try_score_batch) call, bounded by
+//!    a [`BatchPolicy`] (dispatch when `max_batch` contexts are pending,
+//!    or when the oldest has waited `max_wait`).
 //!
-//! Because `score` is pure and deterministic per context, none of this
+//! Because scoring is pure and deterministic per context, none of this
 //! changes any result: every consumer receives exactly the logits a
-//! direct `score` call would have produced, bit for bit.
+//! direct model call would have produced, bit for bit.
 //!
 //! **Fault tolerance.** The model behind the scheduler may be fallible (a
-//! remote backend, a chaos wrapper). Dispatch uses the per-item
-//! [`try_score_batch`](LanguageModel::try_score_batch): one context's
+//! remote backend, a chaos wrapper). Results are per item: one context's
 //! fault never fails its batch partners or the single-flight waiters
 //! merged onto them. Faulted items fall back to direct per-item scoring,
 //! retried with backoff under the scheduler's [`RetryPolicy`]; items
@@ -31,7 +30,7 @@
 
 use crate::radix::{RadixCache, RadixCacheConfig};
 use lmql_lm::{
-    call_with_retry, context_token, CancelToken, FaultKind, LanguageModel, LmError, LmResult,
+    call_with_retry, context_token, validated, CancelToken, LanguageModel, LmError, LmResult,
     Logits, RetryMetrics, RetryPolicy, UsageMeter,
 };
 use lmql_obs::{Counter, Gauge, Histogram, Registry, Tracer};
@@ -83,36 +82,26 @@ struct Slot {
 }
 
 impl Slot {
-    fn wait(&self) -> LmResult<Logits> {
+    /// Blocks until the dispatcher fills the slot — or, with a token,
+    /// gives up with [`LmError::Cancelled`] once it fires. The slot
+    /// itself stays live for any single-flight partners and is retired
+    /// by the dispatcher either way.
+    fn wait(&self, cancel: Option<&CancelToken>) -> LmResult<Logits> {
         let mut r = self.result.lock().expect("slot poisoned");
         loop {
-            match r.as_ref() {
-                Some(result) => return result.clone(),
-                None => r = self.ready.wait(r).expect("slot poisoned"),
+            if let Some(result) = r.as_ref() {
+                return result.clone();
             }
-        }
-    }
-
-    /// Like [`wait`](Self::wait), but gives up with
-    /// [`LmError::Cancelled`] once `cancel` fires — the slot itself stays
-    /// live for any single-flight partners and is retired by the
-    /// dispatcher either way.
-    fn wait_cancellable(&self, cancel: &CancelToken) -> LmResult<Logits> {
-        let mut r = self.result.lock().expect("slot poisoned");
-        loop {
-            match r.as_ref() {
-                Some(result) => return result.clone(),
-                None => {
-                    if cancel.is_cancelled() {
-                        return Err(LmError::Cancelled);
-                    }
-                    let (guard, _) = self
-                        .ready
+            r = match cancel {
+                None => self.ready.wait(r).expect("slot poisoned"),
+                Some(c) if c.is_cancelled() => return Err(LmError::Cancelled),
+                Some(_) => {
+                    self.ready
                         .wait_timeout(r, Duration::from_millis(5))
-                        .expect("slot poisoned");
-                    r = guard;
+                        .expect("slot poisoned")
+                        .0
                 }
-            }
+            };
         }
     }
 
@@ -146,8 +135,8 @@ struct Pending {
     /// at dispatch (answered with [`LmError::Cancelled`]) unless its
     /// slot picked up single-flight partners.
     cancel: Option<CancelToken>,
-    /// Fairness unit for continuous batching: every scoring call
-    /// (`try_score`, one `try_score_many`, …) gets its own stream id, so
+    /// Fairness unit for continuous batching: every scoring call (one
+    /// `try_score_many`) gets its own stream id, so
     /// an oversubscribed batch is dealt round-robin across concurrent
     /// calls rather than FIFO across contexts.
     stream: u64,
@@ -282,19 +271,6 @@ impl Shared {
         self.next_stream
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     }
-    /// A model reply shorter than the vocabulary is a truncated
-    /// (transient, retryable) response, never valid data.
-    fn validated(&self, logits: Logits) -> LmResult<Logits> {
-        let want = self.model.vocab().len();
-        if logits.len() == want {
-            Ok(logits)
-        } else {
-            Err(LmError::transient(
-                FaultKind::Truncated,
-                format!("reply has {} logits, vocabulary has {want}", logits.len()),
-            ))
-        }
-    }
 
     /// Direct per-item scoring with retry/backoff — the fallback when a
     /// batch (or one item of it) faults, and the inline path during
@@ -323,7 +299,7 @@ impl Shared {
             || {
                 self.model
                     .try_score(context)
-                    .and_then(|l| self.validated(l))
+                    .and_then(|l| validated(l, self.model.vocab().len()))
             },
         )
     }
@@ -347,69 +323,23 @@ impl std::fmt::Debug for Scheduler {
 
 impl Scheduler {
     /// A scheduler over `model` with the given batching policy and cache
-    /// budgets.
+    /// budgets, [`RetryPolicy::default`] (free for infallible models —
+    /// retries only ever run after a fault) and no observability hooks.
     pub fn new(
         model: Box<dyn LanguageModel>,
         policy: BatchPolicy,
         cache: RadixCacheConfig,
     ) -> Self {
-        Self::build(
-            model,
-            policy,
-            cache,
-            RetryPolicy::default(),
-            SchedulerObs::default(),
-        )
+        let retry = RetryPolicy::default();
+        Self::with_retry(model, policy, cache, retry, SchedulerObs::default())
     }
 
-    /// Like [`new`](Self::new), additionally recording prefix-cache hits
-    /// and misses on `meter`.
-    pub fn with_meter(
-        model: Box<dyn LanguageModel>,
-        policy: BatchPolicy,
-        cache: RadixCacheConfig,
-        meter: UsageMeter,
-    ) -> Self {
-        Self::build(
-            model,
-            policy,
-            cache,
-            RetryPolicy::default(),
-            SchedulerObs {
-                meter: Some(meter),
-                ..SchedulerObs::default()
-            },
-        )
-    }
-
-    /// Like [`new`](Self::new), with full observability hooks: an
-    /// optional usage meter, a trace recorder, and an optional metrics
-    /// registry (scheduler metrics registered under `engine.*`).
-    pub fn with_obs(
-        model: Box<dyn LanguageModel>,
-        policy: BatchPolicy,
-        cache: RadixCacheConfig,
-        obs: SchedulerObs,
-    ) -> Self {
-        Self::with_retry(model, policy, cache, RetryPolicy::default(), obs)
-    }
-
-    /// The full constructor: like [`with_obs`](Self::with_obs), with an
-    /// explicit [`RetryPolicy`] governing dispatch-time fault recovery
-    /// (per-item retries with backoff, per-request deadlines). The other
-    /// constructors use [`RetryPolicy::default`], which is free for
-    /// infallible models — retries only ever run after a fault.
+    /// The full constructor: an explicit [`RetryPolicy`] governing
+    /// dispatch-time fault recovery (per-item retries with backoff,
+    /// per-request deadlines) and observability hooks — an optional usage
+    /// meter, a trace recorder, and an optional metrics registry
+    /// (scheduler metrics registered under `engine.*`).
     pub fn with_retry(
-        model: Box<dyn LanguageModel>,
-        policy: BatchPolicy,
-        cache: RadixCacheConfig,
-        retry: RetryPolicy,
-        obs: SchedulerObs,
-    ) -> Self {
-        Self::build(model, policy, cache, retry, obs)
-    }
-
-    fn build(
         model: Box<dyn LanguageModel>,
         policy: BatchPolicy,
         cache: RadixCacheConfig,
@@ -463,108 +393,50 @@ impl Scheduler {
     }
 
     /// The scheduler's trace recorder (disabled unless one was installed
-    /// via [`with_obs`](Self::with_obs)).
+    /// via [`with_retry`](Self::with_retry)).
     pub fn tracer(&self) -> &Tracer {
         &self.shared.tracer
     }
 
-    /// Scores one context through the cache/single-flight/batch pipeline.
-    /// Blocks until the result is available.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model faults past the scheduler's retry budget; use
-    /// [`try_score`](Self::try_score) to handle the error instead.
-    pub fn score(&self, context: &[TokenId]) -> Logits {
-        self.try_score(context)
-            .unwrap_or_else(|e| panic!("scheduler: model call failed: {e}"))
-    }
-
-    /// Fallible scoring: transient model faults are retried per the
-    /// scheduler's [`RetryPolicy`]; what remains (exhausted budgets,
-    /// fatal errors, expired deadlines) surfaces as an [`LmError`].
+    /// Scores one context through the cache/single-flight/batch pipeline,
+    /// blocking until the result is available: the one-context case of
+    /// [`try_score_many`](Self::try_score_many).
     pub fn try_score(&self, context: &[TokenId]) -> LmResult<Logits> {
-        match self.submit(context, None, self.shared.stream_id()) {
-            Ok(result) => result,
-            Err(slot) => slot.wait(),
-        }
+        self.try_score_many(&[context], None)
+            .pop()
+            .expect("one result per context")
     }
 
-    /// Cancellable fallible scoring: returns [`LmError::Cancelled`] as
-    /// soon as `cancel` fires, without waiting for the dispatcher. The
-    /// queued work is released at dispatch time (never reaching the
-    /// model) unless a single-flight partner still wants it.
-    pub fn try_score_cancelled_by(
+    /// Scores many contexts with per-item results, enqueueing all of them
+    /// *before* waiting on any — this is what lets one decoder step's
+    /// candidate extensions coalesce into a single model dispatch (and
+    /// interleave with other executions' requests). Transient model
+    /// faults are retried per the scheduler's [`RetryPolicy`]; what
+    /// remains (exhausted budgets, fatal errors, expired deadlines)
+    /// surfaces as that item's [`LmError`], never its partners'.
+    ///
+    /// With a `cancel` token, every wait resolves to
+    /// [`LmError::Cancelled`] as soon as it fires, without waiting for the
+    /// dispatcher; the queued work is released at dispatch time (never
+    /// reaching the model) unless a single-flight partner still wants it.
+    pub fn try_score_many(
         &self,
-        context: &[TokenId],
-        cancel: &CancelToken,
-    ) -> LmResult<Logits> {
-        if cancel.is_cancelled() {
-            return Err(LmError::Cancelled);
+        contexts: &[&[TokenId]],
+        cancel: Option<&CancelToken>,
+    ) -> Vec<LmResult<Logits>> {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return contexts.iter().map(|_| Err(LmError::Cancelled)).collect();
         }
-        match self.submit(context, Some(cancel), self.shared.stream_id()) {
-            Ok(result) => result,
-            Err(slot) => slot.wait_cancellable(cancel),
-        }
-    }
-
-    /// Scores many contexts, enqueueing all of them *before* waiting on
-    /// any — this is what lets one decoder step's candidate extensions
-    /// coalesce into a single model dispatch (and interleave with other
-    /// executions' requests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any context's model call faults past the retry budget;
-    /// use [`try_score_many`](Self::try_score_many) to handle errors.
-    pub fn score_many(&self, contexts: &[&[TokenId]]) -> Vec<Logits> {
-        self.try_score_many(contexts)
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|e| panic!("scheduler: model call failed: {e}")))
-            .collect()
-    }
-
-    /// Fallible many-context scoring with per-item results: one faulted
-    /// context never fails the others.
-    pub fn try_score_many(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
         // One stream id for the whole call: under contention this call's
         // contexts collectively take one fair share of each batch.
         let stream = self.shared.stream_id();
         let submitted: Vec<Result<LmResult<Logits>, Arc<Slot>>> = contexts
             .iter()
-            .map(|ctx| self.submit(ctx, None, stream))
+            .map(|ctx| self.submit(ctx, cancel, stream))
             .collect();
         submitted
             .into_iter()
-            .map(|s| match s {
-                Ok(result) => result,
-                Err(slot) => slot.wait(),
-            })
-            .collect()
-    }
-
-    /// Cancellable [`try_score_many`](Self::try_score_many): items still
-    /// enqueue before any wait, but once `cancel` fires every remaining
-    /// wait resolves to [`LmError::Cancelled`].
-    pub fn try_score_many_cancelled_by(
-        &self,
-        contexts: &[&[TokenId]],
-        cancel: &CancelToken,
-    ) -> Vec<LmResult<Logits>> {
-        if cancel.is_cancelled() {
-            return contexts.iter().map(|_| Err(LmError::Cancelled)).collect();
-        }
-        let stream = self.shared.stream_id();
-        let submitted: Vec<Result<LmResult<Logits>, Arc<Slot>>> = contexts
-            .iter()
-            .map(|ctx| self.submit(ctx, Some(cancel), stream))
-            .collect();
-        submitted
-            .into_iter()
-            .map(|s| match s {
-                Ok(result) => result,
-                Err(slot) => slot.wait_cancellable(cancel),
-            })
+            .map(|s| s.unwrap_or_else(|slot| slot.wait(cancel)))
             .collect()
     }
 
@@ -877,6 +749,7 @@ fn dispatch_loop(shared: &Shared) {
         let contexts: Vec<&[TokenId]> = batch.iter().map(|p| &*p.context).collect();
         let results = shared.model.try_score_batch(&contexts);
         drop(dispatch_span);
+        let vocab_len = shared.model.vocab().len();
         debug_assert_eq!(results.len(), batch.len());
 
         // Per-item recovery: a faulted item falls back to direct scoring
@@ -887,7 +760,7 @@ fn dispatch_loop(shared: &Shared) {
         let results: Vec<LmResult<Logits>> = results
             .into_iter()
             .zip(&batch)
-            .map(|(r, p)| match r.and_then(|l| shared.validated(l)) {
+            .map(|(r, p)| match r.and_then(|l| validated(l, vocab_len)) {
                 Ok(logits) => Ok(logits),
                 Err(e) if e.is_transient() => {
                     shared.metrics.retry.faults.inc();
@@ -977,33 +850,15 @@ impl LanguageModel for BatchedLm {
         self.sched.vocab()
     }
 
-    fn score(&self, context: &[TokenId]) -> Logits {
-        self.sched.score(context)
-    }
-
-    fn score_batch(&self, contexts: &[&[TokenId]]) -> Vec<Logits> {
-        self.sched.score_many(contexts)
-    }
-
-    fn try_score(&self, context: &[TokenId]) -> LmResult<Logits> {
-        match &self.cancel {
-            Some(token) => self.sched.try_score_cancelled_by(context, token),
-            None => self.sched.try_score(context),
-        }
-    }
-
     fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
-        match &self.cancel {
-            Some(token) => self.sched.try_score_many_cancelled_by(contexts, token),
-            None => self.sched.try_score_many(contexts),
-        }
+        self.sched.try_score_many(contexts, self.cancel.as_ref())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lmql_lm::MeteredLm;
+    use lmql_lm::{corpus, FaultKind, MeteredLm};
     use lmql_tokenizer::Bpe;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1020,12 +875,15 @@ mod tests {
         fn vocab(&self) -> &Vocabulary {
             self.bpe.vocab()
         }
-        fn score(&self, context: &[TokenId]) -> Logits {
-            self.calls.fetch_add(1, Ordering::SeqCst);
-            std::thread::sleep(self.delay);
-            // Context-dependent but deterministic.
-            let tag = context.len() as f64 + context.first().map_or(0.0, |t| t.0 as f64 / 7.0);
-            Logits::constant(self.bpe.vocab().len(), tag)
+        fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
+            let one = |context: &&[TokenId]| {
+                self.calls.fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(self.delay);
+                // Context-dependent but deterministic.
+                let tag = context.len() as f64 + context.first().map_or(0.0, |t| t.0 as f64 / 7.0);
+                Ok(Logits::constant(self.bpe.vocab().len(), tag))
+            };
+            contexts.iter().map(one).collect()
         }
     }
 
@@ -1037,6 +895,10 @@ mod tests {
             delay,
         };
         (lm, calls)
+    }
+
+    fn unwrap_all(results: Vec<LmResult<Logits>>) -> Vec<Logits> {
+        results.into_iter().map(Result::unwrap).collect()
     }
 
     fn policy(max_batch: usize, max_wait_ms: u64) -> BatchPolicy {
@@ -1053,7 +915,7 @@ mod tests {
         let (reference, _) = counting(Duration::ZERO);
         let sched = Scheduler::new(Box::new(lm), BatchPolicy::default(), Default::default());
         for ctx in [&[][..], &[TokenId(1)][..], &[TokenId(2), TokenId(3)][..]] {
-            assert_eq!(sched.score(ctx), reference.score(ctx));
+            assert_eq!(sched.try_score(ctx).unwrap(), reference.score(ctx));
         }
     }
 
@@ -1061,15 +923,19 @@ mod tests {
     fn repeat_contexts_hit_the_cache() {
         let (lm, calls) = counting(Duration::ZERO);
         let meter = UsageMeter::new();
-        let sched = Scheduler::with_meter(
+        let sched = Scheduler::with_retry(
             Box::new(lm),
             BatchPolicy::default(),
             Default::default(),
-            meter.clone(),
+            RetryPolicy::default(),
+            SchedulerObs {
+                meter: Some(meter.clone()),
+                ..SchedulerObs::default()
+            },
         );
         let ctx = [TokenId(5), TokenId(6)];
-        let a = sched.score(&ctx);
-        let b = sched.score(&ctx);
+        let a = sched.try_score(&ctx).unwrap();
+        let b = sched.try_score(&ctx).unwrap();
         assert_eq!(a, b);
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         let u = meter.snapshot();
@@ -1094,7 +960,7 @@ mod tests {
                 .map(|_| {
                     let sched = Arc::clone(&sched);
                     let ctx = ctx.clone();
-                    s.spawn(move || sched.score(&ctx))
+                    s.spawn(move || sched.try_score(&ctx).unwrap())
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -1118,7 +984,7 @@ mod tests {
         let c1 = [TokenId(1)];
         let c2 = [TokenId(2)];
         let c3 = [TokenId(3)];
-        let out = sched.score_many(&[&c1, &c2, &c3]);
+        let out = unwrap_all(sched.try_score_many(&[&c1, &c2, &c3], None));
         assert_eq!(out.len(), 3);
         let u = meter.snapshot();
         assert_eq!(u.batch_dispatches, 1, "one microbatch for all three");
@@ -1134,8 +1000,8 @@ mod tests {
         let sched = Scheduler::new(Box::new(lm), policy(2, 20), Default::default());
         let c1 = [TokenId(1)];
         let c2 = [TokenId(2)];
-        let warm = sched.score(&c1); // now cached
-        let out = sched.score_many(&[&c1, &c2, &c2]);
+        let warm = sched.try_score(&c1).unwrap(); // now cached
+        let out = unwrap_all(sched.try_score_many(&[&c1, &c2, &c2], None));
         assert_eq!(out[0], warm);
         assert_eq!(out[1], out[2]);
         // c1 once (warm-up) + c2 once (duplicate single-flighted).
@@ -1155,7 +1021,7 @@ mod tests {
         let result = std::thread::scope(|s| {
             let worker = {
                 let sched = Arc::clone(&sched);
-                s.spawn(move || sched.score(&[TokenId(4)]))
+                s.spawn(move || sched.try_score(&[TokenId(4)]).unwrap())
             };
             std::thread::sleep(Duration::from_millis(2));
             sched.shutdown();
@@ -1165,8 +1031,8 @@ mod tests {
     }
 
     /// First token of a context selects its fault behaviour. `FLAKY`
-    /// contexts fault in batch dispatch but succeed on the direct
-    /// (per-item fallback) path; `DOOMED` contexts fault transiently on
+    /// contexts fault as an item of a batch but succeed when scored alone
+    /// (the per-item fallback); `DOOMED` contexts fault transiently on
     /// every path; `FATAL` contexts fail fatally everywhere.
     const FLAKY: TokenId = TokenId(100);
     const DOOMED: TokenId = TokenId(101);
@@ -1175,6 +1041,7 @@ mod tests {
     #[derive(Debug)]
     struct FaultyLm {
         bpe: Arc<Bpe>,
+        /// Calls carrying more than one context / exactly one context.
         batch_calls: Arc<AtomicU64>,
         direct_calls: Arc<AtomicU64>,
     }
@@ -1198,25 +1065,21 @@ mod tests {
         fn vocab(&self) -> &Vocabulary {
             self.bpe.vocab()
         }
-        fn score(&self, context: &[TokenId]) -> Logits {
-            self.try_score(context).expect("faulty model call failed")
-        }
-        fn try_score(&self, context: &[TokenId]) -> LmResult<Logits> {
-            self.direct_calls.fetch_add(1, Ordering::SeqCst);
-            match context.first() {
-                Some(&DOOMED) => Err(LmError::transient(FaultKind::Injected, "doomed")),
-                Some(&FATAL) => Err(LmError::fatal("unservable context")),
-                _ => Ok(self.logits_for(context)),
-            }
-        }
         fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
-            self.batch_calls.fetch_add(1, Ordering::SeqCst);
+            let batched = contexts.len() > 1;
+            let calls = if batched {
+                &self.batch_calls
+            } else {
+                &self.direct_calls
+            };
+            calls.fetch_add(1, Ordering::SeqCst);
             contexts
                 .iter()
                 .map(|c| match c.first() {
-                    Some(&FLAKY) | Some(&DOOMED) => {
+                    Some(&FLAKY) if batched => {
                         Err(LmError::transient(FaultKind::Injected, "batch fault"))
                     }
+                    Some(&DOOMED) => Err(LmError::transient(FaultKind::Injected, "doomed")),
                     Some(&FATAL) => Err(LmError::fatal("unservable context")),
                     _ => Ok(self.logits_for(c)),
                 })
@@ -1267,7 +1130,7 @@ mod tests {
         let healthy = [TokenId(1), TokenId(2)];
         let flaky = [FLAKY, TokenId(3)];
         let contexts: Vec<&[TokenId]> = vec![&healthy, &flaky, &[TokenId(7)]];
-        let out = sched.try_score_many(&contexts);
+        let out = sched.try_score_many(&contexts, None);
         assert_eq!(batch_calls.load(Ordering::SeqCst), 1, "one dispatch");
         for (r, ctx) in out.iter().zip(&contexts) {
             let logits = r.as_ref().expect("every item must recover");
@@ -1287,7 +1150,7 @@ mod tests {
         let (sched, _, _) = faulty_sched(1, 2);
         let healthy = [TokenId(4)];
         let doomed = [DOOMED, TokenId(5)];
-        let out = sched.try_score_many(&[&healthy, &doomed]);
+        let out = sched.try_score_many(&[&healthy, &doomed], None);
         assert!(out[0].is_ok(), "healthy partner unaffected: {:?}", out[0]);
         let err = out[1].as_ref().unwrap_err();
         assert!(err.is_transient(), "budget-exhausted transient surfaces");
@@ -1298,7 +1161,7 @@ mod tests {
     /// dispatcher death).
     #[test]
     fn fatal_fault_fills_all_merged_waiters() {
-        let (sched, _, direct_calls) = faulty_sched(5, 1);
+        let (sched, _, _) = faulty_sched(5, 1);
         let sched = Arc::new(sched);
         let ctx = vec![FATAL, TokenId(1)];
         let errors: Vec<LmResult<Logits>> = std::thread::scope(|s| {
@@ -1319,8 +1182,9 @@ mod tests {
         }
         // The scheduler stays healthy after the fault.
         assert!(sched.try_score(&[TokenId(8)]).is_ok());
-        assert!(
-            direct_calls.load(Ordering::SeqCst) <= 2,
+        assert_eq!(
+            sched.metrics().retry.retries.get(),
+            0,
             "fatal errors are never retried"
         );
     }
@@ -1413,21 +1277,16 @@ mod tests {
         assert_eq!(queue.len(), 8);
     }
 
-    /// A model that records the composition of every batch dispatch.
-    #[derive(Debug)]
+    /// Records the composition of every call that reaches `inner`.
     struct RecordingLm {
-        bpe: Arc<Bpe>,
+        inner: Arc<dyn LanguageModel>,
         batches: Arc<Mutex<Vec<Vec<Vec<TokenId>>>>>,
         delay: Duration,
     }
 
     impl LanguageModel for RecordingLm {
         fn vocab(&self) -> &Vocabulary {
-            self.bpe.vocab()
-        }
-        fn score(&self, context: &[TokenId]) -> Logits {
-            std::thread::sleep(self.delay);
-            Logits::constant(self.bpe.vocab().len(), context.len() as f64)
+            self.inner.vocab()
         }
         fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
             self.batches
@@ -1435,10 +1294,36 @@ mod tests {
                 .unwrap()
                 .push(contexts.iter().map(|c| c.to_vec()).collect());
             std::thread::sleep(self.delay);
-            contexts
-                .iter()
-                .map(|c| Ok(Logits::constant(self.bpe.vocab().len(), c.len() as f64)))
-                .collect()
+            self.inner.try_score_batch(contexts)
+        }
+    }
+
+    /// The batch path reaches the model: k cold contexts submitted through
+    /// `try_score_many` arrive at the real n-gram model as one
+    /// `try_score_batch` call of k, and come back bit-identical to scoring
+    /// each context directly. An empty submission dispatches nothing.
+    #[test]
+    fn cold_contexts_reach_the_model_as_one_batch() {
+        let (bpe, ngram) = (corpus::standard_bpe(), corpus::standard_ngram());
+        let batches = Arc::new(Mutex::new(Vec::new()));
+        let lm = RecordingLm {
+            inner: ngram.clone(),
+            batches: Arc::clone(&batches),
+            delay: Duration::ZERO,
+        };
+        let text = bpe.encode("The little prince said");
+        let contexts: Vec<&[TokenId]> = (1..=4).map(|n| &text[..n]).collect();
+        // max_batch == k: the dispatcher fires exactly when all are queued.
+        let sched = Scheduler::new(Box::new(lm), policy(4, 5_000), Default::default());
+        assert!(sched.try_score_many(&[], None).is_empty());
+        assert_eq!(sched.metrics().dispatches.get(), 0);
+        let out = unwrap_all(sched.try_score_many(&contexts, None));
+        let expected: Vec<Vec<TokenId>> = contexts.iter().map(|c| c.to_vec()).collect();
+        assert_eq!(*batches.lock().unwrap(), [expected]);
+        assert_eq!(sched.metrics().dispatches.get(), 1);
+        for (got, ctx) in out.iter().zip(&contexts) {
+            let bits = |l: &Logits| l.scores().iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&ngram.score(ctx)));
         }
     }
 
@@ -1451,7 +1336,7 @@ mod tests {
     fn wide_call_does_not_starve_short_call() {
         let batches = Arc::new(Mutex::new(Vec::new()));
         let lm = RecordingLm {
-            bpe: Arc::new(Bpe::char_level("")),
+            inner: Arc::new(counting(Duration::ZERO).0),
             batches: Arc::clone(&batches),
             delay: Duration::from_millis(80),
         };
@@ -1468,7 +1353,7 @@ mod tests {
                     let ctxs: Vec<Vec<TokenId>> =
                         (0..8).map(|i| vec![TokenId(i), TokenId(1)]).collect();
                     let refs: Vec<&[TokenId]> = ctxs.iter().map(|c| c.as_slice()).collect();
-                    sched.score_many(&refs)
+                    unwrap_all(sched.try_score_many(&refs, None))
                 })
             };
             // Enqueue the victim while the wide call's first batch is
@@ -1477,7 +1362,7 @@ mod tests {
             let victim = {
                 let sched = Arc::clone(&sched);
                 let ctx = victim_ctx.clone();
-                s.spawn(move || sched.score(&ctx))
+                s.spawn(move || sched.try_score(&ctx).unwrap())
             };
             hog.join().unwrap();
             victim.join().unwrap();
@@ -1496,19 +1381,15 @@ mod tests {
     }
 
     #[test]
-    fn batched_lm_is_a_language_model() {
-        let (lm, _) = counting(Duration::ZERO);
-        let (reference, _) = counting(Duration::ZERO);
-        let sched = Arc::new(Scheduler::new(
-            Box::new(lm),
+    fn batched_lm_scores_consistently() {
+        let sched = Arc::new(Scheduler::with_retry(
+            Box::new(FaultyLm::new()),
             BatchPolicy::default(),
             Default::default(),
+            fast_retry(1),
+            SchedulerObs::default(),
         ));
-        let handle = BatchedLm::new(sched);
-        let ctx = [TokenId(2)];
-        assert_eq!(handle.score(&ctx), reference.score(&ctx));
-        let batch: Vec<&[TokenId]> = vec![&ctx, &ctx];
-        let out = handle.score_batch(&batch);
-        assert_eq!(out[0], out[1]);
+        let contexts: [&[TokenId]; 4] = [&[], &[TokenId(2)], &[FATAL], &[TokenId(2), TokenId(5)]];
+        lmql_lm::testing::assert_scoring_consistent(&BatchedLm::new(sched), &contexts);
     }
 }

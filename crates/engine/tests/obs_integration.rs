@@ -5,9 +5,8 @@
 
 use lmql_engine::{
     BatchPolicy, Engine, EngineConfig, EngineObs, RadixCache, RadixCacheConfig, Scheduler,
-    SchedulerObs,
 };
-use lmql_lm::{Episode, LanguageModel, Logits, ScriptedLm};
+use lmql_lm::{Episode, LanguageModel, LmResult, Logits, ScriptedLm};
 use lmql_obs::{chrome, Registry, Tracer};
 use lmql_tokenizer::{Bpe, TokenId};
 use std::sync::Arc;
@@ -199,13 +198,13 @@ fn scheduler_metrics_record_waits_and_merges() {
         fn vocab(&self) -> &lmql_tokenizer::Vocabulary {
             self.bpe.vocab()
         }
-        fn score(&self, _context: &[TokenId]) -> Logits {
+        fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
             std::thread::sleep(Duration::from_millis(30));
-            Logits::constant(self.bpe.vocab().len(), 1.0)
+            vec![Ok(Logits::constant(self.bpe.vocab().len(), 1.0)); contexts.len()]
         }
     }
     let bpe = Arc::new(Bpe::char_level(""));
-    let sched = Arc::new(Scheduler::with_obs(
+    let sched = Arc::new(Scheduler::new(
         Box::new(SlowLm { bpe }),
         BatchPolicy {
             max_batch: 1,
@@ -213,7 +212,6 @@ fn scheduler_metrics_record_waits_and_merges() {
             ..BatchPolicy::default()
         },
         RadixCacheConfig::default(),
-        SchedulerObs::default(),
     ));
     let ctx = vec![TokenId(3)];
     std::thread::scope(|s| {
@@ -221,7 +219,7 @@ fn scheduler_metrics_record_waits_and_merges() {
             .map(|_| {
                 let sched = Arc::clone(&sched);
                 let ctx = ctx.clone();
-                s.spawn(move || sched.score(&ctx))
+                s.spawn(move || sched.try_score(&ctx).unwrap())
             })
             .collect();
         for h in handles {

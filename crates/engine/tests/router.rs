@@ -234,9 +234,12 @@ fn registry_carries_pool_totals_matching_router_stats() {
             Some(cache.entries as u64)
         );
         assert_eq!(snap.gauge("engine.cache.bytes"), Some(cache.bytes as u64));
+        // No faults here, so every model round trip is one scheduler
+        // dispatch (a one-context dispatch is a single query on the
+        // meter, not a batch).
         assert_eq!(
             snap.counter("engine.batch.dispatches"),
-            Some(stats.usage.batch_dispatches)
+            Some(stats.usage.dispatches())
         );
         assert_eq!(
             snap.counter("lm.model_queries"),

@@ -6,7 +6,7 @@
 
 use lmql::{QueryEvent, Reassembler, Runtime};
 use lmql_engine::{Engine, EngineConfig, EngineObs, QueryStream};
-use lmql_lm::{corpus, LanguageModel, Logits};
+use lmql_lm::{corpus, LanguageModel, LmResult, Logits};
 use lmql_obs::{Registry, Tracer};
 use lmql_tokenizer::{Bpe, TokenId, Vocabulary};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -80,7 +80,7 @@ impl GatedLm {
         self.opened.notify_all();
     }
 
-    /// Blocks until at least one `score` call has entered the model.
+    /// Blocks until at least one scoring call has entered the model.
     fn wait_entered(&self) {
         let deadline = Instant::now() + Duration::from_secs(5);
         while self.entered.load(Ordering::Acquire) == 0 {
@@ -95,14 +95,14 @@ impl LanguageModel for GatedLm {
         self.inner.vocab()
     }
 
-    fn score(&self, context: &[TokenId]) -> Logits {
+    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
         self.entered.fetch_add(1, Ordering::AcqRel);
         let mut open = self.open.lock().unwrap();
         while !*open {
             open = self.opened.wait(open).unwrap();
         }
         drop(open);
-        self.inner.score(context)
+        self.inner.try_score_batch(contexts)
     }
 }
 

@@ -176,111 +176,50 @@ impl<L: LanguageModel> LanguageModel for CachedLm<L> {
         self.inner.vocab()
     }
 
-    fn score(&self, context: &[TokenId]) -> Logits {
-        if let Some(hit) = self.state.lock().expect("lm cache poisoned").touch(context) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let logits = self.inner.score(context);
-        self.store(context, logits.clone());
-        logits
-    }
-
     /// Serves hits from the cache and forwards only the distinct misses
-    /// to the inner model — as one inner batch, so a batched backend
-    /// below still sees a single dispatch.
-    fn score_batch(&self, contexts: &[&[TokenId]]) -> Vec<Logits> {
-        let mut out: Vec<Option<Logits>> = vec![None; contexts.len()];
-        // Distinct missing contexts in first-appearance order, with the
-        // output slots each one fills (duplicates fold into one query).
-        let mut need: Vec<&[TokenId]> = Vec::new();
-        let mut slots: HashMap<&[TokenId], Vec<usize>> = HashMap::new();
-        {
-            let mut st = self.state.lock().expect("lm cache poisoned");
-            for (i, &ctx) in contexts.iter().enumerate() {
-                if let Some(entry) = slots.get_mut(ctx) {
-                    entry.push(i);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                if let Some(hit) = st.touch(ctx) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    out[i] = Some(hit);
-                } else {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    need.push(ctx);
-                    slots.insert(ctx, vec![i]);
-                }
-            }
-        }
-        if !need.is_empty() {
-            let scored = self.inner.score_batch(&need);
-            for (ctx, logits) in need.iter().zip(scored) {
-                self.store(ctx, logits.clone());
-                for &i in &slots[ctx] {
-                    out[i] = Some(logits.clone());
-                }
-            }
-        }
-        out.into_iter()
-            .map(|l| l.expect("every slot filled"))
-            .collect()
-    }
-
-    /// Fallible variant: hits never touch the inner model, misses forward
-    /// to the inner fallible path and only successes are cached (a failed
-    /// call must stay retryable, not become a poisoned cache entry).
-    fn try_score(&self, context: &[TokenId]) -> LmResult<Logits> {
-        if let Some(hit) = self.state.lock().expect("lm cache poisoned").touch(context) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let logits = self.inner.try_score(context)?;
-        self.store(context, logits.clone());
-        Ok(logits)
-    }
-
-    /// Fallible batch: like [`score_batch`](Self::score_batch) but each
-    /// miss keeps its own per-item verdict; duplicate contexts share one
-    /// inner call (and therefore one verdict).
+    /// to the inner model — as one inner call, so a batched backend below
+    /// still sees a single dispatch. Duplicate contexts share one inner
+    /// query (and therefore one verdict); only successes are cached (a
+    /// failed call must stay retryable, not become a poisoned entry).
     fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
-        let mut out: Vec<Option<LmResult<Logits>>> = (0..contexts.len()).map(|_| None).collect();
+        // Per output slot: the cached logits, or which entry of `need`
+        // (distinct misses, first-appearance order) answers it. Batches
+        // are a decoder step wide, so a scan of `need` finds duplicates
+        // without hashing every context a second time.
+        let mut out: Vec<Result<Logits, usize>> = Vec::with_capacity(contexts.len());
         let mut need: Vec<&[TokenId]> = Vec::new();
-        let mut slots: HashMap<&[TokenId], Vec<usize>> = HashMap::new();
         {
             let mut st = self.state.lock().expect("lm cache poisoned");
-            for (i, &ctx) in contexts.iter().enumerate() {
-                if let Some(entry) = slots.get_mut(ctx) {
-                    entry.push(i);
+            for &ctx in contexts {
+                if let Some(j) = need.iter().position(|n| *n == ctx) {
                     self.misses.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                if let Some(hit) = st.touch(ctx) {
+                    out.push(Err(j));
+                } else if let Some(hit) = st.touch(ctx) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    out[i] = Some(Ok(hit));
+                    out.push(Ok(hit));
                 } else {
                     self.misses.fetch_add(1, Ordering::Relaxed);
+                    out.push(Err(need.len()));
                     need.push(ctx);
-                    slots.insert(ctx, vec![i]);
                 }
             }
         }
-        if !need.is_empty() {
-            let scored = self.inner.try_score_batch(&need);
-            for (ctx, result) in need.iter().zip(scored) {
-                if let Ok(logits) = &result {
-                    self.store(ctx, logits.clone());
-                }
-                for &i in &slots[ctx] {
-                    out[i] = Some(result.clone());
-                }
+        // Hits never touch the inner model.
+        let scored = if need.is_empty() {
+            Vec::new()
+        } else {
+            self.inner.try_score_batch(&need)
+        };
+        let results = out
+            .into_iter()
+            .map(|slot| slot.or_else(|j| scored[j].clone()))
+            .collect();
+        for (ctx, result) in need.iter().zip(scored) {
+            if let Ok(logits) = result {
+                self.store(ctx, logits);
             }
         }
-        out.into_iter()
-            .map(|l| l.expect("every slot filled"))
-            .collect()
+        results
     }
 }
 

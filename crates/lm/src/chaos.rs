@@ -196,23 +196,6 @@ impl<L: LanguageModel> LanguageModel for ChaosLm<L> {
         self.inner.vocab()
     }
 
-    /// # Panics
-    ///
-    /// Panics on an injected error — the infallible path has no error
-    /// channel. Wrap in a retry layer for recovery.
-    fn score(&self, context: &[TokenId]) -> Logits {
-        self.try_score(context)
-            .unwrap_or_else(|e| panic!("unhandled injected fault: {e}"))
-    }
-
-    fn try_score(&self, context: &[TokenId]) -> LmResult<Logits> {
-        self.chaotic_score(context)
-    }
-
-    fn score_batch(&self, contexts: &[&[TokenId]]) -> Vec<Logits> {
-        contexts.iter().map(|c| self.score(c)).collect()
-    }
-
     /// Each context draws its own fault decision (its own ordinal), so a
     /// batch can come back with a mix of successes and failures — exactly
     /// the partial-failure shape the scheduler must survive.

@@ -22,9 +22,12 @@
 //!   backoff and deterministic jitter, circuit breaking, and seeded
 //!   fault injection for reproducible chaos tests,
 //! - [`corpus`] — the built-in synthetic training corpus and shared
-//!   tokenizer/model constructors used by examples and benchmarks.
+//!   tokenizer/model constructors used by examples and benchmarks,
+//! - [`testing`] — the consistency check every model implementation and
+//!   wrapper stack is run through.
 
 pub mod corpus;
+pub mod testing;
 
 mod cache;
 mod cancel;
@@ -48,8 +51,8 @@ pub use mock::{MockLm, UniformLm};
 pub use model::LanguageModel;
 pub use ngram::NGramLm;
 pub use retry::{
-    call_with_retry, context_token, BreakerConfig, BreakerState, CircuitBreaker, RetryLm,
-    RetryMetrics, RetryPolicy,
+    call_with_retry, context_token, validated, BreakerConfig, BreakerState, CircuitBreaker,
+    RetryLm, RetryMetrics, RetryPolicy,
 };
 pub use scripted::{
     Branch, Digression, Episode, ScriptedLm, ScriptedLmBuilder, ALIGNED_LOGIT, DIGRESSION_LOGIT,

@@ -22,7 +22,7 @@ pub struct Usage {
     pub decoder_calls: u64,
     /// Σ over decoder calls of (prompt tokens + generated tokens).
     pub billable_tokens: u64,
-    /// Batched dispatches (`score_batch` calls) to the model.
+    /// Batched dispatches (model calls carrying more than one context).
     pub batch_dispatches: u64,
     /// Contexts scored through batched dispatches (⊆ `model_queries`).
     pub batched_queries: u64,
@@ -40,9 +40,9 @@ impl Usage {
         self.billable_tokens as f64 / 1000.0 * cents_per_1k_tokens
     }
 
-    /// Round trips to the model: each unbatched `score` plus each
-    /// `score_batch` counts once, however many contexts it carried. This
-    /// is the latency-side metric microbatching improves.
+    /// Round trips to the model: each call counts once, however many
+    /// contexts it carried. This is the latency-side metric microbatching
+    /// improves.
     pub fn dispatches(&self) -> u64 {
         self.batch_dispatches + (self.model_queries - self.batched_queries)
     }
@@ -216,8 +216,8 @@ impl UsageMeter {
     }
 }
 
-/// Wraps a model so every [`LanguageModel::score`] call is counted as a
-/// model query on the given meter.
+/// Wraps a model so every scored context is counted as a model query on
+/// the given meter.
 #[derive(Debug, Clone)]
 pub struct MeteredLm<L> {
     inner: L,
@@ -246,23 +246,14 @@ impl<L: LanguageModel> LanguageModel for MeteredLm<L> {
         self.inner.vocab()
     }
 
-    fn score(&self, context: &[TokenId]) -> Logits {
-        self.meter.record_model_query();
-        self.inner.score(context)
-    }
-
-    fn score_batch(&self, contexts: &[&[TokenId]]) -> Vec<Logits> {
-        self.meter.record_batch(contexts.len() as u64);
-        self.inner.score_batch(contexts)
-    }
-
-    fn try_score(&self, context: &[TokenId]) -> LmResult<Logits> {
-        self.meter.record_model_query();
-        self.inner.try_score(context)
-    }
-
+    /// One context is one model query; `k > 1` contexts are one batched
+    /// dispatch of `k` queries; an empty call records nothing.
     fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
-        self.meter.record_batch(contexts.len() as u64);
+        match contexts.len() {
+            0 => {}
+            1 => self.meter.record_model_query(),
+            k => self.meter.record_batch(k as u64),
+        }
         self.inner.try_score_batch(contexts)
     }
 }
@@ -358,18 +349,11 @@ mod tests {
         assert_eq!(u.batched_queries, 2);
         assert_eq!(u.dispatches(), 2, "one batch + one single call");
         assert!((u.mean_batch_size() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batch_matches_sequential_scores() {
-        let bpe = Arc::new(Bpe::char_level(""));
-        let lm = UniformLm::new(bpe);
-        let c1 = [TokenId(1)];
-        let c2 = [TokenId(2), TokenId(3)];
-        let batch: Vec<&[TokenId]> = vec![&c1, &c2];
-        let out = lm.score_batch(&batch);
-        assert_eq!(out[0], lm.score(&c1));
-        assert_eq!(out[1], lm.score(&c2));
+        // A one-context batch is a single query; an empty one is nothing.
+        let _ = lm.score_batch(&[&c1]);
+        let _ = lm.score_batch(&[]);
+        let u = meter.snapshot();
+        assert_eq!((u.model_queries, u.batch_dispatches), (4, 1));
     }
 
     #[test]

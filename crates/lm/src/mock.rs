@@ -1,6 +1,6 @@
 //! Deterministic models for tests.
 
-use crate::{LanguageModel, Logits};
+use crate::{LanguageModel, LmResult, Logits};
 use lmql_tokenizer::{Bpe, TokenId, Vocabulary};
 use std::sync::Arc;
 
@@ -24,15 +24,8 @@ impl LanguageModel for UniformLm {
         self.bpe.vocab()
     }
 
-    fn score(&self, _context: &[TokenId]) -> Logits {
-        Logits::constant(self.bpe.vocab().len(), 0.0)
-    }
-
-    /// One allocation for the whole batch: every context gets a clone of
-    /// the same constant vector.
-    fn score_batch(&self, contexts: &[&[TokenId]]) -> Vec<Logits> {
-        let logits = Logits::constant(self.bpe.vocab().len(), 0.0);
-        vec![logits; contexts.len()]
+    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
+        vec![Ok(Logits::constant(self.bpe.vocab().len(), 0.0)); contexts.len()]
     }
 }
 
@@ -78,15 +71,20 @@ impl LanguageModel for MockLm {
         self.bpe.vocab()
     }
 
-    fn score(&self, context: &[TokenId]) -> Logits {
+    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
         let base = self.base_len.load(std::sync::atomic::Ordering::SeqCst);
-        let offset = context.len().saturating_sub(base);
-        let mut logits = Logits::constant(self.bpe.vocab().len(), -10.0);
-        match self.script.get(offset) {
-            Some(&t) => logits.set(t, 10.0),
-            None => logits.set(self.bpe.vocab().eos(), 10.0),
-        }
-        logits
+        contexts
+            .iter()
+            .map(|context| {
+                let offset = context.len().saturating_sub(base);
+                let mut logits = Logits::constant(self.bpe.vocab().len(), -10.0);
+                match self.script.get(offset) {
+                    Some(&t) => logits.set(t, 10.0),
+                    None => logits.set(self.bpe.vocab().eos(), 10.0),
+                }
+                Ok(logits)
+            })
+            .collect()
     }
 }
 

@@ -10,6 +10,13 @@ use lmql_tokenizer::{TokenId, Vocabulary};
 /// temperature, masking, decoding — is layered on top, exactly as the paper
 /// factors it.
 ///
+/// Implementing a model means [`vocab`](Self::vocab) plus the one scoring
+/// primitive, [`try_score_batch`](Self::try_score_batch);
+/// [`try_score`](Self::try_score), [`score`](Self::score) and
+/// [`score_batch`](Self::score_batch) are conveniences derived from it, so
+/// single, batched, fallible and infallible scoring agree bit for bit by
+/// construction. Do not override them.
+///
 /// Implementors must be `Send + Sync` so decoders can share models across
 /// beams and threads.
 ///
@@ -29,98 +36,60 @@ pub trait LanguageModel: Send + Sync {
     /// The vocabulary this model scores over.
     fn vocab(&self) -> &Vocabulary;
 
-    /// Raw (pre-softmax) scores for the next token given `context`.
+    /// Raw (pre-softmax) scores for the next token of every context, in
+    /// order, with **per-item** results: one context's failure leaves its
+    /// batch partners' answers intact, which is what lets a scheduler
+    /// recover merged single-flight waiters individually instead of
+    /// poisoning the whole batch.
     ///
-    /// The returned vector has exactly `self.vocab().len()` entries.
-    fn score(&self, context: &[TokenId]) -> Logits;
+    /// Returns exactly one result per context (none for an empty slice);
+    /// each `Ok` vector has `self.vocab().len()` entries and depends only
+    /// on its own context. In-process models never fail; backends that can
+    /// (remote connections, fault-injection wrappers) classify failures as
+    /// transient or fatal via [`LmError`](crate::LmError).
+    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>>;
 
-    /// Raw scores for several contexts at once, in order.
+    /// [`try_score_batch`](Self::try_score_batch) for one context.
+    fn try_score(&self, context: &[TokenId]) -> LmResult<Logits> {
+        self.try_score_batch(&[context])
+            .pop()
+            .expect("one result per context")
+    }
+
+    /// Infallible [`try_score`](Self::try_score).
     ///
-    /// Semantically this *is* `contexts.iter().map(|c| self.score(c))` —
-    /// and that is the default implementation, so
-    /// `score_batch(cs)[i]` is always bit-identical to `score(cs[i])`.
-    /// Backends with a real batched path (a microbatching scheduler, a
-    /// remote server, GPU inference) override it to answer the whole
-    /// batch in one dispatch; overrides must preserve the bit-identity.
-    fn score_batch(&self, contexts: &[&[TokenId]]) -> Vec<Logits> {
-        contexts.iter().map(|c| self.score(c)).collect()
-    }
-
-    /// The end-of-sequence token id. Defaults to the vocabulary's EOS.
-    fn eos(&self) -> TokenId {
-        self.vocab().eos()
-    }
-
-    /// Fallible scoring. In-process models never fail, so the default
-    /// wraps [`score`](Self::score) in `Ok`; backends that can fail
-    /// (remote connections, fault-injection wrappers) override this and
-    /// classify failures as transient or fatal via [`LmError`].
+    /// # Panics
     ///
-    /// [`LmError`]: crate::LmError
-    fn try_score(&self, context: &[TokenId]) -> LmResult<Logits> {
-        Ok(self.score(context))
-    }
-
-    /// Fallible batched scoring with **per-item** results: one context's
-    /// failure leaves its batch partners' answers intact, which is what
-    /// lets a scheduler recover merged single-flight waiters
-    /// individually instead of poisoning the whole batch.
-    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
-        contexts.iter().map(|c| self.try_score(c)).collect()
-    }
-}
-
-// Allow passing models behind common smart pointers.
-impl<L: LanguageModel + ?Sized> LanguageModel for &L {
-    fn vocab(&self) -> &Vocabulary {
-        (**self).vocab()
-    }
+    /// Panics if the model call fails (past any retry layer's budget).
     fn score(&self, context: &[TokenId]) -> Logits {
-        (**self).score(context)
+        self.try_score(context)
+            .unwrap_or_else(|e| panic!("model call failed: {e}"))
     }
+
+    /// Infallible [`try_score_batch`](Self::try_score_batch).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any context's model call fails.
     fn score_batch(&self, contexts: &[&[TokenId]]) -> Vec<Logits> {
-        (**self).score_batch(contexts)
-    }
-    fn try_score(&self, context: &[TokenId]) -> LmResult<Logits> {
-        (**self).try_score(context)
-    }
-    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
-        (**self).try_score_batch(contexts)
+        self.try_score_batch(contexts)
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|e| panic!("model call failed: {e}")))
+            .collect()
     }
 }
 
-impl<L: LanguageModel + ?Sized> LanguageModel for std::sync::Arc<L> {
-    fn vocab(&self) -> &Vocabulary {
-        (**self).vocab()
-    }
-    fn score(&self, context: &[TokenId]) -> Logits {
-        (**self).score(context)
-    }
-    fn score_batch(&self, contexts: &[&[TokenId]]) -> Vec<Logits> {
-        (**self).score_batch(contexts)
-    }
-    fn try_score(&self, context: &[TokenId]) -> LmResult<Logits> {
-        (**self).try_score(context)
-    }
-    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
-        (**self).try_score_batch(contexts)
-    }
+/// Models behind common smart pointers forward the two required methods.
+macro_rules! forward_language_model {
+    ($($ptr:ty),*) => {$(
+        impl<L: LanguageModel + ?Sized> LanguageModel for $ptr {
+            fn vocab(&self) -> &Vocabulary {
+                (**self).vocab()
+            }
+            fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
+                (**self).try_score_batch(contexts)
+            }
+        }
+    )*};
 }
-
-impl<L: LanguageModel + ?Sized> LanguageModel for Box<L> {
-    fn vocab(&self) -> &Vocabulary {
-        (**self).vocab()
-    }
-    fn score(&self, context: &[TokenId]) -> Logits {
-        (**self).score(context)
-    }
-    fn score_batch(&self, contexts: &[&[TokenId]]) -> Vec<Logits> {
-        (**self).score_batch(contexts)
-    }
-    fn try_score(&self, context: &[TokenId]) -> LmResult<Logits> {
-        (**self).try_score(context)
-    }
-    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
-        (**self).try_score_batch(contexts)
-    }
-}
+forward_language_model!(&L, std::sync::Arc<L>, Box<L>);

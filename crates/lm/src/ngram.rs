@@ -6,7 +6,7 @@
 //! style models in examples that need open-ended text (e.g. the Fig. 1a
 //! joke query).
 
-use crate::{LanguageModel, Logits};
+use crate::{LanguageModel, LmResult, Logits};
 use lmql_tokenizer::{Bpe, TokenId, Vocabulary};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -44,6 +44,10 @@ pub struct NGramLm {
     counts: Vec<HashMap<Vec<TokenId>, HashMap<TokenId, u32>>>,
     /// `totals[k]` maps a length-`k` context to its total count.
     totals: Vec<HashMap<Vec<TokenId>, u32>>,
+    /// Smoothed unigram probability per vocabulary entry — the
+    /// interpolation base case. It is independent of context, so it is
+    /// built once here instead of once per scored context.
+    unigram: Vec<f64>,
 }
 
 impl NGramLm {
@@ -79,31 +83,30 @@ impl NGramLm {
             }
         }
 
+        let vocab_len = bpe.vocab().len() as f64;
+        let uni_total = *totals[0].get(&Vec::new()).unwrap_or(&0) as f64;
+        let uni_counts = counts[0].get(&Vec::new());
+        let unigram = bpe
+            .vocab()
+            .ids()
+            .map(|t| {
+                let count = uni_counts.and_then(|m| m.get(&t)).copied().unwrap_or(0) as f64;
+                (count + DELTA) / (uni_total + DELTA * vocab_len)
+            })
+            .collect();
+
         NGramLm {
             bpe,
             order,
             counts,
             totals,
+            unigram,
         }
     }
 
     /// The model's order (maximum context length + 1).
     pub fn order(&self) -> usize {
         self.order
-    }
-
-    /// Smoothed unigram probability of `next` — the interpolation base
-    /// case, independent of context (so batched scoring computes it once
-    /// per vocabulary entry, not once per context).
-    fn unigram(&self, next: TokenId) -> f64 {
-        let vocab_len = self.bpe.vocab().len() as f64;
-        let uni_total = *self.totals[0].get(&Vec::new()).unwrap_or(&0) as f64;
-        let uni_count = self.counts[0]
-            .get(&Vec::new())
-            .and_then(|m| m.get(&next))
-            .copied()
-            .unwrap_or(0) as f64;
-        (uni_count + DELTA) / (uni_total + DELTA * vocab_len)
     }
 
     /// Interpolated probability of `next` given `context`, starting from
@@ -137,21 +140,7 @@ impl LanguageModel for NGramLm {
         self.bpe.vocab()
     }
 
-    fn score(&self, context: &[TokenId]) -> Logits {
-        let scores = self
-            .bpe
-            .vocab()
-            .ids()
-            .map(|t| self.prob_from_base(context, t, self.unigram(t)).ln())
-            .collect();
-        Logits::from_vec(scores)
-    }
-
-    /// Batched scoring sharing one unigram-base computation across the
-    /// whole batch. Same arithmetic per context as [`score`](Self::score),
-    /// so results are bit-identical to the sequential path.
-    fn score_batch(&self, contexts: &[&[TokenId]]) -> Vec<Logits> {
-        let bases: Vec<f64> = self.bpe.vocab().ids().map(|t| self.unigram(t)).collect();
+    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
         contexts
             .iter()
             .map(|ctx| {
@@ -159,10 +148,10 @@ impl LanguageModel for NGramLm {
                     .bpe
                     .vocab()
                     .ids()
-                    .zip(&bases)
+                    .zip(&self.unigram)
                     .map(|(t, &base)| self.prob_from_base(ctx, t, base).ln())
                     .collect();
-                Logits::from_vec(scores)
+                Ok(Logits::from_vec(scores))
             })
             .collect()
     }

@@ -278,6 +278,23 @@ impl RetryMetrics {
     }
 }
 
+/// The truncated-reply check shared by every retry layer: a reply whose
+/// length is not the vocabulary's is a transient (retryable) fault, never
+/// valid data.
+pub fn validated(logits: Logits, vocab_len: usize) -> LmResult<Logits> {
+    if logits.len() == vocab_len {
+        Ok(logits)
+    } else {
+        Err(LmError::transient(
+            FaultKind::Truncated,
+            format!(
+                "reply has {} logits, vocabulary has {vocab_len}",
+                logits.len()
+            ),
+        ))
+    }
+}
+
 /// Drives one fallible call to completion under a policy: retries
 /// transient errors with backoff, enforces the deadline, and consults an
 /// optional breaker. The building block behind [`RetryLm`], the
@@ -337,9 +354,9 @@ pub fn call_with_retry<T>(
 }
 
 /// A [`LanguageModel`] wrapper that absorbs transient faults of its inner
-/// model: every `try_score` is retried per the policy, replies shorter
-/// than the vocabulary are treated as truncated (transient), and an
-/// optional circuit breaker fails fast while the backend is down.
+/// model: every context is retried per the policy, replies shorter than
+/// the vocabulary are treated as truncated (transient), and an optional
+/// circuit breaker fails fast while the backend is down.
 ///
 /// The infallible [`score`](LanguageModel::score) panics only when the
 /// whole retry budget is exhausted or the error is fatal.
@@ -396,18 +413,6 @@ impl<L: LanguageModel> RetryLm<L> {
     pub fn into_inner(self) -> L {
         self.inner
     }
-
-    fn validated(&self, logits: Logits) -> LmResult<Logits> {
-        let want = self.inner.vocab().len();
-        if logits.len() == want {
-            Ok(logits)
-        } else {
-            Err(LmError::transient(
-                FaultKind::Truncated,
-                format!("reply has {} logits, vocabulary has {want}", logits.len()),
-            ))
-        }
-    }
 }
 
 impl<L: LanguageModel> LanguageModel for RetryLm<L> {
@@ -415,57 +420,40 @@ impl<L: LanguageModel> LanguageModel for RetryLm<L> {
         self.inner.vocab()
     }
 
-    /// # Panics
-    ///
-    /// Panics when the retry budget is exhausted or the inner error is
-    /// fatal; use [`try_score`](LanguageModel::try_score) to handle the
-    /// error.
-    fn score(&self, context: &[TokenId]) -> Logits {
-        self.try_score(context)
-            .unwrap_or_else(|e| panic!("model call failed after retries: {e}"))
-    }
-
-    fn try_score(&self, context: &[TokenId]) -> LmResult<Logits> {
-        call_with_retry(
-            &self.policy,
-            &self.metrics,
-            self.breaker.as_ref(),
-            context_token(context),
-            || {
-                self.inner
-                    .try_score(context)
-                    .and_then(|l| self.validated(l))
-            },
-        )
-    }
-
-    fn score_batch(&self, contexts: &[&[TokenId]]) -> Vec<Logits> {
-        self.try_score_batch(contexts)
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|e| panic!("model call failed after retries: {e}")))
-            .collect()
-    }
-
-    /// One inner batched dispatch, then per-item direct retries for the
-    /// items that faulted — a partner's fault never fails the batch.
+    /// A lone context is driven by [`call_with_retry`] from its first
+    /// attempt (breaker consulted every time). A batch is one inner
+    /// dispatch, then the same per-item retry loop for just the items
+    /// that faulted transiently — a partner's fault never fails the
+    /// batch, and a faulted item gets that first batched attempt on top
+    /// of its own budget.
     fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
-        let first = self.inner.try_score_batch(contexts);
-        first
+        let vocab_len = self.inner.vocab().len();
+        let retried = |ctx: &[TokenId]| {
+            call_with_retry(
+                &self.policy,
+                &self.metrics,
+                self.breaker.as_ref(),
+                context_token(ctx),
+                || {
+                    self.inner
+                        .try_score(ctx)
+                        .and_then(|l| validated(l, vocab_len))
+                },
+            )
+        };
+        if let [ctx] = contexts {
+            return vec![retried(ctx)];
+        }
+        self.inner
+            .try_score_batch(contexts)
             .into_iter()
             .zip(contexts)
-            .map(|(r, ctx)| match r.and_then(|l| self.validated(l)) {
-                Ok(l) => Ok(l),
+            .map(|(r, ctx)| match r.and_then(|l| validated(l, vocab_len)) {
                 Err(e) if e.is_transient() => {
                     self.metrics.faults.inc();
-                    call_with_retry(
-                        &self.policy,
-                        &self.metrics,
-                        self.breaker.as_ref(),
-                        context_token(ctx),
-                        || self.inner.try_score(ctx).and_then(|l| self.validated(l)),
-                    )
+                    retried(ctx)
                 }
-                Err(e) => Err(e),
+                settled => settled,
             })
             .collect()
     }
@@ -541,17 +529,17 @@ mod tests {
         fn vocab(&self) -> &Vocabulary {
             self.inner.vocab()
         }
-        fn score(&self, context: &[TokenId]) -> Logits {
-            self.try_score(context).expect("flaky model call failed")
-        }
-        fn try_score(&self, context: &[TokenId]) -> LmResult<Logits> {
-            if self.calls.fetch_add(1, Ordering::SeqCst) < self.fail_first {
-                if self.fatal {
-                    return Err(LmError::fatal("permanently broken"));
+        fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
+            let one = |context: &&[TokenId]| {
+                if self.calls.fetch_add(1, Ordering::SeqCst) < self.fail_first {
+                    if self.fatal {
+                        return Err(LmError::fatal("permanently broken"));
+                    }
+                    return Err(LmError::transient(FaultKind::Injected, "flaky"));
                 }
-                return Err(LmError::transient(FaultKind::Injected, "flaky"));
-            }
-            Ok(self.inner.score(context))
+                self.inner.try_score(context)
+            };
+            contexts.iter().map(one).collect()
         }
     }
 
@@ -621,11 +609,12 @@ mod tests {
             fn vocab(&self) -> &Vocabulary {
                 self.inner.vocab()
             }
-            fn score(&self, context: &[TokenId]) -> Logits {
+            fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
                 if self.calls.fetch_add(1, Ordering::SeqCst) == 0 {
-                    return Logits::constant(self.inner.vocab().len() / 2, 0.0);
+                    let half = Logits::constant(self.inner.vocab().len() / 2, 0.0);
+                    return vec![Ok(half); contexts.len()];
                 }
-                self.inner.score(context)
+                self.inner.try_score_batch(contexts)
             }
         }
         let lm = RetryLm::new(
@@ -691,8 +680,8 @@ mod tests {
 
     #[test]
     fn batch_partner_fault_does_not_fail_healthy_items() {
-        // First call (inside try_score_batch's per-item default) faults,
-        // later per-item retries succeed: every item completes.
+        // The batched dispatch's first item faults, its per-item retry
+        // succeeds: every item completes.
         let lm = RetryLm::new(FlakyLm::new(1, false), fast_policy(2));
         let c1 = [TokenId(0)];
         let c2 = [TokenId(1)];

@@ -21,7 +21,7 @@
 //! LMQL's token masking the digression tokens are masked out, so the model
 //! stays on script — which is precisely the mechanism the paper describes.
 
-use crate::{LanguageModel, Logits};
+use crate::{LanguageModel, LmResult, Logits};
 use lmql_tokenizer::{Bpe, TokenId, TokenTrie, Vocabulary};
 use std::sync::Arc;
 
@@ -377,21 +377,24 @@ impl LanguageModel for ScriptedLm {
         self.bpe.vocab()
     }
 
-    fn score(&self, context: &[TokenId]) -> Logits {
-        let text = self.bpe.decode(context);
-        let mut logits = Logits::constant(self.bpe.vocab().len(), BASE_LOGIT);
-        logits.set(self.bpe.vocab().eos(), EOS_FALLBACK_LOGIT);
+    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
+        let score = |context: &[TokenId]| {
+            let text = self.bpe.decode(context);
+            let mut logits = Logits::constant(self.bpe.vocab().len(), BASE_LOGIT);
+            logits.set(self.bpe.vocab().eos(), EOS_FALLBACK_LOGIT);
 
-        let targets = self.targets(&text);
-        if targets.is_empty() {
-            let r = self.ramble_target(&text);
-            self.raise_for_target(&mut logits, &r, SCRIPT_LOGIT);
-            return logits;
-        }
-        for (r, logit) in &targets {
-            self.raise_for_target(&mut logits, r, *logit);
-        }
-        logits
+            let targets = self.targets(&text);
+            if targets.is_empty() {
+                let r = self.ramble_target(&text);
+                self.raise_for_target(&mut logits, &r, SCRIPT_LOGIT);
+                return logits;
+            }
+            for (r, logit) in &targets {
+                self.raise_for_target(&mut logits, r, *logit);
+            }
+            logits
+        };
+        contexts.iter().map(|c| Ok(score(c))).collect()
     }
 }
 

@@ -492,7 +492,7 @@ mod tests {
     }
 
     #[test]
-    fn register_external_counter() {
+    fn register_counter_adopts_existing_cell() {
         let r = Registry::new();
         let c = Counter::new();
         c.add(7);

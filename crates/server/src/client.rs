@@ -14,8 +14,8 @@ use crate::protocol::{
 };
 use lmql::{QueryEvent, ReassembledQuery, Reassembler};
 use lmql_lm::{
-    call_with_retry, context_token, BreakerConfig, CircuitBreaker, FaultKind, LanguageModel,
-    LmError, LmResult, Logits, RetryMetrics, RetryPolicy,
+    call_with_retry, context_token, validated, BreakerConfig, CircuitBreaker, FaultKind,
+    LanguageModel, LmError, LmResult, Logits, RetryMetrics, RetryPolicy,
 };
 use lmql_obs::{Counter, Registry};
 use lmql_tokenizer::{Bpe, TokenId, Vocabulary};
@@ -217,18 +217,6 @@ impl RemoteLm {
         }
     }
 
-    fn validated(&self, logits: Logits) -> LmResult<Logits> {
-        let want = self.bpe.vocab().len();
-        if logits.len() == want {
-            Ok(logits)
-        } else {
-            Err(LmError::transient(
-                FaultKind::Truncated,
-                format!("reply has {} logits, vocabulary has {want}", logits.len()),
-            ))
-        }
-    }
-
     /// Fetches the server's metrics snapshot as rendered text: one
     /// `counter`/`gauge`/`histogram` line per metric, covering the
     /// shared engine (`engine.*`), the model meter (`lm.*` when
@@ -260,7 +248,7 @@ impl RemoteLm {
 
     /// Submits `source` for **server-side** execution, streaming its
     /// [`QueryEvent`]s back as they happen. The opposite split from
-    /// `score()`: here the whole decoding loop runs on the server and
+    /// scoring: here the whole decoding loop runs on the server and
     /// only events cross the wire.
     ///
     /// Runs on a fresh dedicated connection, so in-flight `SCORE`/`BATCH`
@@ -386,50 +374,11 @@ impl LanguageModel for RemoteLm {
         self.bpe.vocab()
     }
 
-    /// # Panics
-    ///
-    /// Panics when the retry budget is exhausted or the failure is
-    /// fatal; use [`try_score`](LanguageModel::try_score) to handle the
-    /// error.
-    fn score(&self, context: &[TokenId]) -> Logits {
-        self.try_score(context)
-            .unwrap_or_else(|e| panic!("remote score failed: {e}"))
-    }
-
-    fn try_score(&self, context: &[TokenId]) -> LmResult<Logits> {
-        call_with_retry(
-            &self.config.retry,
-            &self.metrics,
-            self.breaker.as_ref(),
-            context_token(context),
-            || {
-                self.call_once(|conn| {
-                    write_score_request(&mut conn.writer, context)?;
-                    read_logits(&mut conn.reader)
-                })
-                .and_then(|l| self.validated(l))
-            },
-        )
-    }
-
-    /// Ships the whole batch as one `BATCH` frame: a single round trip
-    /// instead of one per context, and the server can answer it with a
-    /// single microbatched forward pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the retry budget is exhausted or the failure is
-    /// fatal; use [`try_score_batch`](LanguageModel::try_score_batch) to
-    /// handle the error.
-    fn score_batch(&self, contexts: &[&[TokenId]]) -> Vec<Logits> {
-        self.try_score_batch(contexts)
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|e| panic!("remote batch score failed: {e}")))
-            .collect()
-    }
-
-    /// The wire frame is all-or-nothing, so attempts retry the whole
-    /// batch; on final failure every item reports the same error.
+    /// One context is a `SCORE` frame; more ship as one `BATCH` frame — a
+    /// single round trip instead of one per context, which the server can
+    /// answer with a single microbatched forward pass. A frame is
+    /// all-or-nothing, so attempts retry it whole; on final failure every
+    /// item reports the same error.
     fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
         if contexts.is_empty() {
             return Vec::new();
@@ -443,9 +392,15 @@ impl LanguageModel for RemoteLm {
             self.breaker.as_ref(),
             token,
             || {
-                self.call_once(|conn| {
-                    write_batch_request(&mut conn.writer, contexts)?;
-                    read_batch_logits(&mut conn.reader)
+                self.call_once(|conn| match contexts {
+                    [context] => {
+                        write_score_request(&mut conn.writer, context)?;
+                        Ok(vec![read_logits(&mut conn.reader)?])
+                    }
+                    _ => {
+                        write_batch_request(&mut conn.writer, contexts)?;
+                        read_batch_logits(&mut conn.reader)
+                    }
                 })
                 .and_then(|out| {
                     if out.len() != contexts.len() {
@@ -458,7 +413,8 @@ impl LanguageModel for RemoteLm {
                             ),
                         ));
                     }
-                    out.into_iter().map(|l| self.validated(l)).collect()
+                    let vocab_len = self.bpe.vocab().len();
+                    out.into_iter().map(|l| validated(l, vocab_len)).collect()
                 })
             },
         );

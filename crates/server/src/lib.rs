@@ -14,8 +14,9 @@
 //!   into microbatches and share a prefix cache,
 //! - [`RemoteLm`] implements [`LanguageModel`] over the wire, so the
 //!   `lmql` runtime decodes locally while `score()` round-trips to the
-//!   server — the runtime cannot tell the difference. Its `score_batch`
-//!   ships a whole decoder step as one `BATCH` frame (one round trip).
+//!   server — the runtime cannot tell the difference. A call with several
+//!   contexts ships a whole decoder step as one `BATCH` frame (one round
+//!   trip).
 //!
 //! The wire protocol is line-based with exact-bits float encoding, so a
 //! remote run is bit-identical to a local one (tested in

@@ -4,15 +4,15 @@
 //! shutdown drains in-flight work.
 
 use lmql::Runtime;
-use lmql_lm::{Episode, LanguageModel, Logits, ScriptedLm};
+use lmql_lm::{Episode, LanguageModel, LmResult, Logits, ScriptedLm};
 use lmql_server::{InferenceServer, RemoteLm, ServerConfig};
 use lmql_tokenizer::{Bpe, TokenId, Vocabulary};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Counts every `score` call that actually reaches the model — with the
-/// default `score_batch` looping, this counts per-context forward passes.
+/// Counts every context that actually reaches the model (per-context
+/// forward passes, however they were batched).
 #[derive(Debug)]
 struct CountingLm<L> {
     inner: L,
@@ -23,9 +23,10 @@ impl<L: LanguageModel> LanguageModel for CountingLm<L> {
     fn vocab(&self) -> &Vocabulary {
         self.inner.vocab()
     }
-    fn score(&self, context: &[TokenId]) -> Logits {
-        self.calls.fetch_add(1, Ordering::SeqCst);
-        self.inner.score(context)
+    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
+        self.calls
+            .fetch_add(contexts.len() as u64, Ordering::SeqCst);
+        self.inner.try_score_batch(contexts)
     }
 }
 

@@ -152,8 +152,8 @@ fn busy_shed_turns_extra_clients_away() {
     server.shutdown();
 }
 
-/// A model that fails its first `n` fallible calls with a transient
-/// error, then behaves like [`UniformLm`].
+/// A model that fails the first `n` contexts it is asked to score with a
+/// transient error, then behaves like [`UniformLm`].
 #[derive(Debug)]
 struct FlakyUniform {
     inner: UniformLm,
@@ -165,14 +165,14 @@ impl LanguageModel for FlakyUniform {
     fn vocab(&self) -> &Vocabulary {
         self.inner.vocab()
     }
-    fn score(&self, context: &[TokenId]) -> Logits {
-        self.try_score(context).expect("flaky model call failed")
-    }
-    fn try_score(&self, context: &[TokenId]) -> LmResult<Logits> {
-        if self.calls.fetch_add(1, Ordering::SeqCst) < self.fail_first {
-            return Err(LmError::transient(FaultKind::Injected, "flaky backend"));
-        }
-        Ok(self.inner.score(context))
+    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
+        let one = |context: &&[TokenId]| {
+            if self.calls.fetch_add(1, Ordering::SeqCst) < self.fail_first {
+                return Err(LmError::transient(FaultKind::Injected, "flaky backend"));
+            }
+            self.inner.try_score(context)
+        };
+        contexts.iter().map(one).collect()
     }
 }
 

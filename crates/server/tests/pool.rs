@@ -73,6 +73,8 @@ fn pooled_scoring_frames_are_bit_identical_to_local() {
         for (ctx, got) in refs.iter().zip(&batched) {
             assert_eq!(*got, reference.score(ctx), "BATCH item diverged");
         }
+        // SCORE and BATCH frames agree with each other, bit for bit.
+        lmql_lm::testing::assert_scoring_consistent(&remote, &refs);
         server.shutdown();
     }
 }

@@ -167,13 +167,9 @@ impl LanguageModel for FlakyLm {
         self.inner.vocab()
     }
 
-    fn score(&self, context: &[TokenId]) -> Logits {
-        self.try_score(context)
-            .unwrap_or_else(|e| panic!("unreachable: {e}"))
-    }
-
-    fn try_score(&self, _context: &[TokenId]) -> LmResult<Logits> {
-        Err(LmError::transient(FaultKind::Other, "backend flaked"))
+    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
+        let flaked = Err(LmError::transient(FaultKind::Other, "backend flaked"));
+        vec![flaked; contexts.len()]
     }
 }
 
@@ -224,9 +220,9 @@ impl LanguageModel for SlowLm {
         self.inner.vocab()
     }
 
-    fn score(&self, context: &[TokenId]) -> Logits {
-        std::thread::sleep(self.delay);
-        self.inner.score(context)
+    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
+        std::thread::sleep(self.delay * contexts.len() as u32);
+        self.inner.try_score_batch(contexts)
     }
 }
 

@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
-# Full verification: formatting, lints, release build, tests.
+# Full verification: formatting, lints, release build, tests, and the
+# stand-alone benchmark package's own tests (`benchmark/run.sh --test`),
+# so a change that removes an API the benchmark uses, or moves a byte its
+# seed-1 digests cover, fails here and not in the benchmark pipeline.
 #
 # Usage: scripts/verify.sh [--slow | --quick | --chaos | --serve | --automata | --decode | --parallel | --tools | --bench-smoke | --bench-publish]
 #   --slow    also runs the proptest suites (slow-tests feature)
-#   --quick   build + tests only (skips rustfmt/clippy; useful where the
-#             toolchain components are not installed)
+#   --quick   build + tests + benchmark package tests only (skips
+#             rustfmt/clippy; useful where the toolchain components are
+#             not installed)
 #   --chaos   fault-injection suites only (deterministic seeds, offline):
 #             chaos determinism, engine chaos, server fault tolerance,
 #             scheduler fault handling
@@ -298,5 +302,8 @@ cargo build --release --workspace
 
 echo "==> cargo test"
 cargo test --workspace -q "${FEATURES[@]}"
+
+echo "==> benchmark package tests (builds against this tree; digests unblessed)"
+bash benchmark/run.sh --test
 
 echo "==> OK"

@@ -3,7 +3,7 @@
 //! the paper's qualitative claims end to end.
 
 use lmql::constraints::MaskEngine;
-use lmql::{Runtime, Value};
+use lmql::{FnTool, Runtime, Value};
 use lmql_bench::experiments::{lm_derail_branch, lm_digression};
 use lmql_datasets::wiki::MiniWiki;
 use lmql_datasets::{calculator, gsm8k, hotpot, odd_one_out, GPT_J_PROFILE};
@@ -86,9 +86,11 @@ fn react_full_pipeline_with_real_lookups() {
         ));
         let mut rt = Runtime::new(lm, bpe);
         let w = wiki.clone();
-        rt.register_external("wikipedia_utils", "search", move |args| {
-            Ok(Value::Str(w.search(args[0].as_str().ok_or("bad arg")?)))
-        });
+        rt.register_tool(Arc::new(FnTool::new(
+            "wikipedia_utils",
+            "search",
+            move |args| Ok(Value::Str(w.search(args[0].as_str().ok_or("bad arg")?))),
+        )));
         rt.bind("FEWSHOT", Value::Str(hotpot::FEW_SHOT.into()));
         rt.bind("QUESTION", Value::Str(inst.question.clone()));
         let result = rt.run(lmql_bench::queries::REACT).unwrap();
@@ -125,11 +127,11 @@ fn arithmetic_full_pipeline_with_calculator() {
             )],
         ));
         let mut rt = Runtime::new(lm, bpe);
-        rt.register_external("calculator", "run", |args| {
+        rt.register_tool(Arc::new(FnTool::new("calculator", "run", |args| {
             calculator::run(args[0].as_str().ok_or("bad arg")?)
                 .map(Value::Int)
                 .map_err(|e| e.to_string())
-        });
+        })));
         rt.bind("FEWSHOT", Value::Str(gsm8k::FEW_SHOT.into()));
         rt.bind("QUESTION", Value::Str(inst.question.clone()));
         let result = rt.run(lmql_bench::queries::ARITHMETIC).unwrap();

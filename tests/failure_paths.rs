@@ -1,7 +1,7 @@
 //! Failure-injection tests: the runtime must surface — not mask — errors
 //! from constraints, externals and dead-end decodings.
 
-use lmql::{Error, Runtime, Value};
+use lmql::{Error, FnTool, Runtime, Value};
 use lmql_lm::{Episode, ScriptedLm};
 use lmql_tokenizer::Bpe;
 use std::sync::Arc;
@@ -27,9 +27,9 @@ fn unsatisfiable_constraints_are_reported() {
 #[test]
 fn external_failure_propagates_with_context() {
     let mut rt = runtime(" 1+1=");
-    rt.register_external("calc", "run", |_args| {
+    rt.register_tool(Arc::new(FnTool::new("calc", "run", |_args| {
         Err::<Value, String>("arithmetic overflow".into())
-    });
+    })));
     let err = rt
         .run(
             "import calc\nargmax\n    \"P:[E]\"\n    r = calc.run(E)\nfrom \"m\"\nwhere stops_at(E, \"=\")\n",

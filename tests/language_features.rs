@@ -1,7 +1,7 @@
 //! Integration tests for the query language surface: `while` loops and
 //! f-string-style expression recalls.
 
-use lmql::{Runtime, Value};
+use lmql::{FnTool, Runtime, Value};
 use lmql_lm::{Episode, ScriptedLm};
 use lmql_tokenizer::Bpe;
 use std::sync::Arc;
@@ -149,9 +149,9 @@ fn recall_expression_errors_are_compile_time() {
 #[test]
 fn recall_with_external_call() {
     let mut rt = runtime(" x");
-    rt.register_external("util", "double", |args| {
+    rt.register_tool(Arc::new(FnTool::new("util", "double", |args| {
         Ok(Value::Int(args[0].as_int().ok_or("int expected")? * 2))
-    });
+    })));
     let result = rt
         .run("import util\nargmax\n    n = 21\n    \"answer: {util.double(n)}\"\nfrom \"m\"\n")
         .unwrap();

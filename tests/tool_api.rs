@@ -1,12 +1,12 @@
 //! Differential suite for the first-class tool API (DESIGN.md §16).
 //!
 //! The calculator and wiki tools must be *byte-identical* to the legacy
-//! `register_external` closures they replace — same traces, same hole
+//! closures they replace (kept here as `FnTool`s) — same traces, same hole
 //! values, same log-probs — across every decoder (argmax, sample, beam,
 //! distribute). Also covers the request-level registry
 //! ([`QueryRequest::tool`]) and the engine-config path.
 
-use lmql::{QueryRequest, QueryResult, Runtime, ToolRegistry, Value};
+use lmql::{FnTool, QueryRequest, QueryResult, Runtime, ToolRegistry, Value};
 use lmql_datasets::tools::{CalculatorTool, WikiTool};
 use lmql_datasets::wiki::MiniWiki;
 use lmql_datasets::{calculator, hotpot, GPT_J_PROFILE};
@@ -57,11 +57,11 @@ fn calc_query(decoder: &str) -> String {
 /// pre-tool examples).
 fn register_legacy_calculator(rt: &mut Runtime) {
     #[allow(deprecated)]
-    rt.register_external("calculator", "run", |args| {
+    rt.register_tool(Arc::new(FnTool::new("calculator", "run", |args| {
         calculator::run(args[0].as_str().ok_or("bad arg")?)
             .map(Value::Int)
             .map_err(|e| e.to_string())
-    });
+    })));
 }
 
 #[test]
@@ -140,9 +140,11 @@ fn wiki_tool_matches_legacy_closure_on_react() {
         legacy.options_mut().seed = 11;
         let w = wiki.clone();
         #[allow(deprecated)]
-        legacy.register_external("wikipedia_utils", "search", move |args| {
-            Ok(Value::Str(w.search(args[0].as_str().ok_or("bad arg")?)))
-        });
+        legacy.register_tool(Arc::new(FnTool::new(
+            "wikipedia_utils",
+            "search",
+            move |args| Ok(Value::Str(w.search(args[0].as_str().ok_or("bad arg")?))),
+        )));
         legacy.bind("FEWSHOT", Value::Str(hotpot::FEW_SHOT.into()));
         legacy.bind("QUESTION", Value::Str(inst.question.clone()));
         let legacy_result = legacy.run(&source).expect("legacy run");
