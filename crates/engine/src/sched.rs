@@ -10,9 +10,15 @@
 //! 2. **Single-flight** — identical contexts requested while a compute is
 //!    queued or in flight join that compute instead of re-issuing it.
 //! 3. **Microbatching** — pending distinct contexts are coalesced into one
-//!    [`try_score_batch`](LanguageModel::try_score_batch) call, bounded by
-//!    a [`BatchPolicy`] (dispatch when `max_batch` contexts are pending,
-//!    or when the oldest has waited `max_wait`).
+//!    [`try_score_batch`](LanguageModel::try_score_batch) call of at most
+//!    [`BatchPolicy::max_batch`]. One `try_score_many` call is one
+//!    submission (its cold contexts are enqueued together and leave
+//!    together), and the dispatcher fires as soon as anything is queued —
+//!    nobody waits for a hypothetical partner. The one exception: while a
+//!    caller answered by the previous dispatch is still on its way back
+//!    with its next step, the batch is held open for it, for at most
+//!    `HOLD` (200 µs) measured from that answer — which is what
+//!    lets lock-step clients keep sharing dispatches.
 //!
 //! Because scoring is pure and deterministic per context, none of this
 //! changes any result: every consumer receives exactly the logits a
@@ -37,17 +43,25 @@ use lmql_obs::{Counter, Gauge, Histogram, Registry, Tracer};
 use lmql_tokenizer::{TokenId, Vocabulary};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
-/// When the dispatcher fires a microbatch, and how it picks the batch
+/// How long after answering a dispatch the dispatcher keeps the next
+/// batch open for the callers it just answered. A constant, not a knob:
+/// it only bounds the wait for a caller that never returns (its query
+/// ended), a returning one closes the hold itself. Measured from the
+/// answer rather than from the enqueue, because the answer is when the
+/// returning caller's clock starts — a partner that queued while the
+/// model was busy has already waited and must not wait a full window
+/// more.
+const HOLD: Duration = Duration::from_micros(200);
+
+/// How large a microbatch may be, and how the dispatcher picks the batch
 /// when more work is queued than fits (continuous batching).
 #[derive(Debug, Clone, Copy)]
 pub struct BatchPolicy {
-    /// Dispatch as soon as this many distinct contexts are pending.
+    /// The most distinct contexts one dispatch carries.
     pub max_batch: usize,
-    /// Dispatch an undersized batch once its oldest request has waited
-    /// this long.
-    pub max_wait: Duration,
     /// Starvation deadline: a queued item that has waited this long is
     /// admitted into the next dispatch ahead of everything else, so a
     /// continuously refilled queue can never delay an old item
@@ -62,7 +76,6 @@ impl Default for BatchPolicy {
     fn default() -> Self {
         BatchPolicy {
             max_batch: 16,
-            max_wait: Duration::from_micros(200),
             max_queue_wait: Duration::from_millis(20),
         }
     }
@@ -140,9 +153,12 @@ struct Pending {
     /// an oversubscribed batch is dealt round-robin across concurrent
     /// calls rather than FIFO across contexts.
     stream: u64,
+    /// The submitting thread — a query's steps all come from one thread,
+    /// so this is who the dispatcher expects back after answering.
+    caller: ThreadId,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct State {
     queue: Vec<Pending>,
     /// Contexts queued or dispatched but not yet answered; late
@@ -151,6 +167,13 @@ struct State {
     /// `&[TokenId]` via the std `Borrow<[T]>` impl for `Arc<[T]>`).
     inflight: HashMap<Arc<[TokenId]>, Arc<Slot>>,
     shutdown: bool,
+    /// Callers answered by the previous dispatch that have neither come
+    /// back nor still have work queued. While non-empty (and younger
+    /// than [`HOLD`]) the next batch is held open for them; each strikes
+    /// itself off on its next `try_score_many`.
+    awaited: Vec<ThreadId>,
+    /// When the previous dispatch was answered: the start of the hold.
+    answered_at: Instant,
 }
 
 /// Observability hooks for a [`Scheduler`]: an optional usage meter, a
@@ -180,6 +203,9 @@ pub struct SchedMetrics {
     pub batch_wait_us: Histogram,
     /// Microbatches dispatched to the model.
     pub dispatches: Counter,
+    /// Dispatches that were held open for a caller the previous dispatch
+    /// had just answered (see the module docs) before they fired.
+    pub holds: Counter,
     /// Requests that joined an already queued/in-flight identical
     /// context instead of enqueueing their own (single-flight merges).
     pub singleflight_merges: Counter,
@@ -214,6 +240,7 @@ impl SchedMetrics {
             batch_size: Histogram::default(),
             batch_wait_us: Histogram::default(),
             dispatches: Counter::default(),
+            holds: Counter::default(),
             singleflight_merges: Counter::default(),
             cache_hits: Counter::default(),
             cache_misses: Counter::default(),
@@ -233,6 +260,7 @@ impl SchedMetrics {
             batch_size: registry.histogram("engine.batch.size"),
             batch_wait_us: registry.histogram("engine.batch.wait_us"),
             dispatches: registry.counter("engine.batch.dispatches"),
+            holds: registry.counter("engine.batch.holds"),
             singleflight_merges: registry.counter("engine.singleflight.merges"),
             cache_hits: registry.counter("engine.cache.hits"),
             cache_misses: registry.counter("engine.cache.misses"),
@@ -359,7 +387,13 @@ impl Scheduler {
             tracer: obs.tracer,
             metrics,
             cache: Mutex::new(RadixCache::new(cache)),
-            state: Mutex::new(State::default()),
+            state: Mutex::new(State {
+                queue: Vec::new(),
+                inflight: HashMap::new(),
+                shutdown: false,
+                awaited: Vec::new(),
+                answered_at: Instant::now(),
+            }),
             work: Condvar::new(),
             next_stream: std::sync::atomic::AtomicU64::new(1),
         });
@@ -407,13 +441,16 @@ impl Scheduler {
             .expect("one result per context")
     }
 
-    /// Scores many contexts with per-item results, enqueueing all of them
-    /// *before* waiting on any — this is what lets one decoder step's
-    /// candidate extensions coalesce into a single model dispatch (and
-    /// interleave with other executions' requests). Transient model
-    /// faults are retried per the scheduler's [`RetryPolicy`]; what
-    /// remains (exhausted budgets, fatal errors, expired deadlines)
-    /// surfaces as that item's [`LmError`], never its partners'.
+    /// Scores many contexts with per-item results. The call is one
+    /// submission: every context is looked up, joined onto an in-flight
+    /// compute or enqueued under a single hold of the scheduler lock,
+    /// *before* waiting on any — so one decoder step's candidate
+    /// extensions always leave in one model dispatch (split only by
+    /// `max_batch`, and interleaved with other executions' requests).
+    /// Transient model faults are retried per the scheduler's
+    /// [`RetryPolicy`]; what remains (exhausted budgets, fatal errors,
+    /// expired deadlines) surfaces as that item's [`LmError`], never its
+    /// partners'.
     ///
     /// With a `cancel` token, every wait resolves to
     /// [`LmError::Cancelled`] as soon as it fires, without waiting for the
@@ -427,54 +464,84 @@ impl Scheduler {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return contexts.iter().map(|_| Err(LmError::Cancelled)).collect();
         }
+        let shared = &*self.shared;
+        // First lookup off the scheduler lock: warm contexts never
+        // contend with the dispatcher.
+        let hits: Vec<Option<Logits>> = {
+            let mut cache = shared.cache.lock().expect("cache poisoned");
+            contexts
+                .iter()
+                .map(|ctx| cache.get(ctx).inspect(|_| self.note_cache_hit(ctx)))
+                .collect()
+        };
         // One stream id for the whole call: under contention this call's
         // contexts collectively take one fair share of each batch.
-        let stream = self.shared.stream_id();
+        let stream = shared.stream_id();
+        let caller = std::thread::current().id();
+        let mut st = shared.state.lock().expect("scheduler poisoned");
+        // This caller is back: the dispatcher no longer holds for it.
+        let awaited = st.awaited.len();
+        st.awaited.retain(|t| *t != caller);
+        let returned = st.awaited.len() < awaited;
+        if st.shutdown {
+            // The dispatcher is draining or gone: score inline (off the
+            // lock) rather than queueing work nobody will pick up.
+            drop(st);
+            return contexts
+                .iter()
+                .zip(hits)
+                .map(|(ctx, hit)| hit.map_or_else(|| self.score_inline(ctx), Ok))
+                .collect();
+        }
+        let queued = st.queue.len();
         let submitted: Vec<Result<LmResult<Logits>, Arc<Slot>>> = contexts
             .iter()
-            .map(|ctx| self.submit(ctx, cancel, stream))
+            .zip(hits)
+            .map(|(ctx, hit)| match hit {
+                Some(logits) => Ok(Ok(logits)),
+                None => self.join_or_enqueue(&mut st, ctx, cancel, stream, caller),
+            })
             .collect();
+        // One wake-up per call, and only when the dispatcher has
+        // something new to decide on: more work, or a hold that may now
+        // be over.
+        if st.queue.len() > queued || (returned && !st.queue.is_empty()) {
+            shared.work.notify_one();
+        }
+        drop(st);
         submitted
             .into_iter()
             .map(|s| s.unwrap_or_else(|slot| slot.wait(cancel)))
             .collect()
     }
 
-    /// Cache lookup, then enqueue-or-join. `Ok` is an immediate result (a
-    /// cache hit, or an inline score during shutdown drain); `Err` is the
-    /// slot to wait on.
-    fn submit(
+    /// Scores a cache miss on the calling thread — the path for calls
+    /// that arrive during or after shutdown drain.
+    fn score_inline(&self, context: &[TokenId]) -> LmResult<Logits> {
+        self.note_cache_miss();
+        let result = self.shared.score_direct(context, None);
+        if let Ok(logits) = &result {
+            self.shared
+                .cache
+                .lock()
+                .expect("cache poisoned")
+                .insert(context, logits.clone());
+        }
+        result
+    }
+
+    /// A cache miss, under the scheduler lock: join the context's
+    /// in-flight compute if there is one, else enqueue it. `Ok` is an
+    /// immediate result (a second-chance cache hit); `Err` is the slot to
+    /// wait on.
+    fn join_or_enqueue(
         &self,
+        st: &mut State,
         context: &[TokenId],
         cancel: Option<&CancelToken>,
         stream: u64,
+        caller: ThreadId,
     ) -> Result<LmResult<Logits>, Arc<Slot>> {
-        if let Some(hit) = self
-            .shared
-            .cache
-            .lock()
-            .expect("cache poisoned")
-            .get(context)
-        {
-            self.note_cache_hit(context);
-            return Ok(Ok(hit));
-        }
-        let mut st = self.shared.state.lock().expect("scheduler poisoned");
-        if st.shutdown {
-            // The dispatcher is draining or gone: score inline rather
-            // than queueing work nobody will pick up.
-            drop(st);
-            self.note_cache_miss();
-            let result = self.shared.score_direct(context, None);
-            if let Ok(logits) = &result {
-                self.shared
-                    .cache
-                    .lock()
-                    .expect("cache poisoned")
-                    .insert(context, logits.clone());
-            }
-            return Ok(result);
-        }
         if let Some(slot) = st.inflight.get(context) {
             self.note_cache_miss();
             self.shared.metrics.singleflight_merges.inc();
@@ -516,8 +583,8 @@ impl Scheduler {
             deadline: self.shared.retry.deadline.map(|d| now + d),
             cancel: cancel.cloned(),
             stream,
+            caller,
         });
-        self.shared.work.notify_one();
         Err(slot)
     }
 
@@ -650,6 +717,35 @@ fn admit_batch(
     (batch, rescued)
 }
 
+/// What the dispatcher does with a non-empty queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Firing {
+    /// Take a batch now.
+    Fire,
+    /// Keep the batch open until this instant (or the next submission).
+    HoldUntil(Instant),
+}
+
+/// The firing rule, for `queued > 0` pending contexts: fire at once —
+/// unless callers answered by the previous dispatch (at `awaiting_since`)
+/// are still on their way back, in which case the batch stays open for
+/// them until [`HOLD`] after that answer. A full batch and shutdown drain
+/// never wait.
+fn firing(
+    queued: usize,
+    max_batch: usize,
+    shutdown: bool,
+    awaiting_since: Option<Instant>,
+    now: Instant,
+) -> Firing {
+    match awaiting_since {
+        Some(answered_at) if !shutdown && queued < max_batch && now < answered_at + HOLD => {
+            Firing::HoldUntil(answered_at + HOLD)
+        }
+        _ => Firing::Fire,
+    }
+}
+
 fn dispatch_loop(shared: &Shared) {
     // Cache totals live in the cache; the dispatcher (its only writer
     // besides the rare shutdown-drain path) mirrors them into the
@@ -658,8 +754,9 @@ fn dispatch_loop(shared: &Shared) {
     // each other.
     let mut seen = crate::radix::RadixStats::default();
     loop {
-        let batch = {
+        let (batch, held) = {
             let mut st = shared.state.lock().expect("scheduler poisoned");
+            let mut held = false;
             loop {
                 if st.queue.is_empty() {
                     if st.shutdown {
@@ -668,21 +765,26 @@ fn dispatch_loop(shared: &Shared) {
                     st = shared.work.wait(st).expect("scheduler poisoned");
                     continue;
                 }
-                // Fire on a full batch, on shutdown (drain), or once the
-                // oldest request has waited out the policy.
-                if st.shutdown || st.queue.len() >= shared.policy.max_batch {
-                    break;
+                let now = Instant::now();
+                match firing(
+                    st.queue.len(),
+                    shared.policy.max_batch,
+                    st.shutdown,
+                    (!st.awaited.is_empty()).then_some(st.answered_at),
+                    now,
+                ) {
+                    Firing::Fire => break,
+                    Firing::HoldUntil(until) => {
+                        held = true;
+                        st = shared
+                            .work
+                            .wait_timeout(st, until - now)
+                            .expect("scheduler poisoned")
+                            .0;
+                    }
                 }
-                let waited = st.queue[0].enqueued.elapsed();
-                if waited >= shared.policy.max_wait {
-                    break;
-                }
-                let (guard, _) = shared
-                    .work
-                    .wait_timeout(st, shared.policy.max_wait - waited)
-                    .expect("scheduler poisoned");
-                st = guard;
             }
+            st.awaited.clear();
             let (batch, rescued) = admit_batch(
                 &mut st.queue,
                 shared.policy.max_batch,
@@ -692,18 +794,17 @@ fn dispatch_loop(shared: &Shared) {
             if rescued > 0 {
                 shared.metrics.starvation_rescues.add(rescued);
             }
-            batch
-        };
-
-        // Requests abandoned by their consumer are released here — their
-        // slot leaves the inflight map without ever reaching the model —
-        // unless a single-flight partner joined the slot, in which case
-        // the context is dispatched for the partner's sake.
-        let (batch, abandoned): (Vec<Pending>, Vec<Pending>) = batch.into_iter().partition(|p| {
-            p.slot.is_shared() || p.cancel.as_ref().is_none_or(|c| !c.is_cancelled())
-        });
-        if !abandoned.is_empty() {
-            let mut st = shared.state.lock().expect("scheduler poisoned");
+            // Requests abandoned by their consumer are released here —
+            // their slot leaves the inflight map without ever reaching the
+            // model — unless a single-flight partner joined the slot, in
+            // which case the context is dispatched for the partner's sake.
+            // Decided under the same lock hold as the dequeue: a partner
+            // joins under this lock, so it either shared the slot before
+            // the decision or no longer finds it.
+            let (batch, abandoned): (Vec<Pending>, Vec<Pending>) =
+                batch.into_iter().partition(|p| {
+                    p.slot.is_shared() || p.cancel.as_ref().is_none_or(|c| !c.is_cancelled())
+                });
             for p in abandoned {
                 shared.metrics.cancelled.inc();
                 shared.tracer.instant_with("sched", "cancelled", || {
@@ -712,7 +813,8 @@ fn dispatch_loop(shared: &Shared) {
                 st.inflight.remove(&p.context);
                 p.slot.fill(Err(LmError::Cancelled));
             }
-        }
+            (batch, held)
+        };
 
         // Requests whose deadline already passed are answered (with the
         // deadline error) instead of dispatched: late logits nobody can
@@ -737,6 +839,9 @@ fn dispatch_loop(shared: &Shared) {
 
         shared.metrics.batch_size.record(batch.len() as u64);
         shared.metrics.dispatches.inc();
+        if held {
+            shared.metrics.holds.inc();
+        }
         for p in &batch {
             let waited = p.enqueued.elapsed();
             shared
@@ -792,10 +897,20 @@ fn dispatch_loop(shared: &Shared) {
             seen = stats;
         }
         let mut st = shared.state.lock().expect("scheduler poisoned");
+        let mut answered: Vec<ThreadId> = Vec::new();
         for (p, result) in batch.into_iter().zip(results) {
             st.inflight.remove(&p.context);
             p.slot.fill(result);
+            if !answered.contains(&p.caller) {
+                answered.push(p.caller);
+            }
         }
+        // Expect the answered callers back with their next step — except
+        // those with more still queued (a call split by `max_batch`):
+        // they are blocked on that, not on their way back.
+        answered.retain(|c| st.queue.iter().all(|q| q.caller != *c));
+        st.awaited = answered;
+        st.answered_at = Instant::now();
     }
 }
 
@@ -901,10 +1016,9 @@ mod tests {
         results.into_iter().map(Result::unwrap).collect()
     }
 
-    fn policy(max_batch: usize, max_wait_ms: u64) -> BatchPolicy {
+    fn policy(max_batch: usize) -> BatchPolicy {
         BatchPolicy {
             max_batch,
-            max_wait: Duration::from_millis(max_wait_ms),
             ..BatchPolicy::default()
         }
     }
@@ -949,11 +1063,7 @@ mod tests {
         // A slow model guarantees the second request arrives while the
         // first is queued or in flight.
         let (lm, calls) = counting(Duration::from_millis(40));
-        let sched = Arc::new(Scheduler::new(
-            Box::new(lm),
-            policy(1, 0),
-            Default::default(),
-        ));
+        let sched = Arc::new(Scheduler::new(Box::new(lm), policy(1), Default::default()));
         let ctx = vec![TokenId(9)];
         let results: Vec<Logits> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
@@ -978,9 +1088,9 @@ mod tests {
         let (lm, _) = counting(Duration::ZERO);
         let meter = UsageMeter::new();
         let inner = MeteredLm::new(lm, meter.clone());
-        // max_batch == number of contexts: the dispatcher fires exactly
-        // when all of them are queued, timing-independently.
-        let sched = Scheduler::new(Box::new(inner), policy(3, 5_000), Default::default());
+        // One call is one submission: its contexts leave together, well
+        // short of a full batch.
+        let sched = Scheduler::new(Box::new(inner), policy(8), Default::default());
         let c1 = [TokenId(1)];
         let c2 = [TokenId(2)];
         let c3 = [TokenId(3)];
@@ -995,9 +1105,7 @@ mod tests {
     #[test]
     fn score_many_with_duplicates_and_hits() {
         let (lm, calls) = counting(Duration::ZERO);
-        // Undersized batches here, so a short wait window: both the
-        // warm-up and the dedup'd batch dispatch on timeout.
-        let sched = Scheduler::new(Box::new(lm), policy(2, 20), Default::default());
+        let sched = Scheduler::new(Box::new(lm), policy(2), Default::default());
         let c1 = [TokenId(1)];
         let c2 = [TokenId(2)];
         let warm = sched.try_score(&c1).unwrap(); // now cached
@@ -1008,26 +1116,84 @@ mod tests {
         assert_eq!(calls.load(Ordering::SeqCst), 2);
     }
 
+    /// A model that holds every call at a gate: it reports the call on
+    /// `entered`, then blocks until the test sends a release (or drops the
+    /// sender, which opens the gate for good).
+    struct GatedLm {
+        inner: CountingLm,
+        entered: std::sync::mpsc::Sender<()>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl LanguageModel for GatedLm {
+        fn vocab(&self) -> &Vocabulary {
+            self.inner.vocab()
+        }
+        fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
+            let _ = self.entered.send(());
+            let _ = self.release.lock().unwrap().recv();
+            self.inner.try_score_batch(contexts)
+        }
+    }
+
+    /// A scheduler over a gated model with `blocker` already dispatched
+    /// and held at the gate and `queued` sitting in the queue behind it —
+    /// by construction, no timing. Runs `then` in that state with the
+    /// gate's release handle, and returns the two calls' results.
+    fn with_one_held_and_one_queued(
+        retry: RetryPolicy,
+        then: impl FnOnce(&Arc<Scheduler>, std::sync::mpsc::Sender<()>),
+    ) -> (Arc<Scheduler>, Arc<AtomicU64>, [LmResult<Logits>; 2]) {
+        let (inner, calls) = counting(Duration::ZERO);
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let lm = GatedLm {
+            inner,
+            entered: entered_tx,
+            release: Mutex::new(release_rx),
+        };
+        let sched = Arc::new(Scheduler::with_retry(
+            Box::new(lm),
+            policy(8),
+            Default::default(),
+            retry,
+            SchedulerObs::default(),
+        ));
+        let results = std::thread::scope(|s| {
+            let blocker = s.spawn(|| sched.try_score(&[TokenId(3)]));
+            entered
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the blocker reaches the model");
+            let queued = s.spawn(|| sched.try_score(&[TokenId(4)]));
+            while sched.shared.state.lock().unwrap().queue.is_empty() {
+                std::thread::yield_now();
+            }
+            then(&sched, release);
+            [blocker.join().unwrap(), queued.join().unwrap()]
+        });
+        (sched, calls, results)
+    }
+
     #[test]
     fn shutdown_drains_queued_work() {
-        let (lm, _) = counting(Duration::from_millis(10));
-        let sched = Arc::new(Scheduler::new(
-            Box::new(lm),
-            policy(8, 5_000),
-            Default::default(),
-        ));
-        // Queue work from another thread, then shut down while it is
-        // still pending: the result must still arrive.
-        let result = std::thread::scope(|s| {
-            let worker = {
-                let sched = Arc::clone(&sched);
-                s.spawn(move || sched.try_score(&[TokenId(4)]).unwrap())
-            };
-            std::thread::sleep(Duration::from_millis(2));
-            sched.shutdown();
-            worker.join().unwrap()
-        });
-        assert_eq!(result.len(), sched.vocab().len());
+        // Shut down while one request holds the model and another is
+        // still queued: both results must still arrive.
+        let (sched, calls, results) =
+            with_one_held_and_one_queued(RetryPolicy::default(), |sched, release| {
+                let stopper = std::thread::spawn({
+                    let sched = Arc::clone(sched);
+                    move || sched.shutdown()
+                });
+                while !sched.shared.state.lock().unwrap().shutdown {
+                    std::thread::yield_now();
+                }
+                drop(release);
+                stopper.join().unwrap();
+            });
+        for r in &results {
+            assert_eq!(r.as_ref().unwrap().len(), sched.vocab().len());
+        }
+        assert_eq!(calls.load(Ordering::SeqCst), 2, "the drain dispatched it");
     }
 
     /// First token of a context selects its fault behaviour. `FLAKY`
@@ -1099,8 +1265,8 @@ mod tests {
         }
     }
 
-    /// `max_batch` sized to the test's request count so dispatch fires
-    /// the moment everything is queued, timing-independently.
+    /// `max_batch` sized to the test's request count, so each call is one
+    /// dispatch.
     fn faulty_sched(
         max_retries: u32,
         max_batch: usize,
@@ -1110,7 +1276,7 @@ mod tests {
         let direct_calls = Arc::clone(&lm.direct_calls);
         let sched = Scheduler::with_retry(
             Box::new(lm),
-            policy(max_batch, 10),
+            policy(max_batch),
             Default::default(),
             fast_retry(max_retries),
             SchedulerObs::default(),
@@ -1193,23 +1359,22 @@ mod tests {
     /// with `DeadlineExceeded` without ever reaching the model.
     #[test]
     fn queued_request_past_deadline_is_not_dispatched() {
-        let (lm, calls) = counting(Duration::ZERO);
         let retry = RetryPolicy {
-            deadline: Some(Duration::from_millis(5)),
+            deadline: Some(Duration::from_millis(20)),
             ..fast_retry(0)
         };
-        // An undersized batch waits out max_wait (40ms) before firing —
-        // far past the 5ms deadline.
-        let sched = Scheduler::with_retry(
-            Box::new(lm),
-            policy(8, 40),
-            Default::default(),
-            retry,
-            SchedulerObs::default(),
-        );
-        let err = sched.try_score(&[TokenId(3)]).unwrap_err();
+        // The queued request sits behind a held model call until its
+        // deadline has passed; only then is the model released.
+        let (sched, calls, [held, queued]) =
+            with_one_held_and_one_queued(retry, |sched, release| {
+                let deadline = sched.shared.state.lock().unwrap().queue[0].deadline;
+                std::thread::sleep(deadline.unwrap().saturating_duration_since(Instant::now()));
+                drop(release);
+            });
+        assert!(held.is_ok(), "dispatched before its deadline: {held:?}");
+        let err = queued.unwrap_err();
         assert!(matches!(err, LmError::DeadlineExceeded { .. }), "{err}");
-        assert_eq!(calls.load(Ordering::SeqCst), 0, "model never called");
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "only the held call ran");
         assert_eq!(sched.metrics().retry.deadline_exceeded.get(), 1);
     }
 
@@ -1221,6 +1386,7 @@ mod tests {
             deadline: None,
             cancel: None,
             stream,
+            caller: std::thread::current().id(),
         }
     }
 
@@ -1236,6 +1402,132 @@ mod tests {
         assert_eq!(tags(&batch), [1, 2, 3]);
         assert_eq!(rescued, 0);
         assert!(queue.is_empty());
+    }
+
+    /// The firing rule as a table: (queued, max_batch, shutdown, answered
+    /// caller outstanding since, now) → decision.
+    #[test]
+    fn firing_holds_only_for_a_returning_caller_and_only_for_hold() {
+        let t0 = Instant::now();
+        let us = Duration::from_micros;
+        let hold = Firing::HoldUntil(t0 + HOLD);
+        let table = [
+            // Nobody on the way back: whatever is queued goes out.
+            (1, 16, false, None, t0, Firing::Fire),
+            (5, 16, false, None, t0 + us(1_000), Firing::Fire),
+            // A caller answered at t0 has not come back: held open, to
+            // the same instant however late in the window we look.
+            (1, 16, false, Some(t0), t0, hold),
+            (15, 16, false, Some(t0), t0 + us(199), hold),
+            // ... and no longer than HOLD after the answer.
+            (1, 16, false, Some(t0), t0 + HOLD, Firing::Fire),
+            (1, 16, false, Some(t0), t0 + us(5_000), Firing::Fire),
+            // A full batch has nothing to gain from waiting.
+            (16, 16, false, Some(t0), t0, Firing::Fire),
+            (40, 16, false, Some(t0), t0, Firing::Fire),
+            (1, 1, false, Some(t0), t0, Firing::Fire),
+            // Shutdown drains without waiting.
+            (1, 16, true, Some(t0), t0, Firing::Fire),
+        ];
+        for (queued, max_batch, shutdown, since, now, expected) in table {
+            assert_eq!(
+                firing(queued, max_batch, shutdown, since, now),
+                expected,
+                "queued {queued}, max_batch {max_batch}, shutdown {shutdown}, \
+                 awaiting {}, {:?} after the answer",
+                since.is_some(),
+                now - t0,
+            );
+        }
+    }
+
+    /// A lone caller never waits for a partner: each step is dispatched
+    /// the moment it is queued, because the only caller the dispatcher
+    /// could hold for is the one submitting.
+    #[test]
+    fn lone_caller_is_never_held() {
+        let (lm, calls) = counting(Duration::ZERO);
+        let sched = Scheduler::new(Box::new(lm), BatchPolicy::default(), Default::default());
+        for i in 0..200 {
+            sched.try_score(&[TokenId(i), TokenId(1)]).unwrap();
+        }
+        assert_eq!(calls.load(Ordering::SeqCst), 200);
+        assert_eq!(sched.metrics().dispatches.get(), 200);
+        assert_eq!(sched.metrics().holds.get(), 0);
+    }
+
+    /// A call split by `max_batch` is still blocked on its queued half
+    /// after the first dispatch answers: it is not "on its way back", and
+    /// the second dispatch must not hold for it.
+    #[test]
+    fn split_call_is_not_waited_for() {
+        let (lm, _) = counting(Duration::ZERO);
+        let sched = Scheduler::new(Box::new(lm), policy(3), Default::default());
+        let ctxs: Vec<Vec<TokenId>> = (0..5).map(|i| vec![TokenId(i)]).collect();
+        let refs: Vec<&[TokenId]> = ctxs.iter().map(Vec::as_slice).collect();
+        unwrap_all(sched.try_score_many(&refs, None));
+        assert_eq!(sched.metrics().dispatches.get(), 2);
+        assert_eq!(sched.metrics().holds.get(), 0);
+    }
+
+    /// Seeded stress over everything the dispatcher interleaves — cold
+    /// and warm contexts, duplicates within and across calls, a tiny
+    /// batch, evictions, and a third of the calls cancelled from another
+    /// thread while they wait. Asserts invariants only, never a schedule.
+    #[test]
+    fn concurrent_calls_keep_every_invariant() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const THREADS: u64 = 8;
+        const CALLS: usize = 200;
+        let contexts: Vec<Vec<TokenId>> = (0..40)
+            .map(|i| vec![TokenId(i % 7), TokenId(i), TokenId(i / 3)])
+            .collect();
+        let (reference, _) = counting(Duration::ZERO);
+        let (lm, _) = counting(Duration::from_micros(50));
+        // A cache far smaller than the working set keeps misses coming.
+        let cache = RadixCacheConfig {
+            max_entries: 8,
+            ..RadixCacheConfig::default()
+        };
+        let sched = Scheduler::new(Box::new(lm), policy(3), cache);
+        let (to_cancel, cancels) = std::sync::mpsc::channel::<CancelToken>();
+        std::thread::scope(|s| {
+            s.spawn(move || cancels.iter().for_each(|token| token.cancel()));
+            for t in 0..THREADS {
+                let (sched, contexts, reference) = (&sched, &contexts, &reference);
+                let to_cancel = to_cancel.clone();
+                s.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(0x5eed + t);
+                    for _ in 0..CALLS {
+                        let picked: Vec<&[TokenId]> = (0..rng.gen_range(1..=4))
+                            .map(|_| contexts[rng.gen_range(0..contexts.len())].as_slice())
+                            .collect();
+                        let cancel = (rng.gen_range(0..3) == 0).then(CancelToken::new);
+                        if let Some(token) = &cancel {
+                            to_cancel.send(token.clone()).unwrap();
+                        }
+                        let out = sched.try_score_many(&picked, cancel.as_ref());
+                        assert_eq!(out.len(), picked.len());
+                        for (result, ctx) in out.iter().zip(&picked) {
+                            match result {
+                                Ok(logits) => assert_eq!(*logits, reference.score(ctx)),
+                                // Only the caller's own token may fail a
+                                // call: an uncancelled caller gets logits
+                                // even when it shared a flight with a
+                                // cancelled one.
+                                Err(e) => assert!(
+                                    cancel.is_some() && matches!(e, LmError::Cancelled),
+                                    "uncancelled call failed: {e}"
+                                ),
+                            }
+                        }
+                    }
+                });
+            }
+            drop(to_cancel);
+        });
+        let st = sched.shared.state.lock().unwrap();
+        assert!(st.queue.is_empty() && st.inflight.is_empty());
     }
 
     /// The continuous-batching pin: a wide call (stream 1, four
@@ -1313,14 +1605,16 @@ mod tests {
         };
         let text = bpe.encode("The little prince said");
         let contexts: Vec<&[TokenId]> = (1..=4).map(|n| &text[..n]).collect();
-        // max_batch == k: the dispatcher fires exactly when all are queued.
-        let sched = Scheduler::new(Box::new(lm), policy(4, 5_000), Default::default());
+        // k < max_batch: the call leaves whole because it was submitted
+        // whole, not because it filled a batch or a window closed.
+        let sched = Scheduler::new(Box::new(lm), policy(16), Default::default());
         assert!(sched.try_score_many(&[], None).is_empty());
         assert_eq!(sched.metrics().dispatches.get(), 0);
         let out = unwrap_all(sched.try_score_many(&contexts, None));
         let expected: Vec<Vec<TokenId>> = contexts.iter().map(|c| c.to_vec()).collect();
         assert_eq!(*batches.lock().unwrap(), [expected]);
         assert_eq!(sched.metrics().dispatches.get(), 1);
+        assert_eq!(sched.metrics().holds.get(), 0);
         for (got, ctx) in out.iter().zip(&contexts) {
             let bits = |l: &Logits| l.scores().iter().map(|s| s.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(got), bits(&ngram.score(ctx)));
@@ -1340,11 +1634,7 @@ mod tests {
             batches: Arc::clone(&batches),
             delay: Duration::from_millis(80),
         };
-        let sched = Arc::new(Scheduler::new(
-            Box::new(lm),
-            policy(4, 20),
-            Default::default(),
-        ));
+        let sched = Arc::new(Scheduler::new(Box::new(lm), policy(4), Default::default()));
         let victim_ctx = vec![TokenId(99)];
         std::thread::scope(|s| {
             let hog = {

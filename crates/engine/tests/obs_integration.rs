@@ -208,7 +208,6 @@ fn scheduler_metrics_record_waits_and_merges() {
         Box::new(SlowLm { bpe }),
         BatchPolicy {
             max_batch: 1,
-            max_wait: Duration::ZERO,
             ..BatchPolicy::default()
         },
         RadixCacheConfig::default(),

@@ -267,6 +267,14 @@ fn parallel_holes_halve_scheduler_dispatch_rounds() {
     // is pending); with the hole group decoding concurrently the
     // scheduler coalesces the four lanes, so dispatch rounds must drop
     // by at least 2x (the pinned floor — the ideal is ~4x).
+    //
+    // The scheduler fires the moment anything is queued, so lanes share a
+    // dispatch when they queue while the model is busy (or come back
+    // within its short hold). Every model call here takes 3 ms — far
+    // longer than a lane's trip back with its next token — so the lanes a
+    // dispatch left out are all queued by the time it is answered: any
+    // two consecutive dispatches cover all four lanes, which is the 2x
+    // floor whatever the thread timing.
     let episodes = vec![
         Episode::plain("L0:", " aaaa\n"),
         Episode::plain("L1:", " bbbb\n"),
@@ -278,13 +286,20 @@ fn parallel_holes_halve_scheduler_dispatch_rounds() {
         threads: 1,
         policy: BatchPolicy {
             max_batch: 4,
-            max_wait: Duration::from_millis(25),
             ..BatchPolicy::default()
         },
         ..EngineConfig::default()
     };
     let run = |parallel: bool| -> (String, u64, u64) {
         let (lm, bpe) = scripted(episodes.clone());
+        let lm = Arc::new(ChaosLm::new(
+            lm,
+            FaultPlan {
+                latency_rate: 1.0,
+                latency: Duration::from_millis(3),
+                ..FaultPlan::default()
+            },
+        ));
         let registry = Registry::new();
         let engine = Engine::new_with_obs(
             lm,

@@ -32,6 +32,11 @@ use std::time::{Duration, Instant};
 /// clock.
 const READ_POLL: Duration = Duration::from_millis(50);
 
+/// `accept` errno values for "too many open files" (per process, system
+/// wide) on Linux and the BSDs.
+const EMFILE: i32 = 24;
+const ENFILE: i32 = 23;
+
 /// Server tuning: connection robustness plus the engine's batching and
 /// caching knobs.
 #[derive(Debug, Clone)]
@@ -102,6 +107,8 @@ struct ServerMetrics {
     request_latency_us: Histogram,
     /// Connections turned away with a `BUSY` frame (load shedding).
     shed: Counter,
+    /// `accept` calls that failed; the acceptor carries on after each.
+    accept_errors: Counter,
     /// Faults injected by the configured [`FaultHook`].
     faults_injected: Counter,
 }
@@ -114,6 +121,7 @@ impl ServerMetrics {
             requests: registry.counter("server.requests"),
             request_latency_us: registry.histogram("server.request_latency_us"),
             shed: registry.counter("server.shed"),
+            accept_errors: registry.counter("server.accept_errors"),
             faults_injected: registry.counter("server.faults_injected"),
         }
     }
@@ -166,7 +174,6 @@ impl InferenceServer {
     ) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let serialized = Arc::new(bpe.to_text());
         let registry = Registry::new();
@@ -206,41 +213,52 @@ impl InferenceServer {
         let max_connections = config.max_connections;
 
         let accept_shared = Arc::clone(&shared);
-        let handle = std::thread::spawn(move || {
-            while !accept_shared.stop.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let m = &accept_shared.metrics;
-                        // Shed before spawning a handler: over-budget
-                        // connections get the typed BUSY frame and are
-                        // closed, protecting the connections already
-                        // being served.
-                        if m.connections_active.get() as usize >= max_connections {
-                            m.shed.inc();
-                            let mut w = BufWriter::new(stream);
-                            let _ = write_busy(&mut w);
-                            continue; // dropping `w` closes the socket
-                        }
-                        m.connections.inc();
-                        // The gauge moves in the accept loop (not the
-                        // handler) so the shed check above never races a
-                        // handler that has not started yet.
-                        m.connections_active.add(1);
-                        let shared = Arc::clone(&accept_shared);
-                        // Handlers are detached: a worker blocked reading
-                        // from a still-connected client must not hold up
-                        // shutdown; it polls the stop flag and exits.
-                        std::thread::spawn(move || {
-                            let _ = handle_connection(stream, &shared);
-                            shared.metrics.connections_active.sub(1);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
+        let handle = std::thread::spawn(move || loop {
+            let accepted = listener.accept();
+            // `accept` blocks, so the stop flag is checked when it returns:
+            // shutdown's wake-up dial lands here and is never counted,
+            // shed or handed a thread.
+            if accept_shared.stop.load(Ordering::SeqCst) {
+                break;
             }
+            let m = &accept_shared.metrics;
+            let stream = match accepted {
+                Ok((stream, _)) => stream,
+                Err(e) => {
+                    // A failed accept (peer reset in the backlog, a signal,
+                    // descriptor exhaustion) says nothing about the next
+                    // one: keep accepting. Only when out of descriptors,
+                    // pause so handlers can release some instead of
+                    // spinning on the same error.
+                    m.accept_errors.inc();
+                    if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    continue;
+                }
+            };
+            // Shed before spawning a handler: over-budget connections get
+            // the typed BUSY frame and are closed, protecting the
+            // connections already being served.
+            if m.connections_active.get() as usize >= max_connections {
+                m.shed.inc();
+                let mut w = BufWriter::new(stream);
+                let _ = write_busy(&mut w);
+                continue; // dropping `w` closes the socket
+            }
+            m.connections.inc();
+            // The gauge moves in the accept loop (not the handler) so the
+            // shed check above never races a handler that has not started
+            // yet.
+            m.connections_active.add(1);
+            let shared = Arc::clone(&accept_shared);
+            // Handlers are detached: a worker blocked reading from a
+            // still-connected client must not hold up shutdown; it polls
+            // the stop flag and exits.
+            std::thread::spawn(move || {
+                let _ = handle_connection(stream, &shared);
+                shared.metrics.connections_active.sub(1);
+            });
         });
 
         Ok(ServerHandle {
@@ -620,6 +638,9 @@ impl ServerHandle {
     fn stop_inner(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.handle.take() {
+            // The acceptor is blocked in `accept`: one dial to ourselves
+            // brings it back to the stop check.
+            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
             let _ = h.join();
         }
         // Drain queued and in-flight work; late scores from still-running

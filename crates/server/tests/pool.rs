@@ -6,7 +6,6 @@
 //! deployment shapes.
 
 use lmql::Runtime;
-use lmql_engine::BatchPolicy;
 use lmql_lm::{Episode, LanguageModel, ScriptedLm};
 use lmql_server::{InferenceServer, RemoteLm, ServerConfig};
 use lmql_tokenizer::{Bpe, TokenId};
@@ -81,7 +80,9 @@ fn pooled_scoring_frames_are_bit_identical_to_local() {
 
 /// A `BATCH` frame reaches each replica's scheduler as one submission,
 /// so k cold contexts cost one model dispatch per replica they shard
-/// over — not one per context.
+/// over — not one per context. This holds by construction, not by a wait
+/// window: a submission is enqueued whole under one hold of the scheduler
+/// lock, so the dispatcher can never see (and fire on) part of it.
 #[test]
 fn batch_frame_is_one_dispatch_per_replica() {
     for replicas in SHAPES {
@@ -91,12 +92,6 @@ fn batch_frame_is_one_dispatch_per_replica() {
             Arc::clone(&bpe),
             ServerConfig {
                 replicas,
-                // Wide enough that a whole submission always lands in one
-                // microbatch, however slowly this thread enqueues it.
-                policy: BatchPolicy {
-                    max_wait: Duration::from_millis(50),
-                    ..BatchPolicy::default()
-                },
                 ..ServerConfig::default()
             },
         )

@@ -18,9 +18,11 @@
 #             health-aware routing, replica fail-over + multi-replica
 #             soak, pool-total metrics), the server's STREAM / SCORE /
 #             BATCH / STATS wire suites over `replicas` 1 and 2, the
-#             scheduler starvation regression, the zero-alloc prefix-key
-#             budget pin, plus `lmql-run --stream` and `--replicas` CLI
-#             smoke runs
+#             zero-alloc prefix-key budget pin, the scheduler's unit
+#             tests and the server's blocking-accept / firing-rule suite
+#             ten times in a row (a scheduling flake shows up here, not
+#             in the benchmark pipeline), plus `lmql-run --stream` and
+#             `--replicas` CLI smoke runs
 #   --automata  constraint-automata suites only (DESIGN.md §12): the
 #             automata crate's unit tests, differential mask equality
 #             against the uncompiled engines, and fast-forward decoder
@@ -233,13 +235,17 @@ if [[ "$MODE" == serve ]]; then
     cargo test -q -p lmql-repro --test streaming
     cargo test -q -p lmql --lib stream
     cargo test -q -p lmql-engine --lib router
-    cargo test -q -p lmql-engine --lib sched
     cargo test -q -p lmql-engine --test streaming
     cargo test -q -p lmql-engine --test router
     cargo test -q -p lmql-server --test streaming
     cargo test -q -p lmql-server --test pool
     cargo test -q -p lmql-server --test stats
     cargo test -q -p lmql --test alloc_budget router_prefix
+    echo "==> scheduler + served-path suites, ten rounds"
+    for _ in $(seq 1 10); do
+        cargo test -q -p lmql-engine --lib sched::
+        cargo test -q -p lmql-server --test serving
+    done
     QUERY_FILE="$(mktemp /tmp/lmql-serve-smoke.XXXXXX.lmql)"
     trap 'rm -f "$QUERY_FILE"' EXIT
     printf '%s\n' \
