@@ -7,7 +7,7 @@
 //! beams are pruned and never extended further.
 
 use crate::constraints::{fingerprint_scope_full, MaskOutcome, Masker};
-use crate::decode::DecodeOptions;
+use crate::decode::{ngram_blocked_into, DecodeOptions};
 use crate::interp::{Externals, Step, VmState};
 use crate::stream::{QueryEvent, StreamSink};
 use crate::{Error, Program, Result, Value};
@@ -116,6 +116,10 @@ pub fn run_beam_search<L: LanguageModel + ?Sized>(
     // follow different control-flow paths with different scopes.
     let mut step_masks: HashMap<(u64, String, String), (MaskOutcome, Option<TokenId>)> =
         HashMap::new();
+    // `no_repeat_ngram_size` scratch, refilled per beam from its own
+    // token context (absent — and free — when blocking is off).
+    let mut ngram_blocked =
+        (options.no_repeat_ngram > 0).then(|| TokenSet::empty(bpe.vocab().len()));
 
     for _ in 0..MAX_TOTAL_STEPS {
         if beams.iter().all(|b| b.done) {
@@ -166,8 +170,15 @@ pub fn run_beam_search<L: LanguageModel + ?Sized>(
                 masker.recycle(outcome);
                 continue; // prune this beam
             }
+            if let Some(blocked) = &mut ngram_blocked {
+                ngram_blocked_into(&beam.context, options.no_repeat_ngram, blocked);
+            }
             if let Some(token) = forced {
-                planned.push(Planned::Forced { beam, token });
+                // A blocked forced token leaves nothing admissible.
+                planned.push(match &ngram_blocked {
+                    Some(blocked) if blocked.contains(token) => Planned::Finish(beam),
+                    _ => Planned::Forced { beam, token },
+                });
                 masker.recycle(outcome);
                 continue;
             }
@@ -175,8 +186,18 @@ pub fn run_beam_search<L: LanguageModel + ?Sized>(
             if outcome.eos_allowed {
                 mask.insert(eos);
             }
-            planned.push(Planned::Extend { beam, mask });
             masker.recycle(outcome);
+            if let Some(blocked) = &ngram_blocked {
+                mask.subtract_with(blocked);
+                if mask.is_empty() {
+                    // Blocking exhausted the mask: the hole ends here, as
+                    // in `decode_hole`.
+                    masker.recycle_mask(mask);
+                    planned.push(Planned::Finish(beam));
+                    continue;
+                }
+            }
+            planned.push(Planned::Extend { beam, mask });
         }
 
         // One batched forward pass covers the whole step — through a

@@ -21,14 +21,46 @@ pub enum Error {
     External { name: String, message: String },
     /// The language model behind the query failed (a remote backend
     /// died, a retry budget ran out). The query is sound — the serving
-    /// layer was not.
-    Model { message: String },
+    /// layer was not. `class` says how: serving layers act on it (fail
+    /// over, back-pressure, `RETRY` vs `ERR`) instead of reading the
+    /// message.
+    Model {
+        message: String,
+        class: ModelErrorClass,
+    },
     /// The query was cancelled cooperatively (a dropped stream handle, a
     /// disconnected client) before it could finish.
     Cancelled,
 }
 
+/// What kind of serving failure an [`Error::Model`] is — the one thing
+/// the layers above the runtime act on. Carried beside the message, never
+/// recovered from it (a tool's error text may say anything).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ModelErrorClass {
+    /// A retryable backend fault that outlived its retry budget: another
+    /// replica, or a later attempt, may succeed.
+    Transient,
+    /// Retrying would fail identically (protocol violation, bad request).
+    Fatal,
+    /// A model call ran past its deadline: slow, not broken — it would
+    /// expire the same way anywhere.
+    Deadline,
+    /// Shed at admission: back-pressure, not a replica failure.
+    Shed,
+    /// The query's worker panicked and was fenced off.
+    Panic,
+}
+
 impl Error {
+    /// Helper for model-layer errors.
+    pub fn model(class: ModelErrorClass, message: impl Into<String>) -> Self {
+        Error::Model {
+            message: message.into(),
+            class,
+        }
+    }
+
     /// Helper for evaluation errors.
     pub fn eval(message: impl Into<String>, span: Span) -> Self {
         Error::Eval {
@@ -61,7 +93,7 @@ impl fmt::Display for Error {
             Error::External { name, message } => {
                 write!(f, "external function `{name}` failed: {message}")
             }
-            Error::Model { message } => write!(f, "model failure: {message}"),
+            Error::Model { message, .. } => write!(f, "model failure: {message}"),
             Error::Cancelled => f.write_str("query cancelled"),
         }
     }
@@ -82,18 +114,21 @@ impl From<SyntaxError> for Error {
     }
 }
 
-/// Model-layer failures surface as [`Error::Model`] with the taxonomy's
-/// rendered classification ("transient model error (…)", "fatal model
-/// error: …", …) in the message; cancellation keeps its own variant so
-/// callers can tell "the consumer left" from "the backend broke".
+/// Model-layer failures surface as [`Error::Model`] carrying the
+/// taxonomy's class (and its rendering — "transient model error (…)",
+/// "fatal model error: …" — as the message); cancellation keeps its own
+/// variant so callers can tell "the consumer left" from "the backend
+/// broke".
 impl From<lmql_lm::LmError> for Error {
     fn from(e: lmql_lm::LmError) -> Self {
-        match e {
-            lmql_lm::LmError::Cancelled => Error::Cancelled,
-            other => Error::Model {
-                message: other.to_string(),
-            },
-        }
+        use lmql_lm::LmError;
+        let class = match e {
+            LmError::Cancelled => return Error::Cancelled,
+            LmError::Transient { .. } => ModelErrorClass::Transient,
+            LmError::Fatal { .. } => ModelErrorClass::Fatal,
+            LmError::DeadlineExceeded { .. } => ModelErrorClass::Deadline,
+        };
+        Error::model(class, e.to_string())
     }
 }
 
@@ -117,9 +152,26 @@ mod tests {
     #[test]
     fn lm_errors_convert_preserving_class() {
         let e: Error = lmql_lm::LmError::fatal("bad vocab").into();
-        assert!(matches!(&e, Error::Model { message } if message.contains("fatal")));
+        assert!(
+            matches!(&e, Error::Model { message, class: ModelErrorClass::Fatal }
+            if message.contains("fatal"))
+        );
         let e: Error = lmql_lm::LmError::transient(lmql_lm::FaultKind::Timeout, "slow").into();
-        assert!(matches!(&e, Error::Model { message } if message.contains("transient")));
+        assert!(
+            matches!(&e, Error::Model { message, class: ModelErrorClass::Transient }
+            if message.contains("transient"))
+        );
+        let e: Error = lmql_lm::LmError::DeadlineExceeded {
+            deadline: std::time::Duration::from_millis(5),
+        }
+        .into();
+        assert!(matches!(
+            e,
+            Error::Model {
+                class: ModelErrorClass::Deadline,
+                ..
+            }
+        ));
         assert_eq!(Error::from(lmql_lm::LmError::Cancelled), Error::Cancelled);
     }
 }

@@ -74,7 +74,7 @@ pub use decode::{
     decode_hole, decode_hole_traced, ngram_blocked_tokens, unconstrained_mask, DecodeOptions,
     DecodedValue, Pick,
 };
-pub use error::{Error, Result};
+pub use error::{Error, ModelErrorClass, Result};
 pub use interp::{ExternalFn, Externals, HoleRecord, HoleRequest, Step, VmState};
 pub use naive::{decode_hole_naive, decode_hole_naive_strict, NaiveOptions, NaiveOutcome};
 pub use parallel::{plan_holes, HolePlan};

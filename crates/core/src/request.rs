@@ -1,13 +1,13 @@
 //! The consolidated query entry point.
 //!
-//! Four PRs grew four parallel knob surfaces: decoding options on the
-//! runtime, mask tuning inside them, retry policies wrapped around the
-//! model, and now stream sinks. [`QueryRequest`] gathers all of them
-//! behind one fluent builder so a caller configures *a query*, not four
-//! layers: unset fields inherit the executing
-//! [`Runtime`](crate::Runtime)'s defaults, set fields override them for
-//! that call only. The older entry points (`Runtime::run`,
-//! `run_program`, …) remain as thin shims over the same machinery.
+//! [`QueryRequest`] gathers every per-query knob — decoding options, mask
+//! tuning, retry/deadline policy, bindings, tools, stream sink — behind
+//! one fluent builder, so a caller configures *a query*, not four layers:
+//! unset fields inherit the executing [`Runtime`](crate::Runtime)'s
+//! defaults, set fields override them for that call only. It is what
+//! every layer takes: `Runtime::execute`, the engine's and router's
+//! `serve` / `run_query` / `stream_query` (a bare source string converts
+//! into a request with nothing set).
 
 use crate::constraints::{MaskConfig, MaskEngine};
 use crate::stream::StreamSink;
@@ -227,6 +227,12 @@ impl QueryRequest {
     /// defaults) with this request's overrides applied.
     pub fn apply_to(&self, base: &crate::DecodeOptions) -> crate::DecodeOptions {
         let mut options = base.clone();
+        self.apply(&mut options);
+        options
+    }
+
+    /// [`apply_to`](Self::apply_to) in place.
+    pub(crate) fn apply(&self, options: &mut crate::DecodeOptions) {
         if let Some(t) = self.temperature {
             options.temperature = t;
         }
@@ -257,7 +263,27 @@ impl QueryRequest {
         if let Some(sink) = &self.sink {
             options.sink = sink.clone();
         }
-        options
+    }
+}
+
+/// A bare source string is a request with every setting inherited.
+impl From<&str> for QueryRequest {
+    fn from(source: &str) -> Self {
+        QueryRequest::new(source)
+    }
+}
+
+/// (`&String` does not deref-coerce through `impl Into`, and existing
+/// callers pass one.)
+impl From<&String> for QueryRequest {
+    fn from(source: &String) -> Self {
+        QueryRequest::new(source)
+    }
+}
+
+impl From<String> for QueryRequest {
+    fn from(source: String) -> Self {
+        QueryRequest::new(source)
     }
 }
 

@@ -99,6 +99,14 @@ use crate::stream::SUBQUERY_PATH_BASE;
 
 /// Executes LMQL queries against a language model.
 ///
+/// A `Runtime` is *the* environment a query runs in — this struct is the
+/// only place its parts are listed (DESIGN.md §7 maps each field to its
+/// responsibility). Every field is a shared handle or a small value, so
+/// [`Clone`] is cheap and a clone shares the model, meter, caches,
+/// registry and tool call counters with the original: a request, a
+/// subquery child and an engine's per-query runtime are each a clone
+/// with a few fields replaced.
+///
 /// # Example
 ///
 /// ```
@@ -124,6 +132,7 @@ use crate::stream::SUBQUERY_PATH_BASE;
 /// # Ok(())
 /// # }
 /// ```
+#[derive(Clone)]
 pub struct Runtime {
     lm: Arc<dyn LanguageModel>,
     bpe: Arc<Bpe>,
@@ -138,8 +147,9 @@ pub struct Runtime {
     metrics: Option<lmql_obs::Registry>,
     subqueries: SubqueryLimits,
     /// Set on the runtime a subquery call builds for its child: the
-    /// shared tree state (budget, path allocator, …) plus the child's
-    /// depth. `None` on user-constructed runtimes (the tree root).
+    /// shared tree state (root environment, budget, path allocator) plus
+    /// the child's depth. `None` on user-constructed runtimes (the tree
+    /// root).
     subquery_ctx: Option<(Arc<SubqueryShared>, u32)>,
 }
 
@@ -179,6 +189,19 @@ impl Runtime {
             metrics: None,
             subqueries: SubqueryLimits::default(),
             subquery_ctx: None,
+        }
+    }
+
+    /// A clone of this runtime scoring through `lm` and metering on a
+    /// fresh [`UsageMeter`]; everything else is shared. This is how a
+    /// serving layer turns one template environment, built once, into
+    /// per-query runtimes (the engine swaps in each query's cancellable
+    /// scheduler handle).
+    pub fn with_model(&self, lm: Arc<dyn LanguageModel>) -> Self {
+        Runtime {
+            lm,
+            meter: UsageMeter::new(),
+            ..self.clone()
         }
     }
 
@@ -305,27 +328,23 @@ impl Runtime {
     ///
     /// Syntax, compile, evaluation and decoding errors.
     pub fn run(&self, source: &str) -> Result<QueryResult> {
-        let program = {
-            let _span = self.tracer().span("query", "parse_compile");
-            compile_source(source)?
-        };
-        self.run_program(&program)
+        self.execute(&QueryRequest::new(source))
     }
 
-    /// Like [`Runtime::run`], additionally recording a per-step decode
-    /// trace for the debugger (Appendix A.3). Tracing covers `argmax` and
+    /// Like [`Runtime::execute`] (a bare source converts into a request
+    /// with nothing set), additionally recording a per-step decode trace
+    /// for the debugger (Appendix A.3). Tracing covers `argmax` and
     /// `sample` runs; beam search returns an empty trace.
     ///
     /// # Errors
     ///
     /// See [`Runtime::run`].
-    pub fn run_traced(&self, source: &str) -> Result<(QueryResult, DebugTrace)> {
-        let program = {
-            let _span = self.tracer().span("query", "parse_compile");
-            compile_source(source)?
-        };
+    pub fn run_traced(
+        &self,
+        request: impl Into<QueryRequest>,
+    ) -> Result<(QueryResult, DebugTrace)> {
         let mut debug = DebugTrace::default();
-        let result = self.run_program_inner(&program, Some(&mut debug))?;
+        let result = self.execute_full(&request.into(), Some(&mut debug))?;
         Ok((result, debug))
     }
 
@@ -335,7 +354,7 @@ impl Runtime {
     ///
     /// See [`Runtime::run`].
     pub fn run_program(&self, program: &Program) -> Result<QueryResult> {
-        self.run_program_inner(program, None)
+        self.run_program_full(program, None)
     }
 
     /// Like [`Runtime::run`], streaming [`QueryEvent`]s into `sink` as
@@ -351,78 +370,53 @@ impl Runtime {
         self.execute(&QueryRequest::new(source).stream(sink))
     }
 
-    /// Executes a [`QueryRequest`]: the consolidated entry point behind
-    /// which [`Runtime::run`] and friends are thin shims. Request
-    /// settings override this runtime's defaults; unset fields inherit
-    /// them.
+    /// Executes a [`QueryRequest`]: the one entry point, which
+    /// [`Runtime::run`] and [`Runtime::run_streamed`] are one-line
+    /// callers of. Request settings override this runtime's defaults for
+    /// this call only; unset fields inherit them.
     ///
     /// # Errors
     ///
     /// See [`Runtime::run`].
     pub fn execute(&self, request: &QueryRequest) -> Result<QueryResult> {
-        let options = request.apply_to(&self.options);
-        let program = {
-            let _span = options.tracer.span("query", "parse_compile");
-            compile_source(request.source())?
-        };
-        // A per-request retry policy wraps the model for this call only.
-        let lm: Arc<dyn LanguageModel> = match request.retry_policy() {
-            Some(policy) => Arc::new(RetryLm::new(Arc::clone(&self.lm), policy)),
-            None => Arc::clone(&self.lm),
-        };
-        let bindings: Vec<(String, Value)> = if request.bindings().is_empty() {
-            self.bindings.clone()
-        } else {
-            let mut merged = self.bindings.clone();
-            for (name, value) in request.bindings() {
-                merged.retain(|(n, _)| n != name);
-                merged.push((name.clone(), value.clone()));
-            }
-            merged
-        };
-        if request.tool_registry().is_empty() {
-            self.run_program_full(&program, &lm, &options, &bindings, None)
-        } else {
-            // Per-request tools: run on a scoped fork of this runtime
-            // with the request's registry merged in, so the additions
-            // are visible to this call only (subqueries included — the
-            // fork's externals seed the subquery tree).
-            let scoped = self.fork_with_tools(request.tool_registry());
-            scoped.run_program_full(&program, &lm, &options, &bindings, None)
-        }
+        self.execute_full(request, None)
     }
 
-    /// A scoped fork of this runtime with `extra` tools merged in. All
-    /// shared state (meter, memo, caches, metrics) is shared with the
-    /// original; only the externals/tool surface differs.
-    fn fork_with_tools(&self, extra: &ToolRegistry) -> Runtime {
-        let mut externals = self.externals.clone();
-        extra.install(&mut externals);
-        let mut tools = self.tools.clone();
-        tools.merge(extra);
-        Runtime {
-            lm: Arc::clone(&self.lm),
-            bpe: Arc::clone(&self.bpe),
-            externals,
-            tools,
-            custom_ops: self.custom_ops.clone(),
-            bindings: self.bindings.clone(),
-            meter: self.meter.clone(),
-            options: self.options.clone(),
-            mask_memo: self.mask_memo.clone(),
-            automata_cache: self.automata_cache.clone(),
-            metrics: self.metrics.clone(),
-            subqueries: self.subqueries,
-            subquery_ctx: self.subquery_ctx.clone(),
-        }
-    }
-
-    fn run_program_inner(
+    fn execute_full(
         &self,
-        program: &Program,
+        request: &QueryRequest,
         debug: Option<&mut DebugTrace>,
     ) -> Result<QueryResult> {
-        self.run_program_full(program, &self.lm, &self.options, &self.bindings, debug)
+        let scoped = self.scoped_to(request);
+        let program = scoped.compile(request.source())?;
+        scoped.run_program_full(&program, debug)
+    }
+
+    /// The environment `request` runs in: this runtime with the request's
+    /// decode options applied, its retry policy wrapped around the model,
+    /// its bindings laid over the runtime's and its tools merged in — so
+    /// all of it is visible to this call only (subqueries included: the
+    /// scoped runtime seeds the subquery tree).
+    fn scoped_to(&self, request: &QueryRequest) -> Runtime {
+        let mut rt = self.clone();
+        request.apply(&mut rt.options);
+        if let Some(policy) = request.retry_policy() {
+            rt.lm = Arc::new(RetryLm::new(Arc::clone(&rt.lm), policy));
+        }
+        for (name, value) in request.bindings() {
+            rt.bind(name, value.clone());
+        }
+        let extra = request.tool_registry();
+        if !extra.is_empty() {
+            extra.install(&mut rt.externals);
+            rt.tools.merge(extra);
+        }
+        rt
+    }
+
+    fn compile(&self, source: &str) -> Result<Program> {
+        let _span = self.tracer().span("query", "parse_compile");
+        compile_source(source)
     }
 
     /// The full execution path: dispatches on the decoder and, when the
@@ -431,13 +425,10 @@ impl Runtime {
     fn run_program_full(
         &self,
         program: &Program,
-        lm: &Arc<dyn LanguageModel>,
-        options: &DecodeOptions,
-        bindings: &[(String, Value)],
         debug: Option<&mut DebugTrace>,
     ) -> Result<QueryResult> {
-        let sink = options.sink.clone();
-        let outcome = self.run_program_dispatch(program, lm, options, bindings, debug);
+        let sink = &self.options.sink;
+        let outcome = self.run_program_dispatch(program, debug);
         if let Some(registry) = &self.metrics {
             if !self.tools.is_empty() {
                 self.tools.report_metrics(registry);
@@ -470,57 +461,26 @@ impl Runtime {
     fn run_program_dispatch(
         &self,
         program: &Program,
-        lm: &Arc<dyn LanguageModel>,
-        options: &DecodeOptions,
-        bindings: &[(String, Value)],
         mut debug: Option<&mut DebugTrace>,
     ) -> Result<(QueryResult, Vec<u32>)> {
-        // One shared score cache per run: lockstep samples and beams that
-        // revisit identical contexts pay for the model only once, and
-        // cache hits are not billed as model queries.
         if let Some(w) = &program.where_clause {
             self.validate_where(w)?;
         }
-        // Subquery context: the tree-shared state (budget, path
-        // allocator) is created at the root — a child runtime carries the
-        // root's via `subquery_ctx` — and captures the *request-level*
-        // model (retry wrapping and all) so children score like their
-        // parent. Built before the per-run cache wrap: each child run
-        // gets its own fresh CachedLm, exactly like an isolated run.
-        let sub: Option<(Arc<SubqueryShared>, u32)> = if program_uses_subquery(program) {
-            Some(match &self.subquery_ctx {
-                Some((shared, depth)) => (Arc::clone(shared), *depth),
-                None => (
-                    Arc::new(SubqueryShared {
-                        lm: Arc::clone(lm),
-                        bpe: Arc::clone(&self.bpe),
-                        externals: self.externals.clone(),
-                        tools: self.tools.clone(),
-                        custom_ops: self.custom_ops.clone(),
-                        meter: self.meter.clone(),
-                        options: {
-                            let mut o = options.clone();
-                            o.sink = StreamSink::none();
-                            o
-                        },
-                        mask_memo: self.mask_memo.clone(),
-                        automata_cache: self.automata_cache.clone(),
-                        metrics: self.metrics.clone(),
-                        limits: self.subqueries,
-                        budget: self
-                            .subqueries
-                            .max_tokens
-                            .map(|n| Arc::new(AtomicI64::new(n.min(i64::MAX as u64) as i64))),
-                        path_alloc: Arc::new(AtomicU32::new(SUBQUERY_PATH_BASE)),
-                    }),
-                    0,
-                ),
-            })
-        } else {
-            None
-        };
-        let lm = CachedLm::new(MeteredLm::new(Arc::clone(lm), self.meter.clone()));
-        let mut masker = self.make_masker(options);
+        // Subquery context: the tree-shared state is created at the root
+        // (a child runtime carries the root's via `subquery_ctx`) from
+        // this request-level runtime — retry-wrapped model, per-request
+        // tools and all — so children run like their parent.
+        let sub = program_uses_subquery(program).then(|| match &self.subquery_ctx {
+            Some((shared, depth)) => (Arc::clone(shared), *depth),
+            None => (Arc::new(SubqueryShared::rooted_at(self)), 0),
+        });
+        let options = &self.options;
+        // One shared score cache per run: lockstep samples and beams that
+        // revisit identical contexts pay for the model only once, and
+        // cache hits are not billed as model queries. Each subquery child
+        // run gets its own, exactly like an isolated run.
+        let lm = CachedLm::new(MeteredLm::new(Arc::clone(&self.lm), self.meter.clone()));
+        let mut masker = self.make_masker();
         let _query_span = options
             .tracer
             .span_lazy("query", || format!("run:{}", program.decoder.name));
@@ -532,8 +492,6 @@ impl Runtime {
                     &lm,
                     &mut masker,
                     Pick::argmax(),
-                    options,
-                    bindings,
                     0,
                     sub.as_ref(),
                     debug.take(),
@@ -550,8 +508,6 @@ impl Runtime {
                         &lm,
                         &mut masker,
                         Pick::sample(options.seed.wrapping_add(i as u64)),
-                        options,
-                        bindings,
                         i as u32,
                         sub.as_ref(),
                         debug.as_deref_mut(),
@@ -581,7 +537,7 @@ impl Runtime {
                     &mut masker,
                     program,
                     externals.as_ref(),
-                    bindings,
+                    &self.bindings,
                     n,
                     &opts,
                 )?;
@@ -617,7 +573,8 @@ impl Runtime {
     /// metrics registry. One per run normally; parallel hole decoding
     /// builds one per member thread (they share the memo and cache
     /// through the installed `Arc`s).
-    fn make_masker(&self, options: &DecodeOptions) -> Masker {
+    fn make_masker(&self) -> Masker {
+        let options = &self.options;
         let mut masker = Masker::new(options.engine, Arc::clone(&self.bpe) as _)
             .with_custom_ops(self.custom_ops.clone())
             .with_tracer(options.tracer.clone())
@@ -662,14 +619,12 @@ impl Runtime {
         lm: &L,
         masker: &mut Masker,
         mut pick: Pick,
-        options: &DecodeOptions,
-        bindings: &[(String, Value)],
         path: u32,
         sub: Option<&(Arc<SubqueryShared>, u32)>,
         mut debug: Option<&mut DebugTrace>,
     ) -> Result<QueryResult> {
-        let mut opts = options.clone().with_decoder_params(&program.decoder);
-        opts.sink = options.sink.with_path(path);
+        let mut opts = self.options.clone().with_decoder_params(&program.decoder);
+        opts.sink = self.options.sink.with_path(path);
         let sink = opts.sink.clone();
         let externals = self.effective_externals(sub, &sink);
         let externals = externals.as_ref();
@@ -692,7 +647,7 @@ impl Runtime {
         };
         let mut pending: HashMap<String, PendingHole> = HashMap::new();
 
-        let mut vm = VmState::new(bindings.iter().cloned());
+        let mut vm = VmState::new(self.bindings.iter().cloned());
         let mut log_prob = 0.0;
         let mut distribution: Option<Vec<(String, f64)>> = None;
         // Streaming protocol: trace bytes up to `emitted` have been
@@ -925,7 +880,7 @@ impl Runtime {
                         });
                         let mut member_opts = opts.clone();
                         member_opts.sink = StreamSink::new(Arc::clone(&buffer) as _);
-                        let mut masker = self.make_masker(opts);
+                        let mut masker = self.make_masker();
                         let mut pick = Pick::argmax();
                         let result = decode_hole_traced(
                             lm,
@@ -1141,27 +1096,33 @@ fn program_uses_subquery(program: &Program) -> bool {
     })
 }
 
-/// State shared by every query in one `subquery(...)` tree: the
-/// request-level model, the parent's caches and meter (usage rolls up),
-/// the tree-wide token budget and the global child-path allocator.
+/// State shared by every query in one `subquery(...)` tree: the root's
+/// environment, the tree-wide token budget and the global child-path
+/// allocator.
 struct SubqueryShared {
-    lm: Arc<dyn LanguageModel>,
-    bpe: Arc<Bpe>,
-    externals: Externals,
-    /// The root's tool registry: children inherit it (shared call
-    /// counters), so tool accounting rolls up the subquery tree.
-    tools: ToolRegistry,
-    custom_ops: CustomOps,
-    meter: UsageMeter,
-    /// The root run's effective options with the sink cleared; each
-    /// child gets these plus its own nested sink.
-    options: DecodeOptions,
-    mask_memo: Option<Arc<MaskMemo>>,
-    automata_cache: Option<Arc<AutomataCache>>,
-    metrics: Option<lmql_obs::Registry>,
-    limits: SubqueryLimits,
+    /// The root query's request-level runtime — model, tools (shared
+    /// call counters), caches, meter and registry, so usage and tool
+    /// accounting roll up the tree — with bindings and sink cleared; each
+    /// child is a clone of it with its own nested sink and depth.
+    root: Runtime,
     budget: Option<Arc<AtomicI64>>,
     path_alloc: Arc<AtomicU32>,
+}
+
+impl SubqueryShared {
+    fn rooted_at(root: &Runtime) -> Self {
+        let mut root = root.clone();
+        root.bindings.clear();
+        root.options.sink = StreamSink::none();
+        SubqueryShared {
+            budget: root
+                .subqueries
+                .max_tokens
+                .map(|n| Arc::new(AtomicI64::new(n.min(i64::MAX as u64) as i64))),
+            path_alloc: Arc::new(AtomicU32::new(SUBQUERY_PATH_BASE)),
+            root,
+        }
+    }
 }
 
 /// Registers the `__runtime.subquery` external for one execution path:
@@ -1207,22 +1168,23 @@ fn run_subquery(
     if args.len() > 2 {
         return Err("subquery takes at most 2 arguments (source, variable)".into());
     }
+    let root = &shared.root;
     if parent_sink.cancelled() {
-        counter_inc(&shared.metrics, "engine.subquery.cancelled");
+        counter_inc(&root.metrics, "engine.subquery.cancelled");
         return Err("subquery cancelled: parent query is cancelled".into());
     }
-    if depth >= shared.limits.max_depth {
-        counter_inc(&shared.metrics, "engine.subquery.depth_rejected");
+    if depth >= root.subqueries.max_depth {
+        counter_inc(&root.metrics, "engine.subquery.depth_rejected");
         return Err(format!(
             "subquery depth limit ({}) exceeded",
-            shared.limits.max_depth
+            root.subqueries.max_depth
         ));
     }
     if matches!(&shared.budget, Some(b) if b.load(Ordering::Relaxed) <= 0) {
-        counter_inc(&shared.metrics, "engine.subquery.budget_exhausted");
+        counter_inc(&root.metrics, "engine.subquery.budget_exhausted");
         return Err("subquery token budget exhausted".into());
     }
-    counter_inc(&shared.metrics, "engine.subquery.spawned");
+    counter_inc(&root.metrics, "engine.subquery.spawned");
 
     let child_root = shared.path_alloc.fetch_add(1, Ordering::Relaxed);
     parent_sink.emit(QueryEvent::SubqueryStart {
@@ -1236,26 +1198,12 @@ fn run_subquery(
         alloc: Arc::clone(&shared.path_alloc),
         map: Mutex::new(HashMap::from([(0u32, child_root)])),
     }));
-    let child = Runtime {
-        lm: Arc::clone(&shared.lm),
-        bpe: Arc::clone(&shared.bpe),
-        externals: shared.externals.clone(),
-        tools: shared.tools.clone(),
-        custom_ops: shared.custom_ops.clone(),
-        bindings: Vec::new(),
-        meter: shared.meter.clone(),
-        options: {
-            let mut o = shared.options.clone();
-            o.sink = child_sink;
-            o
-        },
-        mask_memo: shared.mask_memo.clone(),
-        automata_cache: shared.automata_cache.clone(),
-        metrics: shared.metrics.clone(),
-        subqueries: shared.limits,
-        subquery_ctx: Some((Arc::clone(shared), depth + 1)),
-    };
-    let outcome = child.run(source);
+    let mut child = root.clone();
+    child.options.sink = child_sink;
+    child.subquery_ctx = Some((Arc::clone(shared), depth + 1));
+    let outcome = child
+        .compile(source)
+        .and_then(|program| child.run_program_full(&program, None));
     parent_sink.emit(QueryEvent::SubqueryDone {
         path: child_root,
         ok: outcome.is_ok(),
@@ -1272,13 +1220,13 @@ fn run_subquery(
         },
         Err(e) => {
             if matches!(&shared.budget, Some(b) if b.load(Ordering::Relaxed) <= 0) {
-                counter_inc(&shared.metrics, "engine.subquery.budget_exhausted");
+                counter_inc(&root.metrics, "engine.subquery.budget_exhausted");
                 Err(format!("subquery token budget exhausted: {e}"))
             } else if parent_sink.cancelled() {
-                counter_inc(&shared.metrics, "engine.subquery.cancelled");
+                counter_inc(&root.metrics, "engine.subquery.cancelled");
                 Err(format!("subquery cancelled: {e}"))
             } else {
-                counter_inc(&shared.metrics, "engine.subquery.failed");
+                counter_inc(&root.metrics, "engine.subquery.failed");
                 Err(format!("subquery failed: {e}"))
             }
         }

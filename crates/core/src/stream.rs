@@ -200,9 +200,7 @@ impl std::error::Error for WireError {}
 
 impl From<WireError> for crate::Error {
     fn from(e: WireError) -> Self {
-        crate::Error::Model {
-            message: e.to_string(),
-        }
+        crate::Error::model(crate::ModelErrorClass::Fatal, e.to_string())
     }
 }
 

@@ -1,10 +1,10 @@
 //! Integration tests for scripted beam search (§4) through the public
 //! runtime API.
 
-use lmql::{FnTool, Runtime, Value};
-use lmql_lm::{Branch, Episode, ScriptedLm, SCRIPT_LOGIT};
-use lmql_tokenizer::Bpe;
-use std::sync::Arc;
+use lmql::{FnTool, QueryEvent, Runtime, StreamSink, Value};
+use lmql_lm::{Branch, Episode, LanguageModel, LmResult, Logits, ScriptedLm, SCRIPT_LOGIT};
+use lmql_tokenizer::{Bpe, TokenId, Vocabulary};
+use std::sync::{Arc, Mutex};
 
 fn runtime(episodes: Vec<Episode>) -> Runtime {
     let bpe = Arc::new(Bpe::char_level(""));
@@ -120,4 +120,72 @@ fn beam_n1_matches_argmax() {
     let beam = rt.run(query_beam).unwrap();
     let argmax = rt.run(query_argmax).unwrap();
     assert_eq!(beam.best().trace, argmax.best().trace);
+}
+
+/// A model that wants to repeat "ab" forever (with "c" a distant second,
+/// so a second beam has somewhere to go).
+struct Repeater {
+    bpe: Arc<Bpe>,
+}
+
+impl LanguageModel for Repeater {
+    fn vocab(&self) -> &Vocabulary {
+        self.bpe.vocab()
+    }
+    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
+        let one = |context: &&[TokenId]| {
+            let mut logits = Logits::constant(self.bpe.vocab().len(), 0.0);
+            let text = self.bpe.decode(context);
+            let next = if text.ends_with('a') { "b" } else { "a" };
+            logits.set(self.bpe.vocab().id_of(next).unwrap(), 10.0);
+            logits.set(self.bpe.vocab().id_of("c").unwrap(), 8.0);
+            Ok(logits)
+        };
+        contexts.iter().map(one).collect()
+    }
+}
+
+/// Beam search honours `no_repeat_ngram_size` (Fig. 11's decoder
+/// parameter): no hypothesis repeats a bigram, while without the
+/// parameter the same model loops.
+#[test]
+fn beam_no_repeat_ngram_breaks_loops_in_every_hypothesis() {
+    let run = |decoder: &str| {
+        let bpe = Arc::new(Bpe::char_level(""));
+        let lm = Arc::new(Repeater {
+            bpe: Arc::clone(&bpe),
+        });
+        let rt = Runtime::new(lm, bpe);
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&events);
+        let sink = StreamSink::callback(move |e: &QueryEvent| log.lock().unwrap().push(e.clone()));
+        let result = rt
+            .run_streamed(&format!("{decoder}\n    \"P:[X]\"\nfrom \"m\"\n"), sink)
+            .unwrap();
+        let events = std::mem::take(&mut *events.lock().unwrap());
+        (result, events)
+    };
+
+    let (blocked, _) = run("beam(n=2, no_repeat_ngram_size=2, max_length=12)");
+    assert_eq!(blocked.runs.len(), 2);
+    for run in &blocked.runs {
+        let v = run.var_str("X").unwrap();
+        // The context includes the prompt, as in the argmax test.
+        let chars: Vec<char> = format!("P:{v}").chars().collect();
+        let mut seen = std::collections::HashSet::new();
+        for w in chars.windows(2) {
+            assert!(seen.insert((w[0], w[1])), "repeated pair {w:?} in {v:?}");
+        }
+    }
+
+    // Control: the parameter absent is the parameter at 0 — the same
+    // looping hypotheses, log-prob bits and event stream.
+    let (plain, plain_events) = run("beam(n=2, max_length=12)");
+    assert!(plain.best().var_str("X").unwrap().contains("ababab"));
+    let (zero, zero_events) = run("beam(n=2, no_repeat_ngram_size=0, max_length=12)");
+    assert_eq!(plain_events, zero_events);
+    for (a, b) in plain.runs.iter().zip(&zero.runs) {
+        assert_eq!(a.trace, b.trace);
+        assert_eq!(a.log_prob.to_bits(), b.log_prob.to_bits());
+    }
 }

@@ -28,7 +28,7 @@
 //!    order is preserved among them); a query whose replica fails
 //!    mid-run is retried on the next healthy replica, counted by
 //!    `engine.replica.failover`. Results stay byte-identical: queries
-//!    are deterministic in (source, seed), never in placement.
+//!    are deterministic in their request, never in placement.
 //!
 //! Because every replica computes exactly what a single-node engine
 //! would, the router changes *where* and *when* work runs, never what
@@ -37,7 +37,7 @@
 
 use crate::radix::RadixStats;
 use crate::run::{run_pool, worker_threads, Engine, EngineConfig, EngineObs, QueryStream};
-use lmql::{QueryResult, Runtime, StreamSink};
+use lmql::{ModelErrorClass, QueryRequest, QueryResult, StreamSink};
 use lmql_lm::{
     BreakerConfig, BreakerState, CancelToken, CircuitBreaker, LanguageModel, LmError, LmResult,
     Logits, Usage, UsageMeter,
@@ -222,15 +222,22 @@ pub fn prompt_prefix(source: &str) -> &str {
     &body[..end]
 }
 
-/// The message of the [`Error::Model`](lmql::Error::Model) a router
-/// returns when it sheds a query at admission. Front ends map it to
-/// their own back-pressure signal (the server's `BUSY` frame).
+/// The message of the [`Error::Model`](lmql::Error::Model) (class
+/// `Shed`) a router returns when it sheds a query at admission. Front
+/// ends map the class to their own back-pressure signal (the server's
+/// `BUSY` frame).
 pub const BUSY_MESSAGE: &str = "router at capacity: query shed at admission";
 
-/// Whether `err` is the router's admission-shed error — back-pressure to
-/// surface to the caller, not a replica failure.
+/// Whether `err` is an admission-shed error — back-pressure to surface
+/// to the caller, not a replica failure.
 pub fn is_busy(err: &lmql::Error) -> bool {
-    matches!(err, lmql::Error::Model { message } if message == BUSY_MESSAGE)
+    matches!(
+        err,
+        lmql::Error::Model {
+            class: ModelErrorClass::Shed,
+            ..
+        }
+    )
 }
 
 /// SplitMix64 finaliser: the per-replica weight mixer for rendezvous
@@ -307,25 +314,28 @@ impl Shared {
     }
 
     /// The loop behind [`Router::serve`] (which documents the contract):
-    /// admit, compute the route order, then run `source` down it via
-    /// [`Engine::serve`]. A model-layer failure counts against the
-    /// replica's breaker and moves on (`engine.replica.failover`); any
-    /// other outcome — success, a deterministic query error no replica
-    /// could serve differently, cancellation — closes the breaker and
-    /// ends the loop.
+    /// admit, compute the route order, then run `request` down it via
+    /// [`Engine::serve`]. A replica failure — a model fault past its
+    /// retry budget (transient or fatal: the replica's backend is gone)
+    /// or a fenced panic — counts against the replica's breaker and moves
+    /// on (`engine.replica.failover`). Any other outcome ends the loop:
+    /// success, a deterministic query error or cancellation (the replica
+    /// did its job: breaker success), and an expired deadline, which is
+    /// the caller's verdict, not the replica's — it would expire the same
+    /// way everywhere (breaker untouched, as in
+    /// [`Router::try_score_many`]).
     fn serve(
         self: &Arc<Self>,
-        source: &str,
+        request: &QueryRequest,
         sink: &StreamSink,
         cancel: &CancelToken,
-        configure: &(dyn Fn(&mut Runtime) + Sync),
     ) -> lmql::Result<QueryResult> {
         let Some(_permit) = self.admit() else {
-            return Err(Shared::busy());
+            return Err(lmql::Error::model(ModelErrorClass::Shed, BUSY_MESSAGE));
         };
         let started = Instant::now();
         self.metrics.queries.inc();
-        let order = self.route_order(self.query_key(source));
+        let order = self.route_order(self.query_key(request.source()));
         let mut result = Err(lmql::Error::Cancelled);
         for (attempt, &i) in order.iter().enumerate() {
             if cancel.is_cancelled() {
@@ -336,11 +346,12 @@ impl Shared {
             }
             let replica = &self.replicas[i];
             replica.queries.inc();
-            result = replica
-                .engine
-                .serve(source, sink.clone(), cancel, configure);
+            result = replica.engine.serve(request, sink.clone(), cancel);
             match &result {
-                Err(lmql::Error::Model { .. }) => replica.breaker.record_failure(),
+                Err(lmql::Error::Model { class, .. }) => match class {
+                    ModelErrorClass::Deadline | ModelErrorClass::Shed => break,
+                    _ => replica.breaker.record_failure(),
+                },
                 _ => {
                     replica.breaker.record_success();
                     break;
@@ -351,12 +362,6 @@ impl Shared {
             .latency_us
             .record(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
         result
-    }
-
-    fn busy() -> lmql::Error {
-        lmql::Error::Model {
-            message: BUSY_MESSAGE.to_owned(),
-        }
     }
 }
 
@@ -489,41 +494,33 @@ impl Router {
         self.shared.admit()
     }
 
-    /// Routes and runs one query **on the calling thread**: admission,
-    /// prefix-affinity placement, and fail-over to the next healthy
-    /// replica on model-layer errors. An active `sink` receives the
-    /// query's events — after a fail-over the retried attempt's events
-    /// follow the failed attempt's partial ones, from the start — and
-    /// firing `cancel` stops the query (it is never retried). `configure`
-    /// runs once per attempt, so a retry decodes under the same settings:
-    /// results depend only on (source, configuration), never on
-    /// placement. Returns the `BUSY` shed error at the admission cap.
+    /// Routes and runs one request **on the calling thread**: admission,
+    /// prefix-affinity placement (keyed on the request's source), and
+    /// fail-over to the next healthy replica when a replica fails (a
+    /// model fault past its retry budget, or a panic; deadline expiry
+    /// does not fail over). An active `sink` receives the query's events —
+    /// after a fail-over the retried attempt's events follow the failed
+    /// attempt's partial ones, from the start — and firing `cancel` stops
+    /// the query (it is never retried). Every attempt executes the same
+    /// request, so results depend only on it, never on placement. Returns
+    /// the `BUSY` shed error at the admission cap.
     ///
     /// Everything else here ([`run_query`](Self::run_query),
     /// [`run_queries`](Self::run_queries),
     /// [`stream_query`](Self::stream_query)) is a thin caller of this.
     pub fn serve(
         &self,
-        source: &str,
+        request: &QueryRequest,
         sink: &StreamSink,
         cancel: &CancelToken,
-        configure: &(dyn Fn(&mut Runtime) + Sync),
     ) -> lmql::Result<QueryResult> {
-        self.shared.serve(source, sink, cancel, configure)
+        self.shared.serve(request, sink, cancel)
     }
 
-    /// Routes and runs one query; see [`serve`](Self::serve).
-    pub fn run_query(&self, source: &str) -> lmql::Result<QueryResult> {
-        self.run_query_with(source, |_| {})
-    }
-
-    /// Like [`run_query`](Self::run_query), calling `configure` on the
-    /// query's runtime before it runs (seed, bindings, decode options).
-    pub fn run_query_with<F>(&self, source: &str, configure: F) -> lmql::Result<QueryResult>
-    where
-        F: Fn(&mut Runtime) + Sync,
-    {
-        self.serve(source, &StreamSink::none(), &CancelToken::new(), &configure)
+    /// Routes and runs one request (or bare source); see
+    /// [`serve`](Self::serve).
+    pub fn run_query(&self, request: impl Into<QueryRequest>) -> lmql::Result<QueryResult> {
+        self.serve(&request.into(), &StreamSink::none(), &CancelToken::new())
     }
 
     /// Routes and runs many queries concurrently on a pool of worker
@@ -533,7 +530,7 @@ impl Router {
     pub fn run_queries(&self, sources: &[&str]) -> Vec<lmql::Result<QueryResult>> {
         let (sink, cancel) = (StreamSink::none(), CancelToken::new());
         run_pool(sources.len(), self.shared.threads, |i| {
-            self.serve(sources[i], &sink, &cancel, &|_| {})
+            self.serve(&sources[i].into(), &sink, &cancel)
         })
     }
 
@@ -598,35 +595,26 @@ impl Router {
             .collect()
     }
 
-    /// Routes and streams one query on its own thread; events arrive as
-    /// decoding progresses. On a replica failure mid-stream the query
-    /// fails over: the event stream *restarts from the beginning* on the
-    /// next healthy replica (consumers see the new attempt's events after
-    /// the old attempt's partial ones), and [`QueryStream::wait`] returns
-    /// the retried run's result — byte-identical to a single-node run,
-    /// because results depend only on (source, seed). Dropping the handle
-    /// cancels the query.
-    pub fn stream_query(&self, source: &str) -> QueryStream {
-        self.stream_query_with(source, |_| {})
-    }
-
-    /// [`Router::stream_query`] with a configuration hook applied to the
-    /// per-query [`Runtime`] before decoding starts (once per attempt).
-    pub fn stream_query_with<F>(&self, source: &str, configure: F) -> QueryStream
-    where
-        F: Fn(&mut Runtime) + Send + Sync + 'static,
-    {
+    /// Routes and streams one request (or bare source) on its own thread;
+    /// events arrive as decoding progresses. On a replica failure
+    /// mid-stream the query fails over: the event stream *restarts from
+    /// the beginning* on the next healthy replica (consumers see the new
+    /// attempt's events after the old attempt's partial ones), and
+    /// [`QueryStream::wait`] returns the retried run's result —
+    /// byte-identical to a single-node run, because results depend only
+    /// on the request. Dropping the handle cancels the query.
+    pub fn stream_query(&self, request: impl Into<QueryRequest>) -> QueryStream {
         let shared = Arc::clone(&self.shared);
-        let source = source.to_owned();
+        let request = request.into();
         QueryStream::spawn("lmql-router-stream", move |sink, cancel| {
-            shared.serve(&source, &sink, cancel, &configure)
+            shared.serve(&request, &sink, cancel)
         })
     }
 
     /// Streams many queries; handles are independent (consume, wait, or
     /// drop-to-cancel in any order).
     pub fn stream_queries(&self, sources: &[&str]) -> Vec<QueryStream> {
-        sources.iter().map(|src| self.stream_query(src)).collect()
+        sources.iter().map(|src| self.stream_query(*src)).collect()
     }
 
     /// Shuts every replica's scheduler down, draining queued and
@@ -664,6 +652,7 @@ impl Router {
 mod tests {
     use super::*;
     use lmql_lm::{Episode, ScriptedLm};
+    use std::time::Duration;
 
     fn pool(replicas: usize, affinity: bool, episodes: Vec<Episode>) -> Router {
         let bpe = Arc::new(Bpe::char_level(""));
@@ -760,13 +749,94 @@ mod tests {
         let q = "argmax\n    \"Q:[A]\"\nfrom \"m\"\nwhere stops_at(A, \".\")\n";
         let shed = router.run_query(q);
         assert!(
-            matches!(shed, Err(lmql::Error::Model { ref message }) if message.contains("capacity")),
+            matches!(shed, Err(lmql::Error::Model { ref message, .. }) if message.contains("capacity")),
             "{shed:?}"
         );
         drop(p1);
         assert!(router.admit().is_some(), "released slot is reusable");
         assert_eq!(router.stats().shed, 2);
         drop(router);
+    }
+
+    /// A model whose every call fails transiently.
+    struct Down(Arc<Bpe>);
+
+    impl LanguageModel for Down {
+        fn vocab(&self) -> &lmql_tokenizer::Vocabulary {
+            self.0.vocab()
+        }
+        fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
+            let down = Err(LmError::transient(lmql_lm::FaultKind::Other, "down"));
+            vec![down; contexts.len()]
+        }
+    }
+
+    /// A query past its deadline is the caller's verdict, not the
+    /// replica's: it is not replayed on the next replica and counts
+    /// against no breaker — while the same backend without a deadline is
+    /// a replica failure and fails over.
+    #[test]
+    fn expired_deadline_does_not_fail_over() {
+        use lmql_lm::RetryPolicy;
+        let bpe = Arc::new(Bpe::char_level(""));
+        let router = Router::new(
+            Arc::new(Down(Arc::clone(&bpe))),
+            bpe,
+            RouterConfig {
+                replicas: 2,
+                engine: EngineConfig {
+                    retry: RetryPolicy::none(),
+                    ..EngineConfig::default()
+                },
+                ..RouterConfig::default()
+            },
+        );
+        let q = "argmax\n    \"Q:[A]\"\nfrom \"m\"\n";
+        let patient = RetryPolicy {
+            max_retries: u32::MAX,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(1),
+            deadline: Some(Duration::from_millis(20)),
+            ..RetryPolicy::default()
+        };
+        let err = router
+            .run_query(QueryRequest::new(q).retry(patient))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                lmql::Error::Model {
+                    class: ModelErrorClass::Deadline,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        let stats = router.stats();
+        assert_eq!(stats.failovers, 0);
+        let loads: Vec<u64> = stats.replicas.iter().map(|r| r.queries).collect();
+        assert_eq!(
+            loads.iter().sum::<u64>(),
+            1,
+            "ran on one replica: {loads:?}"
+        );
+        assert!(stats
+            .replicas
+            .iter()
+            .all(|r| r.breaker == BreakerState::Closed));
+
+        let err = router.run_query(q).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                lmql::Error::Model {
+                    class: ModelErrorClass::Transient,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(router.stats().failovers, 1, "a dead backend does fail over");
     }
 
     #[test]

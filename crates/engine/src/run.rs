@@ -1,13 +1,13 @@
 //! The thread-pool query runner: many LMQL queries, one shared model.
 //!
-//! [`Engine::serve`] is the one blocking primitive: it runs a query on
-//! the calling thread, on a fresh [`Runtime`] (own seed, own per-run
-//! cache, own meter) that scores through the shared [`Scheduler`] — so
-//! shared prompt prefixes are paid for once, identical in-flight
-//! contexts single-flight, and concurrent steps coalesce into
-//! microbatches. [`Engine::run_queries`] calls it from a pool of worker
-//! threads, [`Engine::stream_query`] from one spawned thread with a
-//! channel sink.
+//! [`Engine::serve`] is the one blocking primitive: it executes a
+//! [`QueryRequest`] on the calling thread, on a clone of the engine's
+//! template [`Runtime`] (own per-run cache, own meter) that scores
+//! through the shared [`Scheduler`] — so shared prompt prefixes are paid
+//! for once, identical in-flight contexts single-flight, and concurrent
+//! steps coalesce into microbatches. [`Engine::run_queries`] calls it
+//! from a pool of worker threads, [`Engine::stream_query`] from one
+//! spawned thread with a channel sink.
 //!
 //! Results are deterministic and bit-identical to running each query
 //! alone on the bare model: the scheduler only ever returns what a
@@ -18,7 +18,10 @@
 use crate::radix::{RadixCacheConfig, RadixStats};
 use crate::sched::{BatchPolicy, BatchedLm, Scheduler, SchedulerObs};
 use lmql::constraints::{AutomataCache, MaskMemo};
-use lmql::{EventSink, QueryEvent, QueryResult, Runtime, StreamSink, SubqueryLimits, ToolRegistry};
+use lmql::{
+    EventSink, ModelErrorClass, QueryEvent, QueryRequest, QueryResult, Runtime, StreamSink,
+    SubqueryLimits, ToolRegistry,
+};
 use lmql_lm::{CancelToken, LanguageModel, MeteredLm, RetryPolicy, Usage, UsageMeter};
 use lmql_obs::{Registry, StreamMetrics, Tracer};
 use lmql_tokenizer::Bpe;
@@ -41,16 +44,17 @@ pub struct EngineConfig {
     /// infallible models — retries only ever run after a fault.
     pub retry: RetryPolicy,
     /// Depth/budget limits on the `subquery(...)` trees queries may
-    /// spawn (applied to every worker runtime).
+    /// spawn (applied to every query's runtime).
     pub subquery: SubqueryLimits,
-    /// First-class tools installed on every worker runtime (DESIGN.md
-    /// §16). Replicas seeded from one config share the registry's call
-    /// counters, so tool usage rolls up across the pool.
+    /// First-class tools installed on the engine's template runtime, so
+    /// every query can call them (DESIGN.md §16). Replicas seeded from
+    /// one config share the registry's call counters, so tool usage
+    /// rolls up across the pool.
     pub tools: ToolRegistry,
 }
 
 /// Observability hooks for an [`Engine`]: a trace recorder shared by the
-/// scheduler and every worker [`Runtime`], and an optional metrics
+/// scheduler and every query's [`Runtime`], and an optional metrics
 /// registry collecting `engine.*` and `lm.*` metrics. Both default to
 /// off/absent and are free in that state (configuration stays plain
 /// data; these hooks ride separately through [`Engine::new_with_obs`]).
@@ -103,27 +107,18 @@ pub struct EngineStats {
 #[derive(Clone)]
 pub struct Engine {
     sched: Arc<Scheduler>,
-    bpe: Arc<Bpe>,
+    /// The environment every query runs in, built once: a [`Runtime`]
+    /// over a plain scheduler handle carrying the tracer, the cross-query
+    /// mask memo and automata cache (masks and compiled automata transfer
+    /// between queries with identical constraints — the analogue of the
+    /// radix prefix cache, for masks instead of scores), the subquery
+    /// limits, the tools (installed here, not per query) and the metrics
+    /// registry. [`Engine::serve`] clones it per query.
+    runtime: Runtime,
     meter: UsageMeter,
     threads: usize,
-    tracer: Tracer,
-    registry: Option<Registry>,
     /// `stream.*` delivery counters (registered when a registry is set).
     stream_metrics: StreamMetrics,
-    /// Cross-query mask memo: every worker runtime masks over the same
-    /// `bpe`, so memoized masks transfer between concurrent queries with
-    /// identical constraints (the engine's analogue of the radix prefix
-    /// cache, for masks instead of scores).
-    mask_memo: Arc<MaskMemo>,
-    /// Cross-query constraint-automata cache: compiled automata and their
-    /// per-state interned masks transfer between concurrent queries with
-    /// identical constraints, so only the first run of a query shape pays
-    /// compilation and per-state mask discovery.
-    automata: Arc<AutomataCache>,
-    /// Subquery tree limits applied to every worker runtime.
-    subquery: SubqueryLimits,
-    /// Tools installed on every worker runtime.
-    tools: ToolRegistry,
 }
 
 impl std::fmt::Debug for Engine {
@@ -205,25 +200,29 @@ impl Engine {
                 registry: obs.registry.clone(),
             },
         ));
+        let mut runtime = Runtime::new(Arc::new(BatchedLm::new(Arc::clone(&sched))), bpe);
+        runtime.set_tracer(obs.tracer);
+        runtime.set_mask_memo(MaskMemo::new(1024));
+        runtime.set_automata_cache(AutomataCache::new());
+        runtime.set_subquery_limits(config.subquery);
+        runtime.set_tools(config.tools);
+        if let Some(registry) = obs.registry {
+            runtime.set_metrics_registry(registry);
+        }
         Engine {
             sched,
-            bpe,
+            runtime,
             meter,
             threads: config.threads,
-            tracer: obs.tracer,
-            registry: obs.registry,
             stream_metrics,
-            mask_memo: MaskMemo::new(1024),
-            automata: AutomataCache::new(),
-            subquery: config.subquery,
-            tools: config.tools,
         }
     }
 
-    /// The engine's tool registry (installed on every worker runtime;
-    /// [`ToolRegistry::usage`] here is the pool-wide rollup).
+    /// The engine's tool registry (installed on the template runtime
+    /// every query runs on; [`ToolRegistry::usage`] here is the
+    /// pool-wide rollup).
     pub fn tools(&self) -> &ToolRegistry {
-        &self.tools
+        self.runtime.tools()
     }
 
     /// A [`LanguageModel`] handle routing through this engine's
@@ -255,82 +254,52 @@ impl Engine {
     /// The engine's trace recorder (disabled unless one was installed via
     /// [`new_with_obs`](Self::new_with_obs)).
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        self.runtime.tracer()
     }
 
-    /// The metrics registry, if one was installed via
-    /// [`new_with_obs`](Self::new_with_obs).
-    pub fn registry(&self) -> Option<&Registry> {
-        self.registry.as_ref()
-    }
-
-    /// The engine's shared cross-query mask memo.
-    pub fn mask_memo(&self) -> &Arc<MaskMemo> {
-        &self.mask_memo
-    }
-
-    /// The engine's shared cross-query constraint-automata cache.
-    pub fn automata_cache(&self) -> &Arc<AutomataCache> {
-        &self.automata
-    }
-
-    /// Runs one query to completion **on the calling thread** — the one
-    /// place a per-query [`Runtime`] is built and fenced. The runtime
-    /// scores through a [`BatchedLm::with_cancel`] handle on `cancel`
-    /// and carries the engine's tracer, shared mask memo and automata
-    /// cache, subquery limits, tools and registry; `configure` then
-    /// adjusts it (seed, bindings, decode options). An active `sink`
-    /// receives the query's events, metered under `stream.*`.
+    /// Executes one request to completion **on the calling thread** — the
+    /// one place a per-query [`Runtime`] is made and fenced: the engine's
+    /// template runtime with a [`BatchedLm::with_cancel`] handle on
+    /// `cancel` and a fresh usage meter swapped in. The request's settings
+    /// (seed, bindings, decode options, tools) apply to this call only.
+    /// An active `sink` receives the query's events, metered under
+    /// `stream.*`, and wins over a sink set on the request itself: the
+    /// serving layer's handle is where a served query streams.
     ///
-    /// A model failure past the scheduler's retry budget surfaces as a
-    /// panic inside the runtime's `score` calls; it is contained here
-    /// and returned as [`lmql::Error::Model`], so neither the caller's
+    /// A panic anywhere in the run is contained here and returned as
+    /// [`lmql::Error::Model`] of class `Panic`, so neither the caller's
     /// thread nor any other query is disturbed.
-    pub fn serve<F>(
+    pub fn serve(
         &self,
-        source: &str,
+        request: &QueryRequest,
         sink: StreamSink,
         cancel: &CancelToken,
-        configure: F,
-    ) -> lmql::Result<QueryResult>
-    where
-        F: FnOnce(&mut Runtime),
-    {
+    ) -> lmql::Result<QueryResult> {
         let lm = BatchedLm::with_cancel(Arc::clone(&self.sched), cancel.clone());
-        let mut rt = Runtime::new(Arc::new(lm), Arc::clone(&self.bpe));
-        rt.set_tracer(self.tracer.clone());
-        rt.set_mask_memo(Arc::clone(&self.mask_memo));
-        rt.set_automata_cache(Arc::clone(&self.automata));
-        rt.set_subquery_limits(self.subquery);
-        if !self.tools.is_empty() {
-            rt.set_tools(self.tools.clone());
-        }
-        if let Some(registry) = &self.registry {
-            rt.set_metrics_registry(registry.clone());
-        }
-        configure(&mut rt);
-        let sink = if sink.is_active() {
-            StreamSink::new(Arc::new(MeteredSink {
-                inner: sink,
-                metrics: self.stream_metrics.clone(),
-                started: Instant::now(),
-                saw_token: AtomicBool::new(false),
-            }))
+        let rt = self.runtime.with_model(Arc::new(lm));
+        let streamed;
+        let request = if sink.is_active() {
+            streamed = request
+                .clone()
+                .stream(StreamSink::new(Arc::new(MeteredSink {
+                    inner: sink,
+                    metrics: self.stream_metrics.clone(),
+                    started: Instant::now(),
+                    saw_token: AtomicBool::new(false),
+                })));
+            &streamed
         } else {
-            sink
+            request
         };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            rt.run_streamed(source, sink)
-        }))
-        .unwrap_or_else(|payload| {
-            let message = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("query worker panicked")
-                .to_owned();
-            Err(lmql::Error::Model { message })
-        });
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.execute(request)))
+            .unwrap_or_else(|payload| {
+                let message = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                    .unwrap_or("query worker panicked");
+                Err(lmql::Error::model(ModelErrorClass::Panic, message))
+            });
         if matches!(result, Err(lmql::Error::Cancelled)) {
             self.stream_metrics.cancelled.inc();
         }
@@ -338,30 +307,14 @@ impl Engine {
     }
 
     /// Runs each query source concurrently over the shared model,
-    /// returning results in input order.
-    ///
-    /// Each query runs on a fresh default [`Runtime`]; use
-    /// [`run_queries_with`](Self::run_queries_with) to configure
-    /// runtimes (seeds, bindings, externals) per query.
+    /// returning results in input order. Each runs as a request with
+    /// nothing set; to configure one (seed, bindings, tools), build a
+    /// [`QueryRequest`] and [`serve`](Self::serve) or
+    /// [`stream_query`](Self::stream_query) it.
     pub fn run_queries(&self, sources: &[&str]) -> Vec<lmql::Result<QueryResult>> {
-        self.run_queries_with(sources, |_, _| {})
-    }
-
-    /// Like [`run_queries`](Self::run_queries), calling `configure`
-    /// with each query's index and runtime before it runs.
-    pub fn run_queries_with<F>(
-        &self,
-        sources: &[&str],
-        configure: F,
-    ) -> Vec<lmql::Result<QueryResult>>
-    where
-        F: Fn(usize, &mut Runtime) + Sync,
-    {
         let cancel = CancelToken::new();
         run_pool(sources.len(), worker_threads(self.threads), |i| {
-            self.serve(sources[i], StreamSink::none(), &cancel, |rt| {
-                configure(i, rt)
-            })
+            self.serve(&sources[i].into(), StreamSink::none(), &cancel)
         })
     }
 
@@ -374,24 +327,16 @@ impl Engine {
     /// slots (counted by the `engine.cancelled` metric) without
     /// disturbing other queries.
     pub fn stream_queries(&self, sources: &[&str]) -> Vec<QueryStream> {
-        sources.iter().map(|src| self.stream_query(src)).collect()
+        sources.iter().map(|src| self.stream_query(*src)).collect()
     }
 
-    /// Streams one query; see [`stream_queries`](Self::stream_queries).
-    pub fn stream_query(&self, source: &str) -> QueryStream {
-        self.stream_query_with(source, |_| {})
-    }
-
-    /// Like [`stream_query`](Self::stream_query), calling `configure` on
-    /// the query's runtime (seed, bindings, externals) before it runs.
-    pub fn stream_query_with<F>(&self, source: &str, configure: F) -> QueryStream
-    where
-        F: FnOnce(&mut Runtime) + Send + 'static,
-    {
+    /// Streams one request (or bare source); see
+    /// [`stream_queries`](Self::stream_queries).
+    pub fn stream_query(&self, request: impl Into<QueryRequest>) -> QueryStream {
         let engine = self.clone();
-        let source = source.to_owned();
+        let request = request.into();
         QueryStream::spawn("lmql-engine-stream", move |sink, cancel| {
-            engine.serve(&source, sink, cancel, configure)
+            engine.serve(&request, sink, cancel)
         })
     }
 }
@@ -506,9 +451,10 @@ impl QueryStream {
     /// [`Engine::run_queries`] would have returned.
     pub fn wait(self) -> lmql::Result<QueryResult> {
         self.result.recv().unwrap_or_else(|_| {
-            Err(lmql::Error::Model {
-                message: "stream worker vanished without a result".to_owned(),
-            })
+            Err(lmql::Error::model(
+                ModelErrorClass::Panic,
+                "stream worker vanished without a result",
+            ))
         })
     }
 }
@@ -626,17 +572,17 @@ mod tests {
     }
 
     #[test]
-    fn configure_binds_per_query() {
+    fn request_binds_per_query() {
         let eng = engine(vec![Episode::plain("v: a\npick:", " a")], 2);
         let q = "argmax\n    \"v: {V}\\npick:[X]\"\nfrom \"m\"\n";
-        let results = eng.run_queries_with(&[q], |_, rt| {
-            rt.bind("V", lmql::Value::Str("a".into()));
-        });
-        assert!(results[0]
-            .as_ref()
-            .unwrap()
-            .best()
-            .trace
-            .starts_with("v: a"));
+        let request = QueryRequest::new(q).bind("V", lmql::Value::Str("a".into()));
+        let result = eng
+            .serve(&request, StreamSink::none(), &CancelToken::new())
+            .unwrap();
+        assert!(result.best().trace.starts_with("v: a"));
+        // The binding was the request's, not the engine's: the next
+        // query on the same engine does not see it.
+        let unbound = eng.run_queries(&[q]).remove(0);
+        assert!(unbound.is_err(), "{unbound:?}");
     }
 }

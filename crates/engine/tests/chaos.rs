@@ -147,7 +147,10 @@ fn fatal_injection_fails_only_the_affected_query() {
     );
     let results = engine.run_queries(&QUERIES);
     match &results[0] {
-        Err(lmql::Error::Model { message }) => {
+        Err(lmql::Error::Model {
+            message,
+            class: lmql::ModelErrorClass::Fatal,
+        }) => {
             assert!(message.contains("fatal"), "got: {message}")
         }
         other => panic!("expected Error::Model for the faulted query, got {other:?}"),

@@ -7,9 +7,9 @@
 //! gate on observed [`QueryEvent::SubqueryStart`] events rather than
 //! sleeps, and the dispatch-round pin compares two fully scripted runs.
 
-use lmql::{QueryEvent, SubqueryLimits};
+use lmql::{QueryEvent, QueryRequest, StreamSink, SubqueryLimits};
 use lmql_engine::{BatchPolicy, Engine, EngineConfig, EngineObs};
-use lmql_lm::{ChaosLm, Episode, FaultPlan, ScriptedLm};
+use lmql_lm::{CancelToken, ChaosLm, Episode, FaultPlan, ScriptedLm};
 use lmql_obs::{Registry, Tracer};
 use lmql_tokenizer::Bpe;
 use std::sync::Arc;
@@ -311,11 +311,11 @@ fn parallel_holes_halve_scheduler_dispatch_rounds() {
             },
         );
         let result = engine
-            .run_queries_with(&[src], |_, rt| {
-                rt.options_mut().parallel_holes = parallel;
-            })
-            .pop()
-            .unwrap()
+            .serve(
+                &QueryRequest::new(src).parallel_holes(parallel),
+                StreamSink::none(),
+                &CancelToken::new(),
+            )
             .unwrap();
         let snap = registry.snapshot();
         (

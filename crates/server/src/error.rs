@@ -82,15 +82,18 @@ impl From<lmql::WireError> for ServerError {
 }
 
 /// Serving failures surface at the query level as the root error's
-/// model-failure arm (the query was sound, the serving layer was not) —
-/// except cancellation, which keeps its own variant.
+/// model-failure arm (the query was sound, the serving layer was not),
+/// classed by whether a retry may succeed — except cancellation, which
+/// keeps its own variant.
 impl From<ServerError> for lmql::Error {
     fn from(e: ServerError) -> Self {
+        use lmql::ModelErrorClass::{Fatal, Transient};
         match e {
-            ServerError::Model(LmError::Cancelled) => lmql::Error::Cancelled,
-            other => lmql::Error::Model {
-                message: other.to_string(),
-            },
+            ServerError::Model(e) => e.into(),
+            ServerError::Io(_) => lmql::Error::model(Transient, e.to_string()),
+            ServerError::Protocol(_) | ServerError::Query(_) => {
+                lmql::Error::model(Fatal, e.to_string())
+            }
         }
     }
 }
@@ -123,7 +126,9 @@ mod tests {
     #[test]
     fn converts_into_root_error() {
         let root: lmql::Error = ServerError::Query("bad query".into()).into();
-        assert!(matches!(&root, lmql::Error::Model { message } if message.contains("bad query")));
+        assert!(
+            matches!(&root, lmql::Error::Model { message, .. } if message.contains("bad query"))
+        );
         let root: lmql::Error = ServerError::Model(LmError::Cancelled).into();
         assert_eq!(root, lmql::Error::Cancelled);
     }

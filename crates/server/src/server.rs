@@ -13,7 +13,7 @@ use crate::protocol::{
     parse_batch_request, parse_score_request, write_batch_logits, write_busy, write_logits,
     write_stats, write_tokenizer,
 };
-use lmql::{EventSink, QueryEvent, StreamSink, ToolRegistry};
+use lmql::{EventSink, ModelErrorClass, QueryEvent, QueryRequest, StreamSink, ToolRegistry};
 use lmql_engine::{
     router, BatchPolicy, EngineConfig, RadixCacheConfig, RadixStats, Router, RouterConfig,
     RouterObs,
@@ -68,7 +68,7 @@ pub struct ServerConfig {
     /// budget, frames get a `BUSY` reply. `0` (the default) disables
     /// query-level shedding.
     pub max_inflight: usize,
-    /// First-class tools installed on every server-side query runtime
+    /// First-class tools every server-side query runtime carries
     /// (DESIGN.md §16): `STREAM` queries can `import` and call these.
     /// Clones share call counters, so usage rolls up server-wide.
     pub tools: ToolRegistry,
@@ -316,7 +316,7 @@ fn handle_connection(stream: TcpStream, shared: &ConnShared) -> std::io::Result<
                             let mut buf = vec![0u8; n];
                             read_exact_polling(&mut reader, &mut buf, shared)?;
                             match String::from_utf8(buf) {
-                                Ok(source) => serve_stream(&source, &mut writer, shared)?,
+                                Ok(source) => serve_stream(source, &mut writer, shared)?,
                                 Err(_) => {
                                     writeln!(writer, "ERR STREAM payload not UTF-8")?;
                                     writer.flush()?;
@@ -448,16 +448,18 @@ impl EventSink for WireSink {
 /// Executes one streamed query through the router, on this handler
 /// thread: events ship as `EVENT <wire>` lines (flushed per event, so
 /// the client sees tokens as they decode), then a terminal frame —
-/// `DONE` on success, `BUSY` when the router shed the query at its
-/// admission cap, `RETRY <msg>` for transient serving faults (same
-/// client semantics as a scoring `RETRY`), `ERR <msg>` otherwise.
+/// `DONE` on success, then by the error's carried class (never its
+/// text): `BUSY` when the router shed the query at its admission cap,
+/// `RETRY <msg>` for transient serving faults and expired deadlines (same
+/// client semantics as a scoring `RETRY`), `ERR <msg>` otherwise —
+/// including cancellation and every error of the query itself.
 ///
 /// On a replica failure mid-stream the router retries on a healthy
 /// replica and replays the stream from the start, so the client may see
 /// the leading events twice — the terminal result is byte-identical
 /// either way.
 fn serve_stream(
-    source: &str,
+    source: String,
     writer: &mut BufWriter<TcpStream>,
     shared: &ConnShared,
 ) -> std::io::Result<()> {
@@ -468,21 +470,24 @@ fn serve_stream(
         out: Mutex::new(BufWriter::new(writer.get_ref().try_clone()?)),
         cancel: cancel.clone(),
     }));
-    match shared.router.serve(source, &sink, &cancel, &|_| {}) {
+    match shared
+        .router
+        .serve(&QueryRequest::new(source), &sink, &cancel)
+    {
         Ok(_) => writeln!(writer, "DONE")?,
         Err(e) if router::is_busy(&e) => return write_busy(writer),
         Err(e) => {
-            let msg = e.to_string().replace('\n', " ");
-            // Preserve the taxonomy across the hop: transient model
-            // faults (including expired deadlines) are retryable, the
-            // rest — including cancellation — are terminal.
-            let transient = msg.contains("transient model error")
-                || msg.contains("model call deadline exceeded");
-            if transient {
-                writeln!(writer, "RETRY {msg}")?;
-            } else {
-                writeln!(writer, "ERR {msg}")?;
-            }
+            // The taxonomy crosses the hop by the error's class: transient
+            // model faults (including expired deadlines) are retryable,
+            // the rest — including cancellation — are terminal.
+            let tag = match &e {
+                lmql::Error::Model {
+                    class: ModelErrorClass::Transient | ModelErrorClass::Deadline,
+                    ..
+                } => "RETRY",
+                _ => "ERR",
+            };
+            writeln!(writer, "{tag} {}", e.to_string().replace('\n', " "))?;
         }
     }
     writer.flush()

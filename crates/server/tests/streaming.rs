@@ -208,6 +208,38 @@ fn exhausted_transient_fault_gets_retry_frame() {
     }
 }
 
+/// The terminal frame follows the error's class, never its text: a
+/// tool failure whose message happens to quote the model-fault wording is
+/// still the query's own error — `ERR`, not a retryable `RETRY`.
+#[test]
+fn tool_error_quoting_a_transient_fault_gets_err_frame() {
+    for replicas in SHAPES {
+        let bpe = Arc::new(Bpe::char_level(""));
+        let flaky = lmql::FnTool::new("upstream", "fetch", |_| {
+            Err("transient model error (timeout): model call deadline exceeded".into())
+        });
+        let config = ServerConfig {
+            tools: lmql::ToolRegistry::new().with(Arc::new(flaky)),
+            ..shape(replicas)
+        };
+        let server = spawn(scripted(&bpe), &bpe, config);
+        let (remote, _bpe) = RemoteLm::connect(server.addr()).unwrap();
+        let query =
+            "import upstream\nargmax\n    r = upstream.fetch(1)\n    \"Q:[A]\"\nfrom \"m\"\n";
+        let err = remote
+            .stream_query(query, TIMEOUT)
+            .unwrap()
+            .into_result()
+            .unwrap_err();
+        assert!(
+            matches!(&err, ServerError::Query(msg) if msg.contains("transient model error")),
+            "replicas={replicas}: a tool's error must arrive as ERR, got {err:?}"
+        );
+        assert!(!err.is_transient());
+        server.shutdown();
+    }
+}
+
 /// A model that takes `delay` per call, so a streamed query stays in
 /// flight long enough for a test to act on it.
 struct SlowLm {

@@ -21,8 +21,10 @@
 #             zero-alloc prefix-key budget pin, the scheduler's unit
 #             tests and the server's blocking-accept / firing-rule suite
 #             ten times in a row (a scheduling flake shows up here, not
-#             in the benchmark pipeline), plus `lmql-run --stream` and
-#             `--replicas` CLI smoke runs
+#             in the benchmark pipeline), the entry-point agreement
+#             table (one request, every way in), plus `lmql-run --stream`
+#             and a `--replicas` CLI diff under non-default request
+#             options (seed, binding, sequential holes; argmax + sampled)
 #   --automata  constraint-automata suites only (DESIGN.md §12): the
 #             automata crate's unit tests, differential mask equality
 #             against the uncompiled engines, and fast-forward decoder
@@ -237,6 +239,7 @@ if [[ "$MODE" == serve ]]; then
     cargo test -q -p lmql-engine --lib router
     cargo test -q -p lmql-engine --test streaming
     cargo test -q -p lmql-engine --test router
+    cargo test -q -p lmql-engine --test entry_points
     cargo test -q -p lmql-server --test streaming
     cargo test -q -p lmql-server --test pool
     cargo test -q -p lmql-server --test stats
@@ -261,13 +264,34 @@ if [[ "$MODE" == serve ]]; then
     }
     echo "==> lmql-run --replicas bisection smoke"
     # The result blocks must be byte-identical across the single-runtime
-    # path, the pooled path, and the pooled round-robin path; only the
-    # usage footer differs, so strip it before comparing.
-    ONE_OUT="$(cargo run -q --bin lmql-run -- "$QUERY_FILE" --max-tokens 16 | grep -v '^--- usage:')"
-    POOL_OUT="$(cargo run -q --bin lmql-run -- "$QUERY_FILE" --max-tokens 16 --replicas 3 | grep -v '^--- usage:')"
-    RR_OUT="$(cargo run -q --bin lmql-run -- "$QUERY_FILE" --max-tokens 16 --replicas 3 --no-affinity | grep -v '^--- usage:')"
-    if [[ "$ONE_OUT" != "$POOL_OUT" || "$ONE_OUT" != "$RR_OUT" ]]; then
-        echo "error: lmql-run output differs with --replicas/--no-affinity" >&2
+    # path, the pooled path, and the pooled round-robin path — under
+    # non-default request options, for an argmax and a sampled query, so a
+    # pooled run that dropped the seed, the binding or a decode option
+    # shows up here. Only the usage footer differs, so strip it first.
+    SAMPLE_FILE="$(mktemp /tmp/lmql-serve-smoke.XXXXXX.lmql)"
+    trap 'rm -f "$QUERY_FILE" "$SAMPLE_FILE"' EXIT
+    printf '%s\n' \
+        'sample(n=2)' \
+        '    "A note from {WHO}: things not to forget when travelling:\n-[THING]-[OTHER]"' \
+        'from "ngram"' \
+        'where stops_at(THING, "\n") and stops_at(OTHER, "\n")' > "$SAMPLE_FILE"
+    run_cli() {
+        cargo run -q --bin lmql-run -- "$@" --max-tokens 16 --bind WHO=me --no-parallel-holes \
+            | grep -v '^--- usage:'
+    }
+    for q in "$QUERY_FILE" "$SAMPLE_FILE"; do
+        ONE_OUT="$(run_cli "$q" --seed 7)"
+        POOL_OUT="$(run_cli "$q" --seed 7 --replicas 3)"
+        RR_OUT="$(run_cli "$q" --seed 7 --replicas 3 --no-affinity)"
+        if [[ "$ONE_OUT" != "$POOL_OUT" || "$ONE_OUT" != "$RR_OUT" ]]; then
+            echo "error: lmql-run output differs with --replicas/--no-affinity ($q)" >&2
+            exit 1
+        fi
+    done
+    # The seed must matter for the sampled query, or the check above
+    # could not tell a pooled run that ignored it.
+    if [[ "$ONE_OUT" == "$(run_cli "$SAMPLE_FILE" --seed 8)" ]]; then
+        echo "error: sample(n=2) output does not depend on --seed" >&2
         exit 1
     fi
     echo "==> OK"

@@ -69,8 +69,9 @@
 //! cargo run --bin lmql-run -- /tmp/q.lmql --model ngram
 //! ```
 
-use lmql::constraints::MaskEngine;
-use lmql::{QueryEvent, Runtime, StreamSink, Value};
+use lmql::constraints::{MaskConfig, MaskEngine};
+use lmql::{QueryEvent, QueryRequest, Runtime, StreamSink, Value};
+use lmql_engine::{Router, RouterConfig, RouterObs};
 use lmql_lm::{corpus, ChaosLm, ChaosStats, Episode, FaultPlan, RetryLm, RetryPolicy, ScriptedLm};
 use std::io::Write;
 use std::process::ExitCode;
@@ -304,76 +305,118 @@ fn run() -> Result<(), String> {
         None => None,
     };
 
-    if args.replicas > 1 {
-        return run_pooled(&args, &source, lm, bpe, chaos_stats.as_ref(), retrieval);
+    if args.trace && args.replicas > 1 {
+        return Err(
+            "--trace needs the single-runtime decoder graph; with --replicas use --trace-json \
+             for spans instead"
+                .to_owned(),
+        );
     }
-
-    let mut runtime = Runtime::new(lm, bpe);
-    if let Some(tool) = &retrieval {
-        runtime.register_tool(tool.clone());
-    }
-    runtime.options_mut().engine = args.engine;
-    runtime.options_mut().seed = args.seed;
-    runtime.options_mut().max_tokens_per_hole = args.max_tokens;
-    if args.no_automata {
-        // Bisection switch: rerun with constraint automata disabled to
-        // check a surprising result against the uncompiled mask path.
-        runtime.options_mut().mask.automata = false;
-    }
-    if args.no_parallel_holes {
-        // Bisection switch: rerun with program-level hole parallelism
-        // off (DESIGN.md §14) — output must be byte-identical, so any
-        // difference localises a parallel-decode bug.
-        runtime.options_mut().parallel_holes = false;
-    }
-    for (k, v) in &args.binds {
-        runtime.bind(k, Value::Str(v.clone()));
-    }
-
     let tracer = if args.trace || args.trace_json.is_some() {
         lmql_obs::Tracer::recording()
     } else {
         lmql_obs::Tracer::disabled()
     };
-    runtime.set_tracer(tracer.clone());
-
     let registry = lmql_obs::Registry::new();
-    if args.metrics {
-        runtime.meter().register_into(&registry, "lm");
-        // Mask-generation counters (mask.cache.hit/miss,
-        // mask.scan.parallel_chunks) register lazily per query run.
-        runtime.set_metrics_registry(registry.clone());
+
+    // Every per-query flag lands on the one request, whichever path
+    // executes it — so a pooled run (and each fail-over attempt inside
+    // it) decodes under exactly the settings a single runtime would.
+    let mut request = QueryRequest::new(source)
+        .engine(args.engine)
+        .seed(args.seed)
+        .max_tokens(args.max_tokens)
+        .tracer(tracer.clone());
+    if args.no_automata {
+        // Bisection switch: rerun with constraint automata disabled to
+        // check a surprising result against the uncompiled mask path.
+        request = request.mask(MaskConfig {
+            automata: false,
+            ..MaskConfig::default()
+        });
+    }
+    if args.no_parallel_holes {
+        // Bisection switch: rerun with program-level hole parallelism
+        // off (DESIGN.md §14) — output must be byte-identical, so any
+        // difference localises a parallel-decode bug.
+        request = request.parallel_holes(false);
+    }
+    for (k, v) in &args.binds {
+        request = request.bind(k, Value::Str(v.clone()));
+    }
+    if let Some(tool) = retrieval {
+        request = request.tool(tool);
     }
 
-    if args.stream {
-        // Print path 0 (argmax / first beam / first sample) live as the
-        // decoder emits it; other paths would interleave incoherently on
-        // a terminal, so they stay silent here.
-        let sink = StreamSink::callback(|event| {
-            let text = match event {
-                QueryEvent::PromptChunk { path: 0, text } => text.as_str(),
-                QueryEvent::TokenDelta { path: 0, text, .. } => text.as_str(),
-                _ => return,
-            };
+    // `--replicas N` (N > 1) runs the request through the scale-out
+    // router instead of a single runtime.
+    let backend = if args.replicas > 1 {
+        Backend::Pool(Router::new_with_obs(
+            lm,
+            bpe,
+            RouterConfig {
+                replicas: args.replicas,
+                affinity: !args.no_affinity,
+                ..RouterConfig::default()
+            },
+            RouterObs {
+                tracer: tracer.clone(),
+                registry: args.metrics.then(|| registry.clone()),
+            },
+        ))
+    } else {
+        let mut runtime = Runtime::new(lm, bpe);
+        if args.metrics {
+            runtime.meter().register_into(&registry, "lm");
+            // Mask-generation counters (mask.cache.hit/miss,
+            // mask.scan.parallel_chunks) register lazily per query run.
+            runtime.set_metrics_registry(registry.clone());
+        }
+        Backend::Single(Box::new(runtime))
+    };
+
+    // `--stream` prints path 0 (argmax / first beam / first sample) live
+    // as the decoder emits it; other paths would interleave incoherently
+    // on a terminal, so they stay silent here.
+    let print_live = |event: &QueryEvent| {
+        if let QueryEvent::PromptChunk { path: 0, text }
+        | QueryEvent::TokenDelta { path: 0, text, .. } = event
+        {
             print!("{text}");
             let _ = std::io::stdout().flush();
-        });
-        let result = runtime
-            .run_streamed(&source, sink)
-            .map_err(|e| e.to_string())?;
+        }
+    };
+    let mut debug = None;
+    let result = match &backend {
+        Backend::Pool(router) if args.stream => {
+            let stream = router.stream_query(request);
+            stream.events().for_each(|event| print_live(&event));
+            stream.wait()
+        }
+        Backend::Pool(router) => router.run_query(request),
+        Backend::Single(runtime) if args.stream => {
+            runtime.execute(&request.stream(StreamSink::callback(print_live)))
+        }
+        Backend::Single(runtime) if args.trace => {
+            runtime.run_traced(request).map(|(result, trace)| {
+                debug = Some(trace);
+                result
+            })
+        }
+        Backend::Single(runtime) => runtime.execute(&request),
+    }
+    .map_err(|e| e.to_string())?;
+
+    if args.stream {
         println!();
         println!("--- result ---");
-        print_result(&result);
-    } else if args.trace {
-        let (result, debug) = runtime.run_traced(&source).map_err(|e| e.to_string())?;
-        print_result(&result);
+    }
+    print_result(&result);
+    if let Some(debug) = debug {
         println!("--- decoder trace ---");
         print!("{}", debug.render());
         println!("--- spans ---");
         print!("{}", tracer.render_text());
-    } else {
-        let result = runtime.run(&source).map_err(|e| e.to_string())?;
-        print_result(&result);
     }
 
     if let Some(path) = &args.trace_json {
@@ -397,140 +440,41 @@ fn run() -> Result<(), String> {
         );
     }
 
-    let usage = runtime.meter().snapshot();
-    println!(
-        "--- usage: {} model queries, {} decoder calls, {} billable tokens ---",
-        usage.model_queries, usage.decoder_calls, usage.billable_tokens
-    );
+    match backend {
+        Backend::Single(runtime) => {
+            let usage = runtime.meter().snapshot();
+            println!(
+                "--- usage: {} model queries, {} decoder calls, {} billable tokens ---",
+                usage.model_queries, usage.decoder_calls, usage.billable_tokens
+            );
+        }
+        // Pooled runs have no single runtime meter; the router's
+        // pool-wide meter counts model dispatches (after caching /
+        // single-flighting), next to the prefix-cache totals across the
+        // pool.
+        Backend::Pool(router) => {
+            let stats = router.stats();
+            let cache = stats.cache_totals();
+            println!(
+                "--- usage: {} model queries, {} prefix-cache hits ({} misses) \
+                 (pooled: {} replicas, {} routed, {} failovers) ---",
+                stats.usage.model_queries,
+                cache.hits,
+                cache.misses,
+                args.replicas,
+                stats.routed,
+                stats.failovers
+            );
+            router.shutdown();
+        }
+    }
     Ok(())
 }
 
-/// The `--replicas N` path: run the query through the scale-out
-/// [`Router`](lmql_engine::Router) instead of a single [`Runtime`]. The
-/// configure hook re-applies every option the direct path sets on its
-/// runtime — once per attempt, so a fail-over retry decodes under
-/// identical settings and the result stays byte-identical.
-fn run_pooled(
-    args: &Args,
-    source: &str,
-    lm: Arc<dyn lmql_lm::LanguageModel>,
-    bpe: Arc<lmql_tokenizer::Bpe>,
-    chaos_stats: Option<&ChaosStats>,
-    retrieval: Option<Arc<lmql_retrieval::RetrievalTool>>,
-) -> Result<(), String> {
-    if args.trace {
-        return Err(
-            "--trace needs the single-runtime decoder graph; with --replicas use --trace-json \
-             for spans instead"
-                .to_owned(),
-        );
-    }
-    let tracer = if args.trace_json.is_some() {
-        lmql_obs::Tracer::recording()
-    } else {
-        lmql_obs::Tracer::disabled()
-    };
-    let registry = lmql_obs::Registry::new();
-    let router = lmql_engine::Router::new_with_obs(
-        lm,
-        bpe,
-        lmql_engine::RouterConfig {
-            replicas: args.replicas,
-            affinity: !args.no_affinity,
-            ..lmql_engine::RouterConfig::default()
-        },
-        lmql_engine::RouterObs {
-            tracer: tracer.clone(),
-            registry: args.metrics.then(|| registry.clone()),
-        },
-    );
-
-    let configure = {
-        let engine = args.engine;
-        let seed = args.seed;
-        let max_tokens = args.max_tokens;
-        let no_automata = args.no_automata;
-        let no_parallel_holes = args.no_parallel_holes;
-        let binds = args.binds.clone();
-        move |rt: &mut Runtime| {
-            if let Some(tool) = &retrieval {
-                rt.register_tool(tool.clone());
-            }
-            rt.options_mut().engine = engine;
-            rt.options_mut().seed = seed;
-            rt.options_mut().max_tokens_per_hole = max_tokens;
-            if no_automata {
-                rt.options_mut().mask.automata = false;
-            }
-            if no_parallel_holes {
-                rt.options_mut().parallel_holes = false;
-            }
-            for (k, v) in &binds {
-                rt.bind(k, Value::Str(v.clone()));
-            }
-        }
-    };
-
-    if args.stream {
-        let stream = router.stream_query_with(source, configure);
-        for event in stream.events() {
-            let text = match &event {
-                QueryEvent::PromptChunk { path: 0, text } => text.as_str(),
-                QueryEvent::TokenDelta { path: 0, text, .. } => text.as_str(),
-                _ => continue,
-            };
-            print!("{text}");
-            let _ = std::io::stdout().flush();
-        }
-        let result = stream.wait().map_err(|e| e.to_string())?;
-        println!();
-        println!("--- result ---");
-        print_result(&result);
-    } else {
-        let result = router
-            .run_query_with(source, configure)
-            .map_err(|e| e.to_string())?;
-        print_result(&result);
-    }
-
-    if let Some(path) = &args.trace_json {
-        let json = lmql_obs::chrome::to_chrome_json(&tracer.events());
-        std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("trace written to {path} (load in chrome://tracing)");
-    }
-
-    if args.metrics {
-        println!("--- metrics ---");
-        print!("{}", registry.snapshot().render_text());
-    }
-
-    if let Some(stats) = chaos_stats {
-        println!(
-            "--- chaos: {} faults injected ({} errors, {} truncations, {} latency spikes) — all absorbed ---",
-            stats.total_faults(),
-            stats.errors.get(),
-            stats.truncations.get(),
-            stats.latency_spikes.get()
-        );
-    }
-
-    // Pooled runs have no single runtime meter; the router's pool-wide
-    // meter counts model dispatches (after caching / single-flighting),
-    // next to the prefix-cache totals across the pool.
-    let stats = router.stats();
-    let cache = stats.cache_totals();
-    println!(
-        "--- usage: {} model queries, {} prefix-cache hits ({} misses) \
-         (pooled: {} replicas, {} routed, {} failovers) ---",
-        stats.usage.model_queries,
-        cache.hits,
-        cache.misses,
-        args.replicas,
-        stats.routed,
-        stats.failovers
-    );
-    router.shutdown();
-    Ok(())
+/// What executes the request: one runtime, or the `--replicas` pool.
+enum Backend {
+    Single(Box<Runtime>),
+    Pool(Router),
 }
 
 fn print_result(result: &lmql::QueryResult) {
