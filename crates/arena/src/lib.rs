@@ -18,8 +18,8 @@
 //!   distributions, key buffers) can be recycled instead of reallocated.
 //!
 //! Everything here is dependency-free and deterministic; the counting-
-//! allocator regression tests in `crates/core/tests/alloc_budget.rs` and
-//! the `bench_decode` binary pin the resulting budgets in CI.
+//! allocator tests in `crates/core/tests/alloc_budget.rs` pin the
+//! resulting budgets under the default `cargo test`.
 
 mod intern;
 mod pool;

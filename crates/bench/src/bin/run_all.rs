@@ -1,11 +1,12 @@
-//! Runs every table and figure reproduction in sequence (the source of
-//! the numbers recorded in EXPERIMENTS.md). Accepts `--quick` for a
+//! Runs every table and figure reproduction in sequence, then the three
+//! retrieval scenarios (the source of the numbers recorded in
+//! EXPERIMENTS.md). Accepts `--quick` for a
 //! smaller instance count and `--metrics` for a combined registry dump
 //! after all experiments.
 
 use lmql_baseline::programs::{ARITH_SOURCE, COT_SOURCE, REACT_SOURCE};
 use lmql_bench::experiments::cot::{self, Task};
-use lmql_bench::experiments::{arith_exp, react_exp};
+use lmql_bench::experiments::{arith_exp, react_exp, retrieval_exp};
 use lmql_bench::loc::{functional_loc, Language};
 use lmql_bench::queries;
 use lmql_bench::table::{print_metric_block, print_metrics_registry};
@@ -14,7 +15,11 @@ use lmql_datasets::{GPT_35_PROFILE, GPT_J_PROFILE, OPT_30B_PROFILE};
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let metrics = std::env::args().any(|a| a == "--metrics");
-    let (n_cot, n_tool, n_fig) = if quick { (20, 8, 5) } else { (84, 25, 10) };
+    let (n_cot, n_tool, n_fig, n_retrieval) = if quick {
+        (20, 8, 5, 4)
+    } else {
+        (84, 25, 10, 8)
+    };
     let mut arms = Vec::new();
 
     println!("================ Table 3 ================\n");
@@ -95,6 +100,19 @@ fn main() {
         lmql.avg_billable_tokens()
     );
 
+    println!("\n================ Retrieval (DESIGN.md §16) ================\n");
+    let scenarios = retrieval_exp::run_all(n_retrieval, 17, 32);
+    for row in &scenarios {
+        print_metric_block(row.name, &row.baseline, &row.lmql, true);
+        println!(
+            "  {:<18} {:>32.2}x ({} tool calls, {} context tokens)\n",
+            "Billable Savings",
+            row.baseline.avg_billable_tokens() / row.lmql.avg_billable_tokens().max(1.0),
+            row.tool_calls,
+            row.context_tokens
+        );
+    }
+
     if metrics {
         arms.push(("react.standard".to_owned(), react.baseline));
         arms.push(("react.lmql".to_owned(), react.lmql));
@@ -104,6 +122,10 @@ fn main() {
             arms.push((format!("chunk_{}.standard", row.chunk_size), row.baseline));
         }
         arms.push(("fig12.lmql".to_owned(), *lmql));
+        for row in &scenarios {
+            arms.push((format!("{}.standard", row.name), row.baseline));
+            arms.push((format!("{}.lmql", row.name), row.lmql));
+        }
         println!();
         print_metrics_registry(&arms);
     }

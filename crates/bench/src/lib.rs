@@ -10,11 +10,12 @@
 //! - `table4` — lines-of-code comparison per task,
 //! - `table5` — ReAct and arithmetic evaluation cost metrics,
 //! - `fig12` — the baseline chunk-size sweep against LMQL's flat line,
-//! - `run_all` — everything above in sequence (used by EXPERIMENTS.md).
+//! - `run_all` — everything above in sequence, then the three DESIGN.md
+//!   §16 retrieval scenarios (used by EXPERIMENTS.md).
 //!
-//! Criterion micro-benchmarks (`cargo bench -p lmql-bench`) cover the
-//! ablations DESIGN.md calls out: exact vs symbolic mask generation,
-//! score-cache effect, trie vs linear prefix scans, tokenizer throughput.
+//! Everything here is a count (accuracy, decoder calls, model queries,
+//! billable tokens); wall time is measured only by the end-to-end
+//! benchmark under `benchmark/`.
 
 pub mod experiments;
 pub mod loc;

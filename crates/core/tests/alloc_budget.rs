@@ -1,8 +1,10 @@
 //! Allocation-budget regression tests for the zero-copy data plane
 //! (DESIGN.md §13): a counting global allocator pins the costs the rope
 //! trace, pooled mask scratch and in-place softmax bought — forking a
-//! hypothesis never copies the trace, and the steady-state decode loop
-//! stays within a hard allocations-per-step budget.
+//! hypothesis never copies the trace, the steady-state decode loop stays
+//! within a hard allocations-per-step budget, and a compiled-automaton
+//! mask step costs one set copy. This is the repo's one counting
+//! allocator: allocation counts are pinned here, never timed.
 //!
 //! Allocations are counted per thread (a `const`-initialised thread-local
 //! inside the allocator shim), so a measurement sees exactly what its own
@@ -122,8 +124,8 @@ fn decode_steady_state_stays_within_alloc_budget() {
     // pooled mask outcomes, in-place softmax into reused scratch and the
     // rope trace, the loop body allocates only what the model call
     // returns — the logits buffer and the one-element result vector of
-    // `try_score_batch`. Counting is per thread, so this is the observed
-    // value, not a ceiling with slack.
+    // `try_score_batch` — under argmax and sampling alike. Counting is per
+    // thread, so this is the observed value, not a ceiling with slack.
     const BUDGET_ALLOCS_PER_STEP: u64 = 2;
     let bpe = corpus::standard_bpe();
     let lm = corpus::standard_ngram();
@@ -133,7 +135,7 @@ fn decode_steady_state_stays_within_alloc_budget() {
     let scope = HashMap::new();
     let mut masker = Masker::new(MaskEngine::default(), bpe.clone());
 
-    let mut run = |max_tokens: usize| -> (u64, u64) {
+    let mut run = |max_tokens: usize, mut pick: Pick| -> (u64, u64) {
         let options = DecodeOptions {
             max_tokens_per_hole: max_tokens,
             ..DecodeOptions::default()
@@ -148,7 +150,7 @@ fn decode_steady_state_stays_within_alloc_budget() {
                 &scope,
                 "The little prince said: ",
                 "X",
-                &mut Pick::argmax(),
+                &mut pick,
                 &options,
             )
             .expect("decode succeeds");
@@ -157,23 +159,55 @@ fn decode_steady_state_stays_within_alloc_budget() {
         (allocs, tokens)
     };
 
-    // Warm-up over the longest run: automaton compilation, first-visit
-    // state discovery, scan caches, pool population.
-    let _ = run(80);
-    let (short_allocs, short_tokens) = run(16);
-    let (long_allocs, long_tokens) = run(80);
-    assert!(
-        long_tokens > short_tokens,
-        "workload must keep decoding ({short_tokens} vs {long_tokens} tokens)"
-    );
-    let steps = long_tokens - short_tokens;
-    let marginal = long_allocs.saturating_sub(short_allocs);
-    let per_step = marginal / steps;
-    assert!(
-        per_step <= BUDGET_ALLOCS_PER_STEP,
-        "decode loop allocates {per_step} allocs/step \
-         ({marginal} allocs over {steps} steps), budget {BUDGET_ALLOCS_PER_STEP}"
-    );
+    // A fresh, equally seeded pick per run makes the short run a prefix
+    // of the long one, so sampling visits no state the warm-up missed.
+    let picks: [fn() -> Pick; 2] = [Pick::argmax, || Pick::sample(7)];
+    for pick in picks {
+        // Warm-up over the longest run: automaton compilation, first-visit
+        // state discovery, scan caches, pool population.
+        let _ = run(80, pick());
+        let (short_allocs, short_tokens) = run(16, pick());
+        let (long_allocs, long_tokens) = run(80, pick());
+        assert!(
+            long_tokens > short_tokens,
+            "workload must keep decoding ({short_tokens} vs {long_tokens} tokens)"
+        );
+        let steps = long_tokens - short_tokens;
+        let marginal = long_allocs.saturating_sub(short_allocs);
+        let per_step = marginal / steps;
+        assert!(
+            per_step <= BUDGET_ALLOCS_PER_STEP,
+            "decode loop allocates {per_step} allocs/step \
+             ({marginal} allocs over {steps} steps), budget {BUDGET_ALLOCS_PER_STEP}"
+        );
+    }
+}
+
+#[test]
+fn automata_mask_of_an_advancing_value_allocates_one_set_per_step() {
+    // Every step's value is new, so nothing is memoised: the compiled
+    // automaton maps it onto a known state and the step costs one copy of
+    // that state's cached mask, whichever engine backs the fallback.
+    let bpe = corpus::standard_bpe();
+    let expr =
+        lmql_syntax::parse_expr("not \"\\n\" in X and stops_at(X, \".\") and len(words(X)) < 40")
+            .unwrap();
+    let scope = HashMap::new();
+    for engine in [MaskEngine::Exact, MaskEngine::Symbolic] {
+        let mut masker = Masker::new(engine, bpe.clone());
+        let mut step = |i: usize| {
+            let value = format!("some reasoning text so far {i}");
+            count_allocs(|| {
+                std::hint::black_box(masker.compute(Some(&expr), &scope, "X", &value));
+            })
+        };
+        // Warm-up: automaton compilation and state discovery.
+        for i in 0..3 {
+            step(i);
+        }
+        let most = (3..67).map(&mut step).max().unwrap();
+        assert!(most <= 1, "{engine:?}: a step allocated {most} times");
+    }
 }
 
 #[test]

@@ -203,4 +203,14 @@ fn shared_prompt_sample_workload_halves_dispatches() {
         engine_dispatches * 2 <= sequential_dispatches,
         "expected ≥2× fewer dispatches: engine {engine_dispatches} vs sequential {sequential_dispatches}"
     );
+
+    // A warm second wave on the same engine: every context is cached.
+    for r in engine.run_queries(&queries) {
+        r.unwrap();
+    }
+    assert_eq!(
+        engine.stats().usage.dispatches(),
+        engine_dispatches,
+        "a warm wave is answered entirely from the cache"
+    );
 }

@@ -195,6 +195,69 @@ fn shared_prefix_queries_share_a_replica() {
     );
 }
 
+/// Why affinity exists, as counts: G prefix groups queried group-major
+/// over R private radix caches. Affinity sends a group's repeats to one
+/// replica, so each group pays one cold decode; round-robin deals them
+/// to consecutive replicas, so they mostly miss. Affinity's pool-wide
+/// hit rate must be at least twice round-robin's (denominator floored at
+/// 1e-3), and both must match a single engine byte for byte.
+#[test]
+fn affinity_at_least_doubles_round_robin_hit_rate() {
+    const REPLICAS: usize = 8;
+    const GROUPS: usize = 8;
+    const REPEATS: usize = 8;
+    let bpe = bpe();
+    let model: Arc<dyn LanguageModel> = Arc::new(ScriptedLm::new(
+        Arc::clone(&bpe),
+        (0..GROUPS).map(|g| {
+            Episode::plain(
+                format!("P{g}: tell me"),
+                format!(" about topic number {g} at length."),
+            )
+        }),
+    ));
+    let sources: Vec<String> = (0..GROUPS)
+        .flat_map(|g| {
+            let src =
+                format!("argmax\n    \"P{g}: tell me[X]\"\nfrom \"m\"\nwhere stops_at(X, \".\")\n");
+            std::iter::repeat_n(src, REPEATS)
+        })
+        .collect();
+
+    let single = Engine::new(
+        Arc::clone(&model),
+        Arc::clone(&bpe),
+        EngineConfig::default(),
+    );
+    let reference: Vec<_> = sources
+        .iter()
+        .map(|src| outcome(&single.run_queries(&[src]).pop().unwrap()))
+        .collect();
+    let hit_rate = |affinity: bool| {
+        let router = Router::new(
+            Arc::clone(&model),
+            Arc::clone(&bpe),
+            RouterConfig {
+                affinity,
+                ..config(REPLICAS)
+            },
+        );
+        for (src, expected) in sources.iter().zip(&reference) {
+            assert_eq!(
+                &outcome(&router.run_query(src.as_str())),
+                expected,
+                "routing (affinity {affinity}) changed a result"
+            );
+        }
+        router.stats().cache_hit_rate()
+    };
+    let (affinity, round_robin) = (hit_rate(true), hit_rate(false));
+    assert!(
+        affinity >= 2.0 * round_robin.max(1e-3),
+        "affinity hit rate {affinity:.3} vs round-robin {round_robin:.3}"
+    );
+}
+
 /// Replicas share the router's registry and one pool-wide usage meter,
 /// so `engine.*` / `lm.*` read as pool totals: each equals the sum over
 /// [`Router::stats`], whatever the replica count.

@@ -152,3 +152,92 @@ fn format_flag_pretty_prints() {
         "argmax(n=2)\n    \"[X]\"\nfrom \"m\"\nwhere len(X) < 5 and stops_at(X, \".\")\n"
     );
 }
+
+/// Runs `lmql-run` on `query` and returns its stdout, failing the test
+/// on a non-zero exit.
+fn stdout_of(query: &std::path::Path, args: &[&str]) -> String {
+    let out = lmql_run().arg(query).args(args).output().unwrap();
+    assert!(out.status.success(), "{args:?}: {out:?}");
+    String::from_utf8(out.stdout).unwrap()
+}
+
+#[test]
+fn sequential_holes_print_the_same_bytes() {
+    let q = write_query(
+        "holes.lmql",
+        "argmax\n    \"Q:[A]\\nR:[B]\"\nfrom \"ngram\"\nwhere stops_at(A, \"\\n\") and stops_at(B, \"\\n\")\n",
+    );
+    assert_eq!(
+        stdout_of(&q, &["--max-tokens", "12"]),
+        stdout_of(&q, &["--max-tokens", "12", "--no-parallel-holes"])
+    );
+}
+
+#[test]
+fn corpus_flag_splices_retrieved_evidence() {
+    let corpus = write_query(
+        "corpus.txt",
+        "The Atlas Project. The access code for the Atlas vault is 4471.\n\n\
+         The Borealis Project. The access code for the Borealis vault is 9032.\n",
+    );
+    let q = write_query(
+        "corpus.lmql",
+        "import retrieval\nargmax\n    \"Note:[X]\\n\"\n    \
+         ev = retrieval.search(\"Atlas vault access code\")\n    \"Evidence: {ev}\"\n\
+         from \"ngram\"\nwhere stops_at(X, \"\\n\")\n",
+    );
+    let corpus = corpus.to_str().unwrap();
+    let stdout = stdout_of(&q, &["--corpus", corpus, "--max-tokens", "12"]);
+    assert!(stdout.contains("4471"), "{stdout}");
+}
+
+#[test]
+fn stream_flag_prints_a_result_summary() {
+    let q = write_query(
+        "stream.lmql",
+        "argmax\n    \"A list of things not to forget when travelling:\\n-[THING]\"\nfrom \"ngram\"\nwhere stops_at(THING, \"\\n\")\n",
+    );
+    let stdout = stdout_of(&q, &["--stream", "--max-tokens", "16"]);
+    assert!(stdout.contains("--- result ---"), "{stdout}");
+}
+
+/// A pooled run, with and without affinity, prints the single runtime's
+/// bytes under non-default request options (seed, binding, sequential
+/// holes), for an argmax and a sampled query. Only the usage footer may
+/// differ; and the seed must matter, or a pool that dropped it would pass.
+#[test]
+fn replicas_print_the_single_runtime_bytes() {
+    let argmax = write_query(
+        "replicas_argmax.lmql",
+        "argmax\n    \"A list of things not to forget when travelling:\\n-[THING]\"\nfrom \"ngram\"\nwhere stops_at(THING, \"\\n\")\n",
+    );
+    let sample = write_query(
+        "replicas_sample.lmql",
+        "sample(n=2)\n    \"A note from {WHO}: things not to forget when travelling:\\n-[THING]-[OTHER]\"\nfrom \"ngram\"\nwhere stops_at(THING, \"\\n\") and stops_at(OTHER, \"\\n\")\n",
+    );
+    let run = |q: &std::path::Path, extra: &[&str]| -> String {
+        let mut args = vec![
+            "--max-tokens",
+            "16",
+            "--bind",
+            "WHO=me",
+            "--no-parallel-holes",
+        ];
+        args.extend_from_slice(extra);
+        stdout_of(q, &args)
+            .lines()
+            .filter(|l| !l.starts_with("--- usage:"))
+            .map(|l| format!("{l}\n"))
+            .collect()
+    };
+    for q in [&argmax, &sample] {
+        let one = run(q, &["--seed", "7"]);
+        assert_eq!(run(q, &["--seed", "7", "--replicas", "3"]), one, "{q:?}");
+        let round_robin = run(q, &["--seed", "7", "--replicas", "3", "--no-affinity"]);
+        assert_eq!(round_robin, one, "{q:?}");
+    }
+    assert_ne!(
+        run(&sample, &["--seed", "7"]),
+        run(&sample, &["--seed", "8"])
+    );
+}
