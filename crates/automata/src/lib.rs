@@ -5,15 +5,15 @@
 //! step because the hole value grows every step. This crate removes the
 //! per-step scan for the *eager* constraint subset: the clause is
 //! compiled once per `(query, hole, scope, vocabulary)` into a product
-//! of small character-level DFAs ([`leaf`]) whose joint state provably
-//! determines the constraint evaluator's entire mask outcome. Per-step
-//! masking then becomes: advance the DFAs over the value's characters
-//! and look the state up in a mask store. The first visit to a state
-//! pays one FollowMap computation (performed by the caller — the
-//! automaton never re-implements mask semantics, so its masks are
-//! bit-identical to the fallback path *by construction*); every later
-//! visit is a hash lookup. Interning collapses equivalent states to one
-//! shared [`StateMask`].
+//! of small character-level DFAs (the private `leaf` module) whose
+//! joint state provably determines the constraint evaluator's entire
+//! mask outcome. Per-step masking then becomes: advance the DFAs over
+//! the value's characters and look the state up in a mask store. The
+//! first visit to a state pays one FollowMap computation (performed by
+//! the caller — the automaton never re-implements mask semantics, so
+//! its masks are bit-identical to the fallback path *by construction*);
+//! every later visit is a hash lookup. Interning collapses equivalent
+//! states to one shared [`StateMask`].
 //!
 //! When a state's mask admits exactly one token and forbids EOS, the
 //! decoder can *fast-forward*: append the forced token without querying

@@ -1,16 +1,16 @@
-//! The front-end router: a sharded pool of replica engines with
-//! prefix-affinity routing, continuous admission control, and
-//! per-replica health tracking (DESIGN.md §15).
+//! The front-end router — the one public way to serve a query: a
+//! sharded pool of N ≥ 1 replicas with prefix-affinity routing,
+//! continuous admission control, and per-replica health tracking
+//! (DESIGN.md §15).
 //!
-//! One [`Engine`] is one worker group: a scheduler, a radix prefix
-//! cache, a mask memo. The [`Router`] fans queries out over N ≥ 1 of
-//! them — it sits in front of the one runtime path ([`Engine::serve`]),
-//! it is not a second copy of it, and a one-replica router is the same
-//! code. Every query entry point is a thin caller of [`Router::serve`]
-//! (admit → route → fail-over loop, on the calling thread); raw scoring
-//! has its own single loop in [`Router::try_score_many`]. Three
-//! mechanisms make the pool behave like one big fast engine instead of
-//! N cold small ones:
+//! One replica is one worker group: a scheduler, a radix prefix cache, a
+//! mask memo, and the template runtime its queries run on. The
+//! [`Router`] fans queries out over N ≥ 1 of them; a one-replica router
+//! is the same code. Every query entry point is a thin caller of
+//! [`Router::serve`] (admit → route → fail-over loop, on the calling
+//! thread); raw scoring has its own single loop in
+//! [`Router::try_score_many`]. Three mechanisms make the pool behave like
+//! one big fast engine instead of N cold small ones:
 //!
 //! 1. **Prefix affinity** — the routing key is a fingerprint of the
 //!    query's *tokenized prompt prefix* ([`Bpe::prefix_fingerprint`]),
@@ -24,25 +24,25 @@
 //!    the router sheds instead of queueing (the server maps this to its
 //!    `BUSY` frame). RAII [`Permit`]s make the accounting exception-safe.
 //! 3. **Health + fail-over** — every replica carries a
-//!    [`CircuitBreaker`]. Routing prefers healthy replicas (affinity
-//!    order is preserved among them); a query whose replica fails
-//!    mid-run is retried on the next healthy replica, counted by
-//!    `engine.replica.failover`. Results stay byte-identical: queries
-//!    are deterministic in their request, never in placement.
+//!    [`CircuitBreaker`](lmql_lm::CircuitBreaker). Routing prefers
+//!    healthy replicas (affinity order is preserved among them); a query
+//!    whose replica fails mid-run is retried on the next healthy replica,
+//!    counted by `engine.replica.failover`. Results stay byte-identical:
+//!    queries are deterministic in their request, never in placement.
 //!
-//! Because every replica computes exactly what a single-node engine
-//! would, the router changes *where* and *when* work runs, never what
-//! it computes — the multi-replica soak test pins byte-identity against
-//! a single-node run.
+//! Because every replica computes exactly what `Runtime::execute` on the
+//! bare model would, the router changes *where* and *when* work runs,
+//! never what it computes — the multi-replica soak test pins
+//! byte-identity against that reference.
 
 use crate::radix::RadixStats;
-use crate::run::{run_pool, worker_threads, Engine, EngineConfig, EngineObs, QueryStream};
+use crate::run::{EngineConfig, QueryStream, Replica};
 use lmql::{ModelErrorClass, QueryRequest, QueryResult, StreamSink};
 use lmql_lm::{
-    BreakerConfig, BreakerState, CancelToken, CircuitBreaker, LanguageModel, LmError, LmResult,
-    Logits, Usage, UsageMeter,
+    BreakerConfig, BreakerState, CancelToken, LanguageModel, LmError, LmResult, Logits, Usage,
+    UsageMeter,
 };
-use lmql_obs::{Counter, Registry, RouterMetrics, Tracer};
+use lmql_obs::{Registry, RouterMetrics, Tracer};
 use lmql_tokenizer::{fingerprint_tokens, Bpe, TokenId};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -72,7 +72,7 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            replicas: 4,
+            replicas: 1,
             affinity: true,
             prefix_tokens: 32,
             max_inflight: 0,
@@ -97,12 +97,6 @@ pub struct RouterObs {
     pub registry: Option<Registry>,
 }
 
-struct Replica {
-    engine: Engine,
-    breaker: CircuitBreaker,
-    queries: Counter,
-}
-
 struct Shared {
     replicas: Vec<Replica>,
     bpe: Arc<Bpe>,
@@ -112,15 +106,31 @@ struct Shared {
     inflight: AtomicUsize,
     /// Round-robin cursor for `affinity: false` routing.
     rr: AtomicU64,
-    /// Worker threads [`Router::run_queries`] spreads a batch over: the
-    /// per-replica [`EngineConfig::threads`] times the replica count.
-    threads: usize,
     /// The pool-wide usage meter every replica records on (`lm.*`).
     meter: UsageMeter,
     metrics: RouterMetrics,
 }
 
 /// The replica-pool router; see the module docs.
+///
+/// # Example
+///
+/// ```
+/// use lmql_engine::{Router, RouterConfig};
+/// use lmql_lm::{Episode, ScriptedLm};
+/// use lmql_tokenizer::Bpe;
+/// use std::sync::Arc;
+///
+/// let bpe = Arc::new(Bpe::char_level(""));
+/// let lm = Arc::new(ScriptedLm::new(
+///     Arc::clone(&bpe),
+///     [Episode::plain("Q:", " fine.")],
+/// ));
+/// let router = Router::new(lm, bpe, RouterConfig::default());
+/// let query = "argmax\n    \"Q:[A]\"\nfrom \"m\"\nwhere stops_at(A, \".\")\n";
+/// let result = router.run_query(query).unwrap();
+/// assert_eq!(result.best().var_str("A"), Some(" fine."));
+/// ```
 pub struct Router {
     shared: Arc<Shared>,
     registry: Option<Registry>,
@@ -315,7 +325,7 @@ impl Shared {
 
     /// The loop behind [`Router::serve`] (which documents the contract):
     /// admit, compute the route order, then run `request` down it via
-    /// [`Engine::serve`]. A replica failure — a model fault past its
+    /// [`Replica::serve`]. A replica failure — a model fault past its
     /// retry budget (transient or fatal: the replica's backend is gone)
     /// or a fenced panic — counts against the replica's breaker and moves
     /// on (`engine.replica.failover`). Any other outcome ends the loop:
@@ -346,7 +356,7 @@ impl Shared {
             }
             let replica = &self.replicas[i];
             replica.queries.inc();
-            result = replica.engine.serve(request, sink.clone(), cancel);
+            result = replica.serve(request, sink.clone(), cancel);
             match &result {
                 Err(lmql::Error::Model { class, .. }) => match class {
                     ModelErrorClass::Deadline | ModelErrorClass::Shed => break,
@@ -414,37 +424,7 @@ impl Router {
             meter.register_into(registry, "lm");
         }
         let replicas: Vec<Replica> = (0..config.replicas)
-            .map(|i| {
-                let engine = Engine::build(
-                    backend(i),
-                    Arc::clone(&bpe),
-                    // Each replica gets a clone of the engine config;
-                    // the tool registry's call counters are shared by
-                    // cloning, so pool-wide tool usage stays one rollup.
-                    config.engine.clone(),
-                    EngineObs {
-                        tracer: obs.tracer.clone(),
-                        registry: obs.registry.clone(),
-                    },
-                    Some(meter.clone()),
-                );
-                let breaker = CircuitBreaker::new(config.health);
-                let queries = match &obs.registry {
-                    Some(registry) => {
-                        registry.register_gauge(
-                            &format!("router.replica.{i}.breaker"),
-                            breaker.gauge().clone(),
-                        );
-                        registry.counter(&format!("router.replica.{i}.queries"))
-                    }
-                    None => Counter::default(),
-                };
-                Replica {
-                    engine,
-                    breaker,
-                    queries,
-                }
-            })
+            .map(|i| Replica::new(i, backend(i), Arc::clone(&bpe), &config, &obs, &meter))
             .collect();
         Router {
             shared: Arc::new(Shared {
@@ -455,7 +435,6 @@ impl Router {
                 max_inflight: config.max_inflight,
                 inflight: AtomicUsize::new(0),
                 rr: AtomicU64::new(0),
-                threads: worker_threads(config.engine.threads) * config.replicas,
                 meter,
                 metrics,
             }),
@@ -505,9 +484,8 @@ impl Router {
     /// request, so results depend only on it, never on placement. Returns
     /// the `BUSY` shed error at the admission cap.
     ///
-    /// Everything else here ([`run_query`](Self::run_query),
-    /// [`run_queries`](Self::run_queries),
-    /// [`stream_query`](Self::stream_query)) is a thin caller of this.
+    /// [`run_query`](Self::run_query) and
+    /// [`stream_query`](Self::stream_query) are thin callers of this.
     pub fn serve(
         &self,
         request: &QueryRequest,
@@ -521,17 +499,6 @@ impl Router {
     /// [`serve`](Self::serve).
     pub fn run_query(&self, request: impl Into<QueryRequest>) -> lmql::Result<QueryResult> {
         self.serve(&request.into(), &StreamSink::none(), &CancelToken::new())
-    }
-
-    /// Routes and runs many queries concurrently on a pool of worker
-    /// threads (the replicas' thread budgets combined), each through
-    /// [`serve`](Self::serve). Results come back in input order,
-    /// byte-identical to a single-node run.
-    pub fn run_queries(&self, sources: &[&str]) -> Vec<lmql::Result<QueryResult>> {
-        let (sink, cancel) = (StreamSink::none(), CancelToken::new());
-        run_pool(sources.len(), self.shared.threads, |i| {
-            self.serve(&sources[i].into(), &sink, &cancel)
-        })
     }
 
     /// Scores a raw token context through the pool, routed by the same
@@ -575,7 +542,7 @@ impl Router {
                     shared.metrics.failovers.add(group.len() as u64);
                 }
                 let batch: Vec<&[TokenId]> = group.iter().map(|&qi| contexts[qi]).collect();
-                let scored = replica.engine.scheduler().try_score_many(&batch, None);
+                let scored = replica.sched.try_score_many(&batch, None);
                 for (&qi, result) in group.iter().zip(scored) {
                     match &result {
                         Ok(_) => replica.breaker.record_success(),
@@ -601,27 +568,19 @@ impl Router {
     /// the beginning* on the next healthy replica (consumers see the new
     /// attempt's events after the old attempt's partial ones), and
     /// [`QueryStream::wait`] returns the retried run's result —
-    /// byte-identical to a single-node run, because results depend only
-    /// on the request. Dropping the handle cancels the query.
+    /// byte-identical to an unrouted run, because results depend only on
+    /// the request. Dropping the handle cancels the query.
     pub fn stream_query(&self, request: impl Into<QueryRequest>) -> QueryStream {
         let shared = Arc::clone(&self.shared);
         let request = request.into();
-        QueryStream::spawn("lmql-router-stream", move |sink, cancel| {
-            shared.serve(&request, &sink, cancel)
-        })
-    }
-
-    /// Streams many queries; handles are independent (consume, wait, or
-    /// drop-to-cancel in any order).
-    pub fn stream_queries(&self, sources: &[&str]) -> Vec<QueryStream> {
-        sources.iter().map(|src| self.stream_query(*src)).collect()
+        QueryStream::spawn(move |sink, cancel| shared.serve(&request, &sink, cancel))
     }
 
     /// Shuts every replica's scheduler down, draining queued and
     /// in-flight batches. Idempotent; also happens implicitly on drop.
     pub fn shutdown(&self) {
         for replica in &self.shared.replicas {
-            replica.engine.scheduler().shutdown();
+            replica.sched.shutdown();
         }
     }
 
@@ -640,7 +599,7 @@ impl Router {
                 .iter()
                 .map(|r| ReplicaStats {
                     queries: r.queries.get(),
-                    cache: r.engine.scheduler().cache_stats(),
+                    cache: r.sched.cache_stats(),
                     breaker: r.breaker.state(),
                 })
                 .collect(),
@@ -663,10 +622,6 @@ mod tests {
             RouterConfig {
                 replicas,
                 affinity,
-                engine: EngineConfig {
-                    threads: 2,
-                    ..EngineConfig::default()
-                },
                 ..RouterConfig::default()
             },
         )
@@ -844,18 +799,15 @@ mod tests {
         let episodes = vec![Episode::plain("A:", " one."), Episode::plain("B:", " two.")];
         let router = pool(3, true, episodes.clone());
         let bpe = Arc::new(Bpe::char_level(""));
-        let single = Engine::new(
-            Arc::new(ScriptedLm::new(Arc::clone(&bpe), episodes)),
-            bpe,
-            EngineConfig::default(),
-        );
+        let bare = lmql::Runtime::new(Arc::new(ScriptedLm::new(Arc::clone(&bpe), episodes)), bpe);
         let qa = "argmax\n    \"A:[X]\"\nfrom \"m\"\nwhere stops_at(X, \".\")\n";
         let qb = "argmax\n    \"B:[X]\"\nfrom \"m\"\nwhere stops_at(X, \".\")\n";
         let sources = vec![qa, qb, qa, qb, qa];
-        let pooled = router.run_queries(&sources);
-        let reference = single.run_queries(&sources);
-        for (p, r) in pooled.iter().zip(&reference) {
-            let (p, r) = (p.as_ref().unwrap(), r.as_ref().unwrap());
+        // All five in flight at once, one thread each.
+        let streams: Vec<QueryStream> = sources.iter().map(|&s| router.stream_query(s)).collect();
+        for (stream, source) in streams.into_iter().zip(&sources) {
+            let p = stream.wait().unwrap();
+            let r = bare.execute(&(*source).into()).unwrap();
             assert_eq!(p.best().trace, r.best().trace);
             assert_eq!(
                 p.best().log_prob.to_bits(),

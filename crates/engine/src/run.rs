@@ -1,13 +1,13 @@
-//! The thread-pool query runner: many LMQL queries, one shared model.
+//! One replica of a [`Router`](crate::Router)'s pool, and the query
+//! path it runs.
 //!
-//! [`Engine::serve`] is the one blocking primitive: it executes a
-//! [`QueryRequest`] on the calling thread, on a clone of the engine's
+//! [`Replica::serve`] is the one blocking primitive: it executes a
+//! [`QueryRequest`] on the calling thread, on a clone of the replica's
 //! template [`Runtime`] (own per-run cache, own meter) that scores
-//! through the shared [`Scheduler`] — so shared prompt prefixes are paid
-//! for once, identical in-flight contexts single-flight, and concurrent
-//! steps coalesce into microbatches. [`Engine::run_queries`] calls it
-//! from a pool of worker threads, [`Engine::stream_query`] from one
-//! spawned thread with a channel sink.
+//! through the replica's shared [`Scheduler`] — so shared prompt prefixes
+//! are paid for once, identical in-flight contexts single-flight, and
+//! concurrent steps coalesce into microbatches. The router's serve loop
+//! calls it, once per attempt.
 //!
 //! Results are deterministic and bit-identical to running each query
 //! alone on the bare model: the scheduler only ever returns what a
@@ -15,26 +15,24 @@
 //! its own RNG stream. Thread scheduling can change *when* work runs,
 //! never what it computes.
 
-use crate::radix::{RadixCacheConfig, RadixStats};
+use crate::radix::RadixCacheConfig;
+use crate::router::{RouterConfig, RouterObs};
 use crate::sched::{BatchPolicy, BatchedLm, Scheduler, SchedulerObs};
 use lmql::constraints::{AutomataCache, MaskMemo};
 use lmql::{
     EventSink, ModelErrorClass, QueryEvent, QueryRequest, QueryResult, Runtime, StreamSink,
     SubqueryLimits, ToolRegistry,
 };
-use lmql_lm::{CancelToken, LanguageModel, MeteredLm, RetryPolicy, Usage, UsageMeter};
-use lmql_obs::{Registry, StreamMetrics, Tracer};
+use lmql_lm::{CancelToken, CircuitBreaker, LanguageModel, MeteredLm, RetryPolicy, UsageMeter};
+use lmql_obs::{Counter, StreamMetrics};
 use lmql_tokenizer::Bpe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
-/// Tunables for an [`Engine`].
+/// Tunables applied to every replica of a [`Router`](crate::Router).
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
-    /// Worker threads for [`Engine::run_queries`]. `0` (the default)
-    /// uses the machine's available parallelism.
-    pub threads: usize,
     /// Microbatch dispatch policy.
     pub policy: BatchPolicy,
     /// Prefix-cache budgets.
@@ -46,154 +44,70 @@ pub struct EngineConfig {
     /// Depth/budget limits on the `subquery(...)` trees queries may
     /// spawn (applied to every query's runtime).
     pub subquery: SubqueryLimits,
-    /// First-class tools installed on the engine's template runtime, so
-    /// every query can call them (DESIGN.md §16). Replicas seeded from
+    /// First-class tools installed on every replica's template runtime,
+    /// so every query can call them (DESIGN.md §16). Replicas seeded from
     /// one config share the registry's call counters, so tool usage
     /// rolls up across the pool.
     pub tools: ToolRegistry,
 }
 
-/// Observability hooks for an [`Engine`]: a trace recorder shared by the
-/// scheduler and every query's [`Runtime`], and an optional metrics
-/// registry collecting `engine.*` and `lm.*` metrics. Both default to
-/// off/absent and are free in that state (configuration stays plain
-/// data; these hooks ride separately through [`Engine::new_with_obs`]).
-#[derive(Debug, Clone, Default)]
-pub struct EngineObs {
-    /// Trace recorder: per-hole decode, mask, cache and batch-dispatch
-    /// spans from every query run through the engine.
-    pub tracer: Tracer,
-    /// Metrics registry: scheduler metrics under `engine.*`, the usage
-    /// meter under `lm.*`.
-    pub registry: Option<Registry>,
-}
-
-/// A point-in-time view of the engine's §6 usage counters plus the
-/// prefix-cache counters.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineStats {
-    /// Model queries / dispatches / batch sizes, as recorded by the
-    /// engine's meter on the shared model.
-    pub usage: Usage,
-    /// Prefix-cache hits, misses, evictions and occupancy.
-    pub cache: RadixStats,
-}
-
-/// A concurrent inference engine: one shared model behind a
-/// [`Scheduler`], a thread pool for query execution. Every field is a
-/// shared handle, so a clone is the same engine (same scheduler, caches
-/// and counters) — that is how a streamed query's thread owns one.
-///
-/// # Example
-///
-/// ```
-/// use lmql_engine::{Engine, EngineConfig};
-/// use lmql_lm::{Episode, ScriptedLm};
-/// use lmql_tokenizer::Bpe;
-/// use std::sync::Arc;
-///
-/// let bpe = Arc::new(Bpe::char_level(""));
-/// let lm = Arc::new(ScriptedLm::new(
-///     Arc::clone(&bpe),
-///     [Episode::plain("Q:", " fine.")],
-/// ));
-/// let engine = Engine::new(lm, bpe, EngineConfig::default());
-/// let query = "argmax\n    \"Q:[A]\"\nfrom \"m\"\nwhere stops_at(A, \".\")\n";
-/// let results = engine.run_queries(&[query, query]);
-/// for r in results {
-///     assert_eq!(r.unwrap().best().var_str("A"), Some(" fine."));
-/// }
-/// ```
-#[derive(Clone)]
-pub struct Engine {
-    sched: Arc<Scheduler>,
+/// One worker group of the pool: one model behind a [`Scheduler`], the
+/// template runtime every query it serves runs on, and the replica's
+/// health and load as the router sees them.
+pub(crate) struct Replica {
+    pub(crate) sched: Arc<Scheduler>,
     /// The environment every query runs in, built once: a [`Runtime`]
     /// over a plain scheduler handle carrying the tracer, the cross-query
     /// mask memo and automata cache (masks and compiled automata transfer
     /// between queries with identical constraints — the analogue of the
     /// radix prefix cache, for masks instead of scores), the subquery
     /// limits, the tools (installed here, not per query) and the metrics
-    /// registry. [`Engine::serve`] clones it per query.
+    /// registry. [`Replica::serve`] clones it per query.
     runtime: Runtime,
-    meter: UsageMeter,
-    threads: usize,
     /// `stream.*` delivery counters (registered when a registry is set).
     stream_metrics: StreamMetrics,
+    pub(crate) breaker: CircuitBreaker,
+    /// `router.replica.<i>.queries`: attempts handed to this replica.
+    pub(crate) queries: Counter,
 }
 
-impl std::fmt::Debug for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Engine")
-            .field("threads", &self.threads)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Engine {
-    /// An engine over `model` and its tokenizer.
+impl Replica {
+    /// Replica `index` of a pool over `model`. `meter` is the router's
+    /// pool-wide usage meter, already registered under `lm.*`: replicas
+    /// record on it instead of each registering (and colliding on) their
+    /// own.
     ///
     /// # Panics
     ///
     /// Panics if the model's vocabulary size does not match the
     /// tokenizer's.
-    pub fn new(model: Arc<dyn LanguageModel>, bpe: Arc<Bpe>, config: EngineConfig) -> Self {
-        Self::new_with_obs(model, bpe, config, EngineObs::default())
-    }
-
-    /// Like [`new`](Self::new), with observability hooks: the tracer is
-    /// shared by the scheduler and every worker runtime, and the registry
-    /// (when given) collects `engine.*` scheduler metrics and the `lm.*`
-    /// usage counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model's vocabulary size does not match the
-    /// tokenizer's.
-    pub fn new_with_obs(
+    pub(crate) fn new(
+        index: usize,
         model: Arc<dyn LanguageModel>,
         bpe: Arc<Bpe>,
-        config: EngineConfig,
-        obs: EngineObs,
-    ) -> Self {
-        Self::build(model, bpe, config, obs, None)
-    }
-
-    /// The constructor behind [`new_with_obs`](Self::new_with_obs).
-    /// `pool_meter` is the [`Router`](crate::Router)'s pool-wide usage
-    /// meter, already registered under `lm.*`: replicas record on it
-    /// instead of each registering (and colliding on) their own.
-    pub(crate) fn build(
-        model: Arc<dyn LanguageModel>,
-        bpe: Arc<Bpe>,
-        config: EngineConfig,
-        obs: EngineObs,
-        pool_meter: Option<UsageMeter>,
+        config: &RouterConfig,
+        obs: &RouterObs,
+        meter: &UsageMeter,
     ) -> Self {
         assert_eq!(
             model.vocab().len(),
             bpe.vocab().len(),
             "model and tokenizer vocabulary mismatch"
         );
-        let meter = pool_meter.unwrap_or_else(|| {
-            let meter = UsageMeter::new();
-            if let Some(registry) = &obs.registry {
-                meter.register_into(registry, "lm");
-            }
-            meter
-        });
         let stream_metrics = match &obs.registry {
             Some(registry) => StreamMetrics::registered(registry),
             None => StreamMetrics::default(),
         };
         // The meter wraps the model *inside* the scheduler: it counts
         // real dispatches after caching/single-flighting, which is what
-        // the Tables 3–5 binaries and benches compare against.
+        // the Tables 3–5 binaries compare against.
         let metered = MeteredLm::new(model, meter.clone());
+        let engine = &config.engine;
         let sched = Arc::new(Scheduler::with_retry(
             Box::new(metered),
-            config.policy,
-            config.cache,
-            config.retry,
+            engine.policy,
+            engine.cache,
+            engine.retry,
             SchedulerObs {
                 meter: Some(meter.clone()),
                 tracer: obs.tracer.clone(),
@@ -201,64 +115,37 @@ impl Engine {
             },
         ));
         let mut runtime = Runtime::new(Arc::new(BatchedLm::new(Arc::clone(&sched))), bpe);
-        runtime.set_tracer(obs.tracer);
+        runtime.set_tracer(obs.tracer.clone());
         runtime.set_mask_memo(MaskMemo::new(1024));
         runtime.set_automata_cache(AutomataCache::new());
-        runtime.set_subquery_limits(config.subquery);
-        runtime.set_tools(config.tools);
-        if let Some(registry) = obs.registry {
-            runtime.set_metrics_registry(registry);
-        }
-        Engine {
+        runtime.set_subquery_limits(engine.subquery);
+        // Each replica gets a clone of the tool registry; its call
+        // counters are shared by cloning, so pool-wide tool usage stays
+        // one rollup.
+        runtime.set_tools(engine.tools.clone());
+        let breaker = CircuitBreaker::new(config.health);
+        let queries = match &obs.registry {
+            Some(registry) => {
+                runtime.set_metrics_registry(registry.clone());
+                registry.register_gauge(
+                    &format!("router.replica.{index}.breaker"),
+                    breaker.gauge().clone(),
+                );
+                registry.counter(&format!("router.replica.{index}.queries"))
+            }
+            None => Counter::default(),
+        };
+        Replica {
             sched,
             runtime,
-            meter,
-            threads: config.threads,
             stream_metrics,
+            breaker,
+            queries,
         }
-    }
-
-    /// The engine's tool registry (installed on the template runtime
-    /// every query runs on; [`ToolRegistry::usage`] here is the
-    /// pool-wide rollup).
-    pub fn tools(&self) -> &ToolRegistry {
-        self.runtime.tools()
-    }
-
-    /// A [`LanguageModel`] handle routing through this engine's
-    /// scheduler — plug it into a [`Runtime`] (or anything else) to join
-    /// the shared cache and microbatches.
-    pub fn handle(&self) -> BatchedLm {
-        BatchedLm::new(Arc::clone(&self.sched))
-    }
-
-    /// The shared scheduler.
-    pub fn scheduler(&self) -> &Arc<Scheduler> {
-        &self.sched
-    }
-
-    /// The engine-level meter: model queries and batch statistics for
-    /// everything scored through this engine.
-    pub fn meter(&self) -> &UsageMeter {
-        &self.meter
-    }
-
-    /// Usage and prefix-cache counters.
-    pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            usage: self.meter.snapshot(),
-            cache: self.sched.cache_stats(),
-        }
-    }
-
-    /// The engine's trace recorder (disabled unless one was installed via
-    /// [`new_with_obs`](Self::new_with_obs)).
-    pub fn tracer(&self) -> &Tracer {
-        self.runtime.tracer()
     }
 
     /// Executes one request to completion **on the calling thread** — the
-    /// one place a per-query [`Runtime`] is made and fenced: the engine's
+    /// one place a per-query [`Runtime`] is made and fenced: the replica's
     /// template runtime with a [`BatchedLm::with_cancel`] handle on
     /// `cancel` and a fresh usage meter swapped in. The request's settings
     /// (seed, bindings, decode options, tools) apply to this call only.
@@ -269,7 +156,7 @@ impl Engine {
     /// A panic anywhere in the run is contained here and returned as
     /// [`lmql::Error::Model`] of class `Panic`, so neither the caller's
     /// thread nor any other query is disturbed.
-    pub fn serve(
+    pub(crate) fn serve(
         &self,
         request: &QueryRequest,
         sink: StreamSink,
@@ -305,82 +192,9 @@ impl Engine {
         }
         result
     }
-
-    /// Runs each query source concurrently over the shared model,
-    /// returning results in input order. Each runs as a request with
-    /// nothing set; to configure one (seed, bindings, tools), build a
-    /// [`QueryRequest`] and [`serve`](Self::serve) or
-    /// [`stream_query`](Self::stream_query) it.
-    pub fn run_queries(&self, sources: &[&str]) -> Vec<lmql::Result<QueryResult>> {
-        let cancel = CancelToken::new();
-        run_pool(sources.len(), worker_threads(self.threads), |i| {
-            self.serve(&sources[i].into(), StreamSink::none(), &cancel)
-        })
-    }
-
-    /// Streaming variant of [`run_queries`](Self::run_queries): each
-    /// query starts immediately on its own thread and returns a
-    /// [`QueryStream`] handle delivering [`QueryEvent`]s as decoding
-    /// progresses. Handles are independent: consume them in any order,
-    /// [`wait`](QueryStream::wait) for final results, or drop one to
-    /// cancel its query — cancellation releases the query's scheduler
-    /// slots (counted by the `engine.cancelled` metric) without
-    /// disturbing other queries.
-    pub fn stream_queries(&self, sources: &[&str]) -> Vec<QueryStream> {
-        sources.iter().map(|src| self.stream_query(*src)).collect()
-    }
-
-    /// Streams one request (or bare source); see
-    /// [`stream_queries`](Self::stream_queries).
-    pub fn stream_query(&self, request: impl Into<QueryRequest>) -> QueryStream {
-        let engine = self.clone();
-        let request = request.into();
-        QueryStream::spawn("lmql-engine-stream", move |sink, cancel| {
-            engine.serve(&request, sink, cancel)
-        })
-    }
 }
 
-/// The worker count for a configured `threads` value: `0` means the
-/// machine's available parallelism.
-pub(crate) fn worker_threads(configured: usize) -> usize {
-    match configured {
-        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-        t => t,
-    }
-}
-
-/// Runs `job(0..n)` on up to `threads` scoped worker threads pulling
-/// indices off a shared cursor; results come back in index order.
-pub(crate) fn run_pool<R: Send>(
-    n: usize,
-    threads: usize,
-    job: impl Fn(usize) -> R + Sync,
-) -> Vec<R> {
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                *slots[i].lock().expect("result slot poisoned") = Some(job(i));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every slot is filled by a worker")
-        })
-        .collect()
-}
-
-/// A live streamed query (see [`Engine::stream_queries`] and
+/// A live streamed query (see
 /// [`Router::stream_query`](crate::Router::stream_query)): an event
 /// receiver, a cancellation handle, and the final result.
 ///
@@ -399,14 +213,13 @@ impl QueryStream {
     /// Spawns the one thread a streamed query runs on: `run` gets the
     /// channel sink feeding this handle and the token the handle fires.
     pub(crate) fn spawn(
-        thread_name: &str,
         run: impl FnOnce(StreamSink, &CancelToken) -> lmql::Result<QueryResult> + Send + 'static,
     ) -> QueryStream {
         let (sink, events, cancel) = StreamSink::channel();
         let (result_tx, result) = mpsc::channel();
         let token = cancel.clone();
         std::thread::Builder::new()
-            .name(thread_name.to_owned())
+            .name("lmql-router-stream".to_owned())
             .spawn(move || {
                 // The consumer may already be gone (dropped handle) —
                 // then the result is simply discarded.
@@ -448,7 +261,8 @@ impl QueryStream {
 
     /// Discards any unconsumed events and blocks for the query's final
     /// result — byte-identical to what the non-streaming
-    /// [`Engine::run_queries`] would have returned.
+    /// [`Router::run_query`](crate::Router::run_query) would have
+    /// returned.
     pub fn wait(self) -> lmql::Result<QueryResult> {
         self.result.recv().unwrap_or_else(|_| {
             Err(lmql::Error::model(
@@ -497,31 +311,39 @@ impl EventSink for MeteredSink {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Router, RouterConfig};
+    use lmql::{QueryRequest, QueryResult};
     use lmql_lm::{Episode, ScriptedLm};
+    use lmql_tokenizer::Bpe;
+    use std::sync::Arc;
 
-    fn engine(episodes: Vec<Episode>, threads: usize) -> Engine {
+    fn router(episodes: Vec<Episode>) -> Router {
         let bpe = Arc::new(Bpe::char_level(""));
         let lm = Arc::new(ScriptedLm::new(Arc::clone(&bpe), episodes));
-        Engine::new(
-            lm,
-            bpe,
-            EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            },
-        )
+        Router::new(lm, bpe, RouterConfig::default())
+    }
+
+    /// Runs every source on its own thread at once; results in input
+    /// order.
+    fn run_concurrently(router: &Router, sources: &[&str]) -> Vec<lmql::Result<QueryResult>> {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = sources
+                .iter()
+                .map(|&src| s.spawn(move || router.run_query(src)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
     }
 
     #[test]
     fn runs_queries_in_input_order() {
-        let eng = engine(
-            vec![Episode::plain("A:", " one."), Episode::plain("B:", " two.")],
-            4,
-        );
+        let eng = router(vec![
+            Episode::plain("A:", " one."),
+            Episode::plain("B:", " two."),
+        ]);
         let qa = "argmax\n    \"A:[X]\"\nfrom \"m\"\nwhere stops_at(X, \".\")\n";
         let qb = "argmax\n    \"B:[X]\"\nfrom \"m\"\nwhere stops_at(X, \".\")\n";
-        let results = eng.run_queries(&[qa, qb, qa]);
+        let results = run_concurrently(&eng, &[qa, qb, qa]);
         assert_eq!(results.len(), 3);
         assert_eq!(
             results[0].as_ref().unwrap().best().var_str("X"),
@@ -539,29 +361,30 @@ mod tests {
 
     #[test]
     fn errors_stay_per_query() {
-        let eng = engine(vec![Episode::plain("A:", " ok.")], 2);
+        let eng = router(vec![Episode::plain("A:", " ok.")]);
         let good = "argmax\n    \"A:[X]\"\nfrom \"m\"\nwhere stops_at(X, \".\")\n";
         let bad = "magic\n    \"A:[X]\"\nfrom \"m\"\n";
-        let results = eng.run_queries(&[good, bad]);
+        let results = run_concurrently(&eng, &[good, bad]);
         assert!(results[0].is_ok());
         assert!(results[1].is_err());
     }
 
     #[test]
     fn empty_input_is_empty_output() {
-        let eng = engine(vec![], 2);
-        assert!(eng.run_queries(&[]).is_empty());
+        let eng = router(vec![]);
+        assert!(run_concurrently(&eng, &[]).is_empty());
+        assert_eq!(eng.stats().routed, 0);
     }
 
     #[test]
     fn shared_prompts_pay_the_model_once() {
         let q = "argmax\n    \"Q:[X]\"\nfrom \"m\"\nwhere stops_at(X, \".\")\n";
-        let solo = engine(vec![Episode::plain("Q:", " yes.")], 4);
-        solo.run_queries(&[q]).remove(0).unwrap();
+        let solo = router(vec![Episode::plain("Q:", " yes.")]);
+        solo.run_query(q).unwrap();
         let solo_queries = solo.stats().usage.model_queries;
 
-        let shared = engine(vec![Episode::plain("Q:", " yes.")], 4);
-        let results = shared.run_queries(&[q, q, q, q]);
+        let shared = router(vec![Episode::plain("Q:", " yes.")]);
+        let results = run_concurrently(&shared, &[q, q, q, q]);
         assert!(results.iter().all(|r| r.is_ok()));
         let stats = shared.stats();
         // Whether repeats land as cache hits or join in-flight slots
@@ -573,16 +396,14 @@ mod tests {
 
     #[test]
     fn request_binds_per_query() {
-        let eng = engine(vec![Episode::plain("v: a\npick:", " a")], 2);
+        let eng = router(vec![Episode::plain("v: a\npick:", " a")]);
         let q = "argmax\n    \"v: {V}\\npick:[X]\"\nfrom \"m\"\n";
         let request = QueryRequest::new(q).bind("V", lmql::Value::Str("a".into()));
-        let result = eng
-            .serve(&request, StreamSink::none(), &CancelToken::new())
-            .unwrap();
+        let result = eng.run_query(request).unwrap();
         assert!(result.best().trace.starts_with("v: a"));
-        // The binding was the request's, not the engine's: the next
-        // query on the same engine does not see it.
-        let unbound = eng.run_queries(&[q]).remove(0);
+        // The binding was the request's, not the replica's: the next
+        // query on the same replica does not see it.
+        let unbound = eng.run_query(q);
         assert!(unbound.is_err(), "{unbound:?}");
     }
 }

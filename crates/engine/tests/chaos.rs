@@ -3,11 +3,15 @@
 //! A [`ChaosLm`] injects transient errors, truncated replies and latency
 //! spikes into a fixed fraction of model calls. The scheduler's per-item
 //! recovery (fallback direct scoring with retries) must absorb every
-//! fault: `run_queries` returns results *identical* to a fault-free run,
+//! fault: concurrent queries return results *identical* to a fault-free run,
 //! nothing hangs, and the dispatcher survives. Fatal injections, by
 //! contrast, must fail exactly the affected query — and only it.
 
-use lmql_engine::{Engine, EngineConfig};
+mod common;
+
+use common::run_concurrently;
+use lmql_engine::{EngineConfig, Router, RouterConfig};
+use lmql_lm::LanguageModel;
 use lmql_lm::{ChaosLm, Episode, FaultPlan, RetryPolicy, ScriptedLm};
 use lmql_tokenizer::Bpe;
 use std::sync::Arc;
@@ -33,6 +37,18 @@ fn scripted() -> (Arc<ScriptedLm>, Arc<Bpe>) {
     (lm, bpe)
 }
 
+/// A one-replica router over `lm`.
+fn router(lm: Arc<dyn LanguageModel>, bpe: Arc<Bpe>, engine: EngineConfig) -> Router {
+    Router::new(
+        lm,
+        bpe,
+        RouterConfig {
+            engine,
+            ..RouterConfig::default()
+        },
+    )
+}
+
 /// A retry budget generous enough to out-last any fault streak the plan
 /// can produce, with sub-millisecond backoffs so the test stays fast.
 fn chaos_retry() -> RetryPolicy {
@@ -48,9 +64,8 @@ fn chaos_retry() -> RetryPolicy {
 
 /// Runs the query set and flattens every run's trace and exact
 /// log-probability bits into one comparable vector.
-fn outcomes(engine: &Engine) -> Vec<(String, u64)> {
-    engine
-        .run_queries(&QUERIES)
+fn outcomes(router: &Router) -> Vec<(String, u64)> {
+    run_concurrently(router, &QUERIES)
         .into_iter()
         .map(|r| r.expect("query must succeed"))
         .flat_map(|result| {
@@ -67,14 +82,7 @@ fn outcomes(engine: &Engine) -> Vec<(String, u64)> {
 fn chaos_run_is_identical_to_fault_free_run() {
     // Reference: no faults.
     let (lm, bpe) = scripted();
-    let reference_engine = Engine::new(
-        lm,
-        bpe,
-        EngineConfig {
-            threads: 4,
-            ..EngineConfig::default()
-        },
-    );
+    let reference_engine = router(lm, bpe, EngineConfig::default());
     let reference = outcomes(&reference_engine);
 
     // Chaos: ~20% of score calls fault (errors, truncations, latency),
@@ -82,11 +90,10 @@ fn chaos_run_is_identical_to_fault_free_run() {
     let (lm, bpe) = scripted();
     let chaos = Arc::new(ChaosLm::new(lm, FaultPlan::transient(7, 0.2)));
     let stats = chaos.stats().clone();
-    let chaos_engine = Engine::new(
+    let chaos_engine = router(
         chaos,
         bpe,
         EngineConfig {
-            threads: 4,
             retry: chaos_retry(),
             ..EngineConfig::default()
         },
@@ -108,11 +115,10 @@ fn repeated_chaos_runs_are_deterministic() {
     let run = || {
         let (lm, bpe) = scripted();
         let chaos = Arc::new(ChaosLm::new(lm, FaultPlan::transient(42, 0.2)));
-        let engine = Engine::new(
+        let engine = router(
             chaos,
             bpe,
             EngineConfig {
-                threads: 2,
                 retry: chaos_retry(),
                 ..EngineConfig::default()
             },
@@ -124,8 +130,8 @@ fn repeated_chaos_runs_are_deterministic() {
 
 #[test]
 fn fatal_injection_fails_only_the_affected_query() {
-    // One worker thread: queries run in order, so model-call ordinal 1
-    // belongs to the first query. Injecting a fatal fault there must
+    // One query at a time, in order, so model-call ordinal 1 belongs to
+    // the first query. Injecting a fatal fault there must
     // fail that query with `Error::Model` — and leave the others (and
     // the engine itself) intact.
     let (lm, bpe) = scripted();
@@ -136,16 +142,15 @@ fn fatal_injection_fails_only_the_affected_query() {
             ..FaultPlan::default()
         },
     ));
-    let engine = Engine::new(
+    let engine = router(
         chaos,
         bpe,
         EngineConfig {
-            threads: 1,
             retry: chaos_retry(),
             ..EngineConfig::default()
         },
     );
-    let results = engine.run_queries(&QUERIES);
+    let results: Vec<_> = QUERIES.iter().map(|&q| engine.run_query(q)).collect();
     match &results[0] {
         Err(lmql::Error::Model {
             message,
@@ -158,6 +163,5 @@ fn fatal_injection_fails_only_the_affected_query() {
     assert!(results[1].is_ok(), "partner query unaffected");
     assert!(results[2].is_ok(), "partner query unaffected");
     // The engine still serves new work after a fatal fault.
-    let again = engine.run_queries(&QUERIES[1..2]);
-    assert!(again[0].is_ok());
+    assert!(engine.run_query(QUERIES[1]).is_ok());
 }

@@ -8,8 +8,11 @@
 //! patterns included) to a plain sequential [`Runtime`] over the bare
 //! model, on both the scripted and the n-gram mock models.
 
+mod common;
+
+use common::run_concurrently;
 use lmql::{QueryResult, Runtime};
-use lmql_engine::{Engine, EngineConfig};
+use lmql_engine::{Router, RouterConfig};
 use lmql_lm::{Branch, Episode, LanguageModel, NGramLm, ScriptedLm};
 use lmql_tokenizer::{Bpe, BpeTrainer};
 use std::sync::Arc;
@@ -64,7 +67,8 @@ fn sorted_vars(run: &lmql::QueryRun) -> Vec<(String, String)> {
 }
 
 /// Runs `queries` both ways — sequentially on a plain runtime and
-/// concurrently through the engine — and demands bit-identical results.
+/// concurrently through a one-replica router — and demands bit-identical
+/// results.
 fn check_queries(model: Arc<dyn LanguageModel>, bpe: Arc<Bpe>, queries: &[&str], what: &str) {
     let sequential: Vec<QueryResult> = queries
         .iter()
@@ -75,15 +79,8 @@ fn check_queries(model: Arc<dyn LanguageModel>, bpe: Arc<Bpe>, queries: &[&str],
         })
         .collect();
 
-    let engine = Engine::new(
-        model,
-        bpe,
-        EngineConfig {
-            threads: 4,
-            ..EngineConfig::default()
-        },
-    );
-    let batched = engine.run_queries(queries);
+    let router = Router::new(model, bpe, RouterConfig::default());
+    let batched = run_concurrently(&router, queries);
     for (i, (seq, bat)) in sequential.iter().zip(&batched).enumerate() {
         let bat = bat
             .as_ref()
@@ -187,29 +184,22 @@ fn shared_prompt_sample_workload_halves_dispatches() {
         sequential_dispatches += rt.meter().snapshot().dispatches();
     }
 
-    let engine = Engine::new(
-        lm,
-        bpe,
-        EngineConfig {
-            threads: 4,
-            ..EngineConfig::default()
-        },
-    );
-    for r in engine.run_queries(&queries) {
+    let router = Router::new(lm, bpe, RouterConfig::default());
+    for r in run_concurrently(&router, &queries) {
         r.unwrap();
     }
-    let engine_dispatches = engine.stats().usage.dispatches();
+    let engine_dispatches = router.stats().usage.dispatches();
     assert!(
         engine_dispatches * 2 <= sequential_dispatches,
         "expected ≥2× fewer dispatches: engine {engine_dispatches} vs sequential {sequential_dispatches}"
     );
 
     // A warm second wave on the same engine: every context is cached.
-    for r in engine.run_queries(&queries) {
+    for r in run_concurrently(&router, &queries) {
         r.unwrap();
     }
     assert_eq!(
-        engine.stats().usage.dispatches(),
+        router.stats().usage.dispatches(),
         engine_dispatches,
         "a warm wave is answered entirely from the cache"
     );

@@ -1,18 +1,21 @@
 //! One agreement table for every way in (the first rows of ROADMAP
 //! item 4's matrix): a fixed corpus of programs × a non-default
 //! [`QueryRequest`] × every entry point that takes one. The request
-//! travels `Router::serve` → `Engine::serve` → `Runtime::execute`
+//! travels `Router::serve` → the replica's serve → `Runtime::execute`
 //! unchanged, so each row must yield the same traces, hole values,
 //! log-prob bits and `Usage` as `Runtime::execute` on the bare model —
 //! and what a request carries (bindings, seed, tools) must be visible to
-//! that request only, because every query runs on a clone of the
-//! engine's one template runtime.
+//! that request only, because every query runs on a clone of its
+//! replica's one template runtime.
 
+mod common;
+
+use common::run_concurrently;
 use lmql::{
     DecodeOptions, FnTool, QueryEvent, QueryRequest, QueryResult, Reassembler, Runtime, StreamSink,
     Tool, ToolRegistry, ToolSchema, Value,
 };
-use lmql_engine::{Engine, EngineConfig, EngineObs, Router, RouterConfig, RouterObs};
+use lmql_engine::{Router, RouterConfig, RouterObs};
 use lmql_lm::{
     Branch, CancelToken, ChaosLm, Episode, FaultPlan, LanguageModel, ScriptedLm, SCRIPT_LOGIT,
 };
@@ -212,10 +215,6 @@ fn pool(replicas: usize, registry: Option<Registry>) -> Router {
 fn pool_config(replicas: usize) -> RouterConfig {
     RouterConfig {
         replicas,
-        engine: EngineConfig {
-            threads: 2,
-            ..EngineConfig::default()
-        },
         ..RouterConfig::default()
     }
 }
@@ -264,18 +263,18 @@ fn every_entry_point_agrees_with_execute() {
         let (got, usage) = of_events(&collector.take());
         check("run_streamed (reassembled)", got, Some(usage));
 
-        // `Engine::serve` and `Engine::stream_query`.
-        let engine = Engine::new(model(&bpe), Arc::clone(&bpe), EngineConfig::default());
+        // `Router::serve` and `Router::stream_query` at replicas 1.
+        let router = pool(1, None);
         let (sink, collector) = StreamSink::collector();
-        let result = engine.serve(&request, sink, &CancelToken::new());
-        check("Engine::serve (result)", of_result(&result), None);
+        let result = router.serve(&request, &sink, &CancelToken::new());
+        check("Router::serve (result)", of_result(&result), None);
         let (got, usage) = of_events(&collector.take());
-        check("Engine::serve (reassembled)", got, Some(usage));
-        let stream = engine.stream_query(request.clone());
+        check("Router::serve (reassembled)", got, Some(usage));
+        let stream = router.stream_query(request.clone());
         let (got, usage) = of_events(&stream.events().collect::<Vec<_>>());
-        check("Engine::stream_query (reassembled)", got, Some(usage));
+        check("Router::stream_query (reassembled)", got, Some(usage));
         check(
-            "Engine::stream_query (wait)",
+            "Router::stream_query (wait)",
             of_result(&stream.wait()),
             None,
         );
@@ -284,12 +283,20 @@ fn every_entry_point_agrees_with_execute() {
         // handle still gets the whole stream (its sink wins).
         let (own, own_events) = StreamSink::collector();
         let sinked = request.clone().stream(own);
-        let stream = engine.stream_query(sinked.clone());
+        let stream = router.stream_query(sinked.clone());
         let (got, usage) = of_events(&stream.events().collect::<Vec<_>>());
-        check("Engine::stream_query (own sink)", got, Some(usage));
+        check(
+            "Router::stream_query at replicas 1 (own sink)",
+            got,
+            Some(usage),
+        );
         let stream = pool(2, None).stream_query(sinked);
         let (got, usage) = of_events(&stream.events().collect::<Vec<_>>());
-        check("Router::stream_query (own sink)", got, Some(usage));
+        check(
+            "Router::stream_query at replicas 2 (own sink)",
+            got,
+            Some(usage),
+        );
         assert!(own_events.take().is_empty(), "{name}: serve's sink wins");
 
         // The pool, whatever its size.
@@ -369,21 +376,13 @@ fn request_settings_reach_the_pooled_runtime_and_stay_with_their_request() {
 }
 
 /// Two different queries served back to back each stream their own
-/// `Usage` (a fresh meter per query) while the engine's `lm.*` totals
+/// `Usage` (a fresh meter per query) while the replica's `lm.*` totals
 /// are their sum.
 #[test]
 fn each_served_query_meters_alone_and_the_engine_sums() {
     let bpe = bpe();
     let registry = Registry::new();
-    let engine = Engine::new_with_obs(
-        model(&bpe),
-        Arc::clone(&bpe),
-        EngineConfig::default(),
-        EngineObs {
-            registry: Some(registry.clone()),
-            ..EngineObs::default()
-        },
-    );
+    let router = pool(1, Some(registry.clone()));
     let mut total = 0;
     for source in [TOOL_CALL, SUBQUERY] {
         let request = QueryRequest::new(source).tool(calc());
@@ -391,7 +390,7 @@ fn each_served_query_meters_alone_and_the_engine_sums() {
         alone.execute(&request).unwrap();
 
         let (sink, collector) = StreamSink::collector();
-        engine.serve(&request, sink, &CancelToken::new()).unwrap();
+        router.serve(&request, &sink, &CancelToken::new()).unwrap();
         let usage = last_usage(&collector.take());
         assert_eq!(usage, snapshot(&alone), "{source}");
         total += usage.0;
@@ -420,7 +419,7 @@ impl Tool for CountingTool {
     }
 }
 
-/// Tools are installed once, on the engine's template runtime: serving
+/// Tools are installed once, on each replica's template runtime: serving
 /// more queries never asks a tool for its schema again, and call counts
 /// still roll up on the registry the pool was seeded from.
 #[test]
@@ -444,13 +443,13 @@ fn tools_are_installed_once_per_engine_not_per_query() {
         assert_eq!(tools.usage(), vec![("calc".to_owned(), 20)]);
     }
 
-    // The same roll-up on a bare engine's own handle.
+    // The same roll-up under concurrent callers, subquery children
+    // included.
     let bpe = bpe();
-    let config = EngineConfig {
-        tools: ToolRegistry::new().with(calc()),
-        ..EngineConfig::default()
-    };
-    let engine = Engine::new(model(&bpe), bpe, config);
-    engine.run_queries(&[TOOL_CALL, TOOL_CALL, SUBQUERY]);
-    assert_eq!(engine.tools().usage(), vec![("calc.double".to_owned(), 3)]);
+    let tools = ToolRegistry::new().with(calc());
+    let mut config = pool_config(1);
+    config.engine.tools = tools.clone();
+    let router = Router::new(model(&bpe), bpe, config);
+    run_concurrently(&router, &[TOOL_CALL, TOOL_CALL, SUBQUERY]);
+    assert_eq!(tools.usage(), vec![("calc.double".to_owned(), 3)]);
 }

@@ -1,10 +1,12 @@
 //! Engine-level observability integration: registry metrics and traces
-//! recorded across the scheduler and the worker thread pool, plus
-//! regression pins for the shared `RadixCache` counters on scripted
-//! workloads.
+//! recorded across the scheduler and concurrent callers, plus regression
+//! pins for the shared `RadixCache` counters on scripted workloads.
 
+mod common;
+
+use common::run_concurrently;
 use lmql_engine::{
-    BatchPolicy, Engine, EngineConfig, EngineObs, RadixCache, RadixCacheConfig, Scheduler,
+    BatchPolicy, RadixCache, RadixCacheConfig, Router, RouterConfig, RouterObs, Scheduler,
 };
 use lmql_lm::{Episode, LanguageModel, LmResult, Logits, ScriptedLm};
 use lmql_obs::{chrome, Registry, Tracer};
@@ -12,18 +14,11 @@ use lmql_tokenizer::{Bpe, TokenId};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn scripted_engine(episodes: Vec<Episode>, threads: usize, obs: EngineObs) -> Engine {
+/// A one-replica router over a scripted model.
+fn scripted_router(episodes: Vec<Episode>, obs: RouterObs) -> Router {
     let bpe = Arc::new(Bpe::char_level(""));
     let lm = Arc::new(ScriptedLm::new(Arc::clone(&bpe), episodes));
-    Engine::new_with_obs(
-        lm,
-        bpe,
-        EngineConfig {
-            threads,
-            ..EngineConfig::default()
-        },
-        obs,
-    )
+    Router::new_with_obs(lm, bpe, RouterConfig::default(), obs)
 }
 
 const QUERY: &str = "argmax\n    \"Q:[A]\"\nfrom \"m\"\nwhere stops_at(A, \".\")\n";
@@ -63,26 +58,24 @@ fn radix_cache_counts_are_pinned_on_scripted_workload() {
 
 #[test]
 fn repeat_query_hits_are_pinned_single_threaded() {
-    // threads=1 makes the schedule sequential and the counters exact:
-    // the second identical query finds every context in the shared cache.
+    // One query at a time makes the schedule sequential and the counters
+    // exact: the second identical query finds every context in the
+    // shared cache.
     let registry = Registry::new();
-    let eng = scripted_engine(
+    let eng = scripted_router(
         vec![Episode::plain("Q:", " ok.")],
-        1,
-        EngineObs {
+        RouterObs {
             tracer: Tracer::disabled(),
             registry: Some(registry.clone()),
         },
     );
-    let r = eng.run_queries(&[QUERY]);
-    assert!(r[0].is_ok());
-    let first = eng.stats();
+    assert!(eng.run_query(QUERY).is_ok());
+    let first = eng.stats().replicas[0];
     assert!(first.cache.misses > 0);
     assert_eq!(first.cache.hits, 0, "cold cache: no hits on first run");
 
-    let r = eng.run_queries(&[QUERY]);
-    assert!(r[0].is_ok());
-    let second = eng.stats();
+    assert!(eng.run_query(QUERY).is_ok());
+    let second = eng.stats().replicas[0];
     assert_eq!(
         second.cache.misses, first.cache.misses,
         "second identical query adds no misses"
@@ -117,21 +110,20 @@ fn repeat_query_hits_are_pinned_single_threaded() {
 
 #[test]
 fn thread_pool_counters_stay_consistent_under_concurrency() {
-    // 8 concurrent queries on 4 workers hammer the same counters from
-    // multiple threads; the meter (lm.*) and scheduler metrics (engine.*)
-    // record at the same sites, so their totals must agree whatever the
+    // 8 concurrent queries hammer the same counters from multiple
+    // threads; the meter (lm.*) and scheduler metrics (engine.*) record
+    // at the same sites, so their totals must agree whatever the
     // interleaving.
     let registry = Registry::new();
-    let eng = scripted_engine(
+    let eng = scripted_router(
         vec![Episode::plain("Q:", " ok.")],
-        4,
-        EngineObs {
+        RouterObs {
             tracer: Tracer::disabled(),
             registry: Some(registry.clone()),
         },
     );
     let queries = vec![QUERY; 8];
-    let results = eng.run_queries(&queries);
+    let results = run_concurrently(&eng, &queries);
     assert!(results.iter().all(|r| r.is_ok()));
 
     let usage = eng.stats().usage;
@@ -159,19 +151,19 @@ fn thread_pool_counters_stay_consistent_under_concurrency() {
 #[test]
 fn engine_trace_covers_decode_dispatch_and_cache() {
     let tracer = Tracer::manual();
-    let eng = scripted_engine(
+    let eng = scripted_router(
         vec![Episode::plain("Q:", " ok.")],
-        1,
-        EngineObs {
+        RouterObs {
             tracer: tracer.clone(),
             registry: None,
         },
     );
-    // Two identical queries: the repeat produces cache-hit events.
-    let results = eng.run_queries(&[QUERY, QUERY]);
-    assert!(results.iter().all(|r| r.is_ok()));
+    // Two identical queries, one after the other: the repeat produces
+    // cache-hit events.
+    assert!(eng.run_query(QUERY).is_ok());
+    assert!(eng.run_query(QUERY).is_ok());
 
-    let events = eng.tracer().events();
+    let events = tracer.events();
     let has = |name: &str| events.iter().any(|e| e.name == name);
     assert!(has("hole:A"), "hole-decoding span");
     assert!(has("compute_mask"), "mask-computation span");

@@ -3,11 +3,15 @@
 //! The acceptance bar for the replica pool is *transparency*: whatever
 //! the router does — prefix-affinity placement, load shedding, killing
 //! a replica mid-stream and retrying elsewhere — query results must be
-//! byte-identical to a single-node engine run. Queries are
+//! byte-identical to `Runtime::execute` on the bare model. Queries are
 //! deterministic in (source, seed), never in placement, so any
 //! divergence is a router bug by construction.
 
-use lmql_engine::{Engine, EngineConfig, Router, RouterConfig, RouterObs};
+mod common;
+
+use common::run_concurrently;
+use lmql::Runtime;
+use lmql_engine::{QueryStream, Router, RouterConfig, RouterObs};
 use lmql_lm::{ChaosLm, Episode, FaultPlan, LanguageModel, ScriptedLm};
 use lmql_obs::Registry;
 use lmql_tokenizer::Bpe;
@@ -38,12 +42,14 @@ fn clean_model(bpe: &Arc<Bpe>) -> Arc<dyn LanguageModel> {
 fn config(replicas: usize) -> RouterConfig {
     RouterConfig {
         replicas,
-        engine: EngineConfig {
-            threads: 2,
-            ..EngineConfig::default()
-        },
         ..RouterConfig::default()
     }
+}
+
+/// The reference every routed result must equal: `Runtime::execute` on
+/// the bare model.
+fn bare_outcome(model: Arc<dyn LanguageModel>, bpe: &Arc<Bpe>, source: &str) -> Vec<(String, u64)> {
+    outcome(&Runtime::new(model, Arc::clone(bpe)).execute(&source.into()))
 }
 
 /// The byte-exact outcome of one query: every run's trace plus the
@@ -60,7 +66,7 @@ fn outcome(result: &lmql::Result<lmql::QueryResult>) -> Vec<(String, u64)> {
 
 /// A replica dies mid-stream (seeded fatal injection a few decode steps
 /// in); the router must retry the query on a healthy replica, return a
-/// result byte-identical to a single-node run, and count the fail-over.
+/// result byte-identical to the bare model's, and count the fail-over.
 #[test]
 fn replica_death_mid_stream_fails_over_byte_identically() {
     let bpe = bpe();
@@ -109,12 +115,10 @@ fn replica_death_mid_stream_fails_over_byte_identically() {
     assert!(events > 0, "the retried attempt must still stream events");
     let routed = stream.wait();
 
-    let single = Engine::new(clean_model(&bpe), Arc::clone(&bpe), EngineConfig::default());
-    let reference = single.run_queries(&[query]).pop().unwrap();
     assert_eq!(
         outcome(&routed),
-        outcome(&reference),
-        "fail-over result must be byte-identical to single-node"
+        bare_outcome(clean_model(&bpe), &bpe, query),
+        "fail-over result must be byte-identical to the bare model's"
     );
 
     let failovers = registry
@@ -130,26 +134,28 @@ fn replica_death_mid_stream_fails_over_byte_identically() {
 }
 
 /// Hundreds of concurrently streamed queries across ≥ 4 replicas come
-/// back byte-identical to a single-node engine — the scale-out soak.
+/// back byte-identical to the bare model's runs — the scale-out soak.
 #[test]
 fn multi_replica_soak_matches_single_node() {
     let bpe = bpe();
     let router = Router::new(clean_model(&bpe), Arc::clone(&bpe), config(4));
 
-    // Single-node reference outcomes, one per distinct source.
-    let single = Engine::new(clean_model(&bpe), Arc::clone(&bpe), EngineConfig::default());
-    let reference: Vec<Vec<(String, u64)>> =
-        single.run_queries(&QUERIES).iter().map(outcome).collect();
+    // Reference outcomes, one per distinct source.
+    let reference: Vec<Vec<(String, u64)>> = QUERIES
+        .iter()
+        .map(|q| bare_outcome(clean_model(&bpe), &bpe, q))
+        .collect();
 
     // 240 concurrent streams, round-robin over the three sources.
-    let sources: Vec<&str> = (0..240).map(|i| QUERIES[i % QUERIES.len()]).collect();
-    let streams = router.stream_queries(&sources);
+    let streams: Vec<QueryStream> = (0..240)
+        .map(|i| router.stream_query(QUERIES[i % QUERIES.len()]))
+        .collect();
     for (i, stream) in streams.into_iter().enumerate() {
         let result = stream.wait();
         assert_eq!(
             outcome(&result),
             reference[i % QUERIES.len()],
-            "soak query {i} diverged from single-node"
+            "soak query {i} diverged from the bare model"
         );
     }
 
@@ -178,9 +184,12 @@ fn shared_prefix_queries_share_a_replica() {
             format!("argmax\n    \"A:[{hole}]\"\nfrom \"m\"\nwhere stops_at({hole}, \".\")\n")
         })
         .collect();
-    let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-    for r in router.run_queries(&refs) {
-        r.expect("query must succeed");
+    // One after the other: a repeat finds its contexts cached instead of
+    // joining a still-running twin's in-flight slot.
+    for source in &sources {
+        router
+            .run_query(source.as_str())
+            .expect("query must succeed");
     }
     let stats = router.stats();
     assert_eq!(
@@ -200,7 +209,7 @@ fn shared_prefix_queries_share_a_replica() {
 /// replica, so each group pays one cold decode; round-robin deals them
 /// to consecutive replicas, so they mostly miss. Affinity's pool-wide
 /// hit rate must be at least twice round-robin's (denominator floored at
-/// 1e-3), and both must match a single engine byte for byte.
+/// 1e-3), and both must match the bare model byte for byte.
 #[test]
 fn affinity_at_least_doubles_round_robin_hit_rate() {
     const REPLICAS: usize = 8;
@@ -224,14 +233,9 @@ fn affinity_at_least_doubles_round_robin_hit_rate() {
         })
         .collect();
 
-    let single = Engine::new(
-        Arc::clone(&model),
-        Arc::clone(&bpe),
-        EngineConfig::default(),
-    );
     let reference: Vec<_> = sources
         .iter()
-        .map(|src| outcome(&single.run_queries(&[src]).pop().unwrap()))
+        .map(|src| bare_outcome(Arc::clone(&model), &bpe, src))
         .collect();
     let hit_rate = |affinity: bool| {
         let router = Router::new(
@@ -280,7 +284,7 @@ fn registry_carries_pool_totals_matching_router_stats() {
             },
         );
         let sources: Vec<&str> = (0..12).map(|i| QUERIES[i % QUERIES.len()]).collect();
-        for result in router.run_queries(&sources) {
+        for result in run_concurrently(&router, &sources) {
             result.expect("query must succeed");
         }
         let stats = router.stats();

@@ -1,11 +1,11 @@
-//! Engine streaming acceptance: [`Engine::stream_query`] delivers the
-//! same bytes the pooled runner produces, and abandoning a stream frees
+//! Streaming acceptance: [`Router::stream_query`] delivers the same
+//! bytes as [`Router::run_query`], and abandoning a stream frees
 //! its scheduler work — the cancelled query's queued score request is
 //! released at dispatch (the `engine.cancelled` counter) instead of
 //! reaching the model, while unrelated queries keep decoding.
 
 use lmql::{QueryEvent, Reassembler, Runtime};
-use lmql_engine::{Engine, EngineConfig, EngineObs, QueryStream};
+use lmql_engine::{QueryStream, Router, RouterConfig, RouterObs};
 use lmql_lm::{corpus, LanguageModel, LmResult, Logits};
 use lmql_obs::{Registry, Tracer};
 use lmql_tokenizer::{Bpe, TokenId, Vocabulary};
@@ -19,20 +19,20 @@ const QB: &str =
 const SAMPLE: &str = "sample(n=2, temperature=1.2)\n    \"A list of things not to forget when travelling:\\n-[THING]\"\nfrom \"m\"\nwhere stops_at(THING, \"\\n\")\n";
 const BEAM: &str = "beam(n=2)\n    \"A list of things not to forget when travelling:\\n-[THING]\"\nfrom \"m\"\nwhere stops_at(THING, \"\\n\")\n";
 
-fn ngram_engine() -> Engine {
-    Engine::new(
+fn ngram_router() -> Router {
+    Router::new(
         corpus::standard_ngram(),
         corpus::standard_bpe(),
-        EngineConfig::default(),
+        RouterConfig::default(),
     )
 }
 
 #[test]
 fn streamed_results_match_pooled_results() {
-    let eng = ngram_engine();
+    let eng = ngram_router();
     for query in [QA, SAMPLE, BEAM] {
-        let pooled = eng.run_queries(&[query]);
-        let pooled = pooled[0].as_ref().expect("pooled run");
+        let pooled = eng.run_query(query);
+        let pooled = pooled.as_ref().expect("pooled run");
 
         let stream = eng.stream_query(query);
         let events: Vec<QueryEvent> = stream.events().collect();
@@ -106,14 +106,14 @@ impl LanguageModel for GatedLm {
     }
 }
 
-fn gated_engine() -> (Engine, Arc<GatedLm>, Registry) {
+fn gated_router() -> (Router, Arc<GatedLm>, Registry) {
     let gate = GatedLm::new(corpus::standard_ngram());
     let registry = Registry::new();
-    let eng = Engine::new_with_obs(
+    let eng = Router::new_with_obs(
         Arc::clone(&gate) as Arc<dyn LanguageModel>,
         corpus::standard_bpe(),
-        EngineConfig::default(),
-        EngineObs {
+        RouterConfig::default(),
+        RouterObs {
             tracer: Tracer::disabled(),
             registry: Some(registry.clone()),
         },
@@ -134,7 +134,7 @@ fn poll_counter(registry: &Registry, name: &str, want: u64) -> u64 {
 
 #[test]
 fn dropped_stream_releases_its_scheduler_slot() {
-    let (eng, gate, registry) = gated_engine();
+    let (eng, gate, registry) = gated_router();
 
     // Query A enters the model and blocks there, occupying the
     // dispatcher.
@@ -178,7 +178,7 @@ fn dropped_stream_releases_its_scheduler_slot() {
 
 #[test]
 fn explicit_cancel_yields_cancelled_error() {
-    let (eng, gate, _registry) = gated_engine();
+    let (eng, gate, _registry) = gated_router();
 
     let stream = eng.stream_query(QA);
     gate.wait_entered();
@@ -197,8 +197,8 @@ fn explicit_cancel_yields_cancelled_error() {
 
 #[test]
 fn concurrent_streams_interleave_without_crosstalk() {
-    let eng = ngram_engine();
-    let streams: Vec<QueryStream> = eng.stream_queries(&[QA, QB]);
+    let eng = ngram_router();
+    let streams: Vec<QueryStream> = [QA, QB].map(|q| eng.stream_query(q)).into();
     let mut results = Vec::new();
     for stream in streams {
         let events: Vec<QueryEvent> = stream.events().collect();
@@ -243,11 +243,11 @@ fn dropped_stream_cancels_its_subquery_tree() {
         },
     ));
     let registry = Registry::new();
-    let eng = Engine::new_with_obs(
+    let eng = Router::new_with_obs(
         chaos,
         bpe,
-        EngineConfig::default(),
-        EngineObs {
+        RouterConfig::default(),
+        RouterObs {
             tracer: Tracer::disabled(),
             registry: Some(registry.clone()),
         },
@@ -272,15 +272,16 @@ fn dropped_stream_cancels_its_subquery_tree() {
     );
 }
 
-/// Sanity for `lmql_tokenizer::Bpe` linkage in this test crate (the
-/// engine's public surface hands out the tokenizer it was built with).
+/// Sanity for `lmql_tokenizer::Bpe` linkage in this test crate: routed
+/// raw scoring answers over the tokenizer's whole vocabulary.
 #[test]
 fn engine_exposes_consistent_vocab() {
     let bpe: Arc<Bpe> = corpus::standard_bpe();
-    let eng = Engine::new(
+    let eng = Router::new(
         corpus::standard_ngram(),
         Arc::clone(&bpe),
-        EngineConfig::default(),
+        RouterConfig::default(),
     );
-    assert_eq!(eng.scheduler().vocab().len(), bpe.vocab().len());
+    let logits = eng.try_score(&bpe.encode("A list")).unwrap();
+    assert_eq!(logits.len(), bpe.vocab().len());
 }

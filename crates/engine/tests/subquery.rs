@@ -7,9 +7,9 @@
 //! gate on observed [`QueryEvent::SubqueryStart`] events rather than
 //! sleeps, and the dispatch-round pin compares two fully scripted runs.
 
-use lmql::{QueryEvent, QueryRequest, StreamSink, SubqueryLimits};
-use lmql_engine::{BatchPolicy, Engine, EngineConfig, EngineObs};
-use lmql_lm::{CancelToken, ChaosLm, Episode, FaultPlan, ScriptedLm};
+use lmql::{QueryEvent, QueryRequest, SubqueryLimits};
+use lmql_engine::{BatchPolicy, EngineConfig, Router, RouterConfig, RouterObs};
+use lmql_lm::{ChaosLm, Episode, FaultPlan, LanguageModel, ScriptedLm};
 use lmql_obs::{Registry, Tracer};
 use lmql_tokenizer::Bpe;
 use std::sync::Arc;
@@ -49,21 +49,34 @@ fn scripted(episodes: Vec<Episode>) -> (Arc<ScriptedLm>, Arc<Bpe>) {
     (lm, bpe)
 }
 
-fn engine_with(episodes: Vec<Episode>, limits: SubqueryLimits, registry: &Registry) -> Engine {
-    let (lm, bpe) = scripted(episodes);
-    Engine::new_with_obs(
+/// A one-replica router over `lm`, reporting into `registry`.
+fn router(
+    lm: Arc<dyn LanguageModel>,
+    bpe: Arc<Bpe>,
+    engine: EngineConfig,
+    registry: &Registry,
+) -> Router {
+    Router::new_with_obs(
         lm,
         bpe,
-        EngineConfig {
-            threads: 1,
-            subquery: limits,
-            ..EngineConfig::default()
+        RouterConfig {
+            engine,
+            ..RouterConfig::default()
         },
-        EngineObs {
+        RouterObs {
             tracer: Tracer::disabled(),
             registry: Some(registry.clone()),
         },
     )
+}
+
+fn engine_with(episodes: Vec<Episode>, limits: SubqueryLimits, registry: &Registry) -> Router {
+    let (lm, bpe) = scripted(episodes);
+    let config = EngineConfig {
+        subquery: limits,
+        ..EngineConfig::default()
+    };
+    router(lm, bpe, config, registry)
 }
 
 fn basic_episodes() -> Vec<Episode> {
@@ -81,11 +94,7 @@ fn depth_limit_rejects_spawn_and_counts_it() {
         },
         &registry,
     );
-    let err = engine
-        .run_queries(&[&parent_src()])
-        .pop()
-        .unwrap()
-        .unwrap_err();
+    let err = engine.run_query(parent_src()).unwrap_err();
     assert!(err.to_string().contains("depth limit"), "{err}");
     let snap = registry.snapshot();
     assert_eq!(snap.counter("engine.subquery.depth_rejected"), Some(1));
@@ -110,11 +119,7 @@ fn budget_exhaustion_mid_child_fails_the_spawn_deterministically() {
         },
         &registry,
     );
-    let err = engine
-        .run_queries(&[&parent_src()])
-        .pop()
-        .unwrap()
-        .unwrap_err();
+    let err = engine.run_query(parent_src()).unwrap_err();
     assert!(err.to_string().contains("budget"), "{err}");
     let snap = registry.snapshot();
     assert_eq!(snap.counter("engine.subquery.spawned"), Some(1));
@@ -132,38 +137,26 @@ fn usage_rolls_up_exactly_to_the_sum_of_isolated_runs() {
 
     let registry = Registry::new();
     let composed_engine = engine_with(basic_episodes(), SubqueryLimits::default(), &registry);
-    let composed = composed_engine
-        .run_queries(&[&parent_src()])
-        .pop()
-        .unwrap()
-        .unwrap();
+    let composed = composed_engine.run_query(parent_src()).unwrap();
     assert_eq!(composed.best().trace, "Q: hi\nsub= ok.");
-    let composed_usage = composed_engine.meter().snapshot();
+    let composed_usage = composed_engine.stats().usage;
 
     let inlined_engine = engine_with(
         basic_episodes(),
         SubqueryLimits::default(),
         &Registry::new(),
     );
-    let inlined = inlined_engine
-        .run_queries(&[inlined_src])
-        .pop()
-        .unwrap()
-        .unwrap();
+    let inlined = inlined_engine.run_query(inlined_src).unwrap();
     assert_eq!(inlined.best().trace, composed.best().trace);
-    let inlined_usage = inlined_engine.meter().snapshot();
+    let inlined_usage = inlined_engine.stats().usage;
 
     let child_engine = engine_with(
         basic_episodes(),
         SubqueryLimits::default(),
         &Registry::new(),
     );
-    child_engine
-        .run_queries(&[CHILD_SRC])
-        .pop()
-        .unwrap()
-        .unwrap();
-    let child_usage = child_engine.meter().snapshot();
+    child_engine.run_query(CHILD_SRC).unwrap();
+    let child_usage = child_engine.stats().usage;
 
     assert_eq!(
         composed_usage.decoder_calls,
@@ -219,18 +212,7 @@ fn parent_cancellation_kills_the_whole_tree_under_latency_injection() {
     ));
     let stats = chaos.stats().clone();
     let registry = Registry::new();
-    let engine = Engine::new_with_obs(
-        chaos,
-        bpe,
-        EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        },
-        EngineObs {
-            tracer: Tracer::disabled(),
-            registry: Some(registry.clone()),
-        },
-    );
+    let engine = router(chaos, bpe, EngineConfig::default(), &registry);
 
     let stream = engine.stream_query(&root_src);
     let mut starts = 0;
@@ -283,7 +265,6 @@ fn parallel_holes_halve_scheduler_dispatch_rounds() {
     ];
     let src = "argmax\n    \"L0:[H0]L1:[H1]L2:[H2]L3:[H3]\"\nfrom \"m\"\nwhere stops_at(H0, \"\\n\") and stops_at(H1, \"\\n\") and stops_at(H2, \"\\n\") and stops_at(H3, \"\\n\")\n";
     let config = EngineConfig {
-        threads: 1,
         policy: BatchPolicy {
             max_batch: 4,
             ..BatchPolicy::default()
@@ -301,21 +282,9 @@ fn parallel_holes_halve_scheduler_dispatch_rounds() {
             },
         ));
         let registry = Registry::new();
-        let engine = Engine::new_with_obs(
-            lm,
-            bpe,
-            config.clone(),
-            EngineObs {
-                tracer: Tracer::disabled(),
-                registry: Some(registry.clone()),
-            },
-        );
+        let engine = router(lm, bpe, config.clone(), &registry);
         let result = engine
-            .serve(
-                &QueryRequest::new(src).parallel_holes(parallel),
-                StreamSink::none(),
-                &CancelToken::new(),
-            )
+            .run_query(QueryRequest::new(src).parallel_holes(parallel))
             .unwrap();
         let snap = registry.snapshot();
         (

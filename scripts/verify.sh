@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
-# Full verification: formatting, lints, release build, every workspace
-# test (the tier-1 `cargo test -q` runs the same crates through the root
-# manifest's `default-members`), and the stand-alone benchmark package's
-# own tests (`benchmark/run.sh --test`), so a change that removes an API
-# the benchmark uses, or moves a byte its seed-1 digests cover, fails here
+# Full verification: formatting, lints, rustdoc (a broken or private
+# intra-doc link fails), release build, every workspace test (the tier-1
+# `cargo test -q` runs the same crates through the root manifest's
+# `default-members`), and the stand-alone benchmark package's own tests
+# (`benchmark/run.sh --test`), so a change that removes an API the
+# benchmark uses, or moves a byte its seed-1 digests cover, fails here
 # and not in the benchmark pipeline. `benchmark/` is the repo's only
 # timing harness; everything this script runs is a count or a byte.
 #
 # Usage: scripts/verify.sh [--slow | --quick | --serve]
 #   --slow    also runs the proptest suites (slow-tests feature)
 #   --quick   build + tests + benchmark package tests only (skips
-#             rustfmt/clippy; useful where the toolchain components are
-#             not installed)
+#             rustfmt/clippy/rustdoc; useful where the toolchain
+#             components are not installed)
 #   --serve   the scheduler's unit tests and the server's blocking-accept
 #             / firing-rule suite ten times in a row: a scheduling flake
 #             shows up here, not in the benchmark pipeline
@@ -67,6 +68,9 @@ if [[ "$MODE" != quick ]]; then
 
     echo "==> cargo clippy (workspace, all targets, -D warnings)"
     cargo clippy --workspace --all-targets "${FEATURES[@]}" -- -D warnings
+
+    echo "==> cargo doc (-D warnings: no broken or private intra-doc links)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --locked
 fi
 
 echo "==> cargo build --release"

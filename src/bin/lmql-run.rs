@@ -13,17 +13,26 @@
 //!     [--corpus <path>] [--corpus-k N]
 //! ```
 //!
+//! Every run serves the query through a [`Router`] of `--replicas N`
+//! (default 1) in-process replicas (DESIGN.md §15), on the main thread.
+//! The request carries one [`StreamSink`] that prints the output live
+//! under `--stream` and records the run's `Usage` event: the closing
+//! `--- usage: … ---` footer is the request's own cost, the same on
+//! every path and at every replica count.
+//!
 //! `--stream` prints the model output live, token by token, as the
 //! decoder produces it (DESIGN.md §11), then the normal result summary.
-//! Internally it runs the exact same decoding loop with a
-//! [`StreamSink`](lmql::StreamSink) attached, so the final output is
-//! byte-identical to a non-streamed run.
+//! The decoding loop is the same with or without the sink, so the final
+//! output is byte-identical to a non-streamed run.
 //!
-//! `--trace` prints the decoder graph plus the runtime's span trace
-//! (parse/compile, per-hole decoding, mask computation). `--trace-json`
-//! writes the same spans as Chrome-trace JSON — load it in
-//! `chrome://tracing` or Perfetto. `--metrics` prints the full metrics
-//! registry (counter/gauge/histogram lines) after the run.
+//! `--trace` is the one debug path: it runs the same request on a bare
+//! [`Runtime`] with [`Runtime::run_traced`] and prints the decoder graph
+//! plus the runtime's span trace (parse/compile, per-hole decoding, mask
+//! computation); it needs `--replicas 1`. `--trace-json` writes the
+//! spans as Chrome-trace JSON — load it in `chrome://tracing` or
+//! Perfetto. `--metrics` prints the full metrics registry
+//! (counter/gauge/histogram lines) after the run, the pool's
+//! `router.*`, `engine.*` and `lm.*` totals included.
 //!
 //! `--chaos <seed>` wraps the model in a seeded [`ChaosLm`] injecting
 //! transient faults into ~20% of score calls; a retry layer absorbs
@@ -47,17 +56,14 @@
 //! index over it and registers the [`RetrievalTool`] so the query can
 //! `import retrieval` and call `retrieval.search(q)` /
 //! `retrieval.spans(q)` (DESIGN.md §16). `--corpus-k` sets how many top
-//! hits those calls consult (default 3). Works on both the single and
-//! `--replicas` paths.
+//! hits those calls consult (default 3).
 //!
 //! [`RetrievalTool`]: lmql_retrieval::RetrievalTool
 //!
-//! `--replicas N` (N > 1) runs the query through the scale-out
-//! [`Router`](lmql_engine::Router) (DESIGN.md §15) over N in-process
-//! replica engines instead of a single runtime — results are
-//! byte-identical by construction, making this the bisection switch for
-//! the pooled path. `--no-affinity` swaps prefix-affinity routing for
-//! round-robin, isolating routing-policy effects from the pool itself.
+//! `--replicas N` sizes the pool — results and the usage footer are
+//! byte-identical at every N by construction. `--no-affinity` swaps
+//! prefix-affinity routing for round-robin, isolating routing-policy
+//! effects from the pool itself.
 //!
 //! Example:
 //!
@@ -75,7 +81,7 @@ use lmql_engine::{Router, RouterConfig, RouterObs};
 use lmql_lm::{corpus, ChaosLm, ChaosStats, Episode, FaultPlan, RetryLm, RetryPolicy, ScriptedLm};
 use std::io::Write;
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 struct Args {
@@ -285,7 +291,7 @@ fn run() -> Result<(), String> {
     };
 
     // `--corpus`: index the file once, expose it as the `retrieval`
-    // tool on whichever execution path runs the query.
+    // tool on the request.
     let retrieval = match &args.corpus {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -307,8 +313,7 @@ fn run() -> Result<(), String> {
 
     if args.trace && args.replicas > 1 {
         return Err(
-            "--trace needs the single-runtime decoder graph; with --replicas use --trace-json \
-             for spans instead"
+            "--trace runs on a bare runtime; with --replicas use --trace-json for spans instead"
                 .to_owned(),
         );
     }
@@ -319,10 +324,39 @@ fn run() -> Result<(), String> {
     };
     let registry = lmql_obs::Registry::new();
 
+    // `--stream` prints path 0 (argmax / first beam / first sample) live
+    // as the decoder emits it; other paths would interleave incoherently
+    // on a terminal, so they stay silent here. The last `Usage` event is
+    // the footer (after a fail-over, the attempt that finished).
+    let usage = Arc::new(Mutex::new(None));
+    let sink = {
+        let (usage, stream) = (Arc::clone(&usage), args.stream);
+        StreamSink::callback(move |event| match event {
+            QueryEvent::PromptChunk { path: 0, text }
+            | QueryEvent::TokenDelta { path: 0, text, .. }
+                if stream =>
+            {
+                print!("{text}");
+                let _ = std::io::stdout().flush();
+            }
+            QueryEvent::Usage {
+                model_queries,
+                decoder_calls,
+                billable_tokens,
+            } => {
+                *usage.lock().expect("usage record poisoned") =
+                    Some((*model_queries, *decoder_calls, *billable_tokens));
+            }
+            _ => {}
+        })
+    };
+
     // Every per-query flag lands on the one request, whichever path
     // executes it — so a pooled run (and each fail-over attempt inside
-    // it) decodes under exactly the settings a single runtime would.
+    // it) decodes under exactly the settings the bare `--trace` runtime
+    // does.
     let mut request = QueryRequest::new(source)
+        .stream(sink)
         .engine(args.engine)
         .seed(args.seed)
         .max_tokens(args.max_tokens)
@@ -348,10 +382,16 @@ fn run() -> Result<(), String> {
         request = request.tool(tool);
     }
 
-    // `--replicas N` (N > 1) runs the request through the scale-out
-    // router instead of a single runtime.
-    let backend = if args.replicas > 1 {
-        Backend::Pool(Router::new_with_obs(
+    let (result, debug) = if args.trace {
+        let mut runtime = Runtime::new(lm, bpe);
+        if args.metrics {
+            runtime.meter().register_into(&registry, "lm");
+            runtime.set_metrics_registry(registry.clone());
+        }
+        let (result, trace) = runtime.run_traced(request).map_err(|e| e.to_string())?;
+        (result, Some(trace))
+    } else {
+        let router = Router::new_with_obs(
             lm,
             bpe,
             RouterConfig {
@@ -363,49 +403,9 @@ fn run() -> Result<(), String> {
                 tracer: tracer.clone(),
                 registry: args.metrics.then(|| registry.clone()),
             },
-        ))
-    } else {
-        let mut runtime = Runtime::new(lm, bpe);
-        if args.metrics {
-            runtime.meter().register_into(&registry, "lm");
-            // Mask-generation counters (mask.cache.hit/miss,
-            // mask.scan.parallel_chunks) register lazily per query run.
-            runtime.set_metrics_registry(registry.clone());
-        }
-        Backend::Single(Box::new(runtime))
+        );
+        (router.run_query(request).map_err(|e| e.to_string())?, None)
     };
-
-    // `--stream` prints path 0 (argmax / first beam / first sample) live
-    // as the decoder emits it; other paths would interleave incoherently
-    // on a terminal, so they stay silent here.
-    let print_live = |event: &QueryEvent| {
-        if let QueryEvent::PromptChunk { path: 0, text }
-        | QueryEvent::TokenDelta { path: 0, text, .. } = event
-        {
-            print!("{text}");
-            let _ = std::io::stdout().flush();
-        }
-    };
-    let mut debug = None;
-    let result = match &backend {
-        Backend::Pool(router) if args.stream => {
-            let stream = router.stream_query(request);
-            stream.events().for_each(|event| print_live(&event));
-            stream.wait()
-        }
-        Backend::Pool(router) => router.run_query(request),
-        Backend::Single(runtime) if args.stream => {
-            runtime.execute(&request.stream(StreamSink::callback(print_live)))
-        }
-        Backend::Single(runtime) if args.trace => {
-            runtime.run_traced(request).map(|(result, trace)| {
-                debug = Some(trace);
-                result
-            })
-        }
-        Backend::Single(runtime) => runtime.execute(&request),
-    }
-    .map_err(|e| e.to_string())?;
 
     if args.stream {
         println!();
@@ -440,41 +440,15 @@ fn run() -> Result<(), String> {
         );
     }
 
-    match backend {
-        Backend::Single(runtime) => {
-            let usage = runtime.meter().snapshot();
-            println!(
-                "--- usage: {} model queries, {} decoder calls, {} billable tokens ---",
-                usage.model_queries, usage.decoder_calls, usage.billable_tokens
-            );
-        }
-        // Pooled runs have no single runtime meter; the router's
-        // pool-wide meter counts model dispatches (after caching /
-        // single-flighting), next to the prefix-cache totals across the
-        // pool.
-        Backend::Pool(router) => {
-            let stats = router.stats();
-            let cache = stats.cache_totals();
-            println!(
-                "--- usage: {} model queries, {} prefix-cache hits ({} misses) \
-                 (pooled: {} replicas, {} routed, {} failovers) ---",
-                stats.usage.model_queries,
-                cache.hits,
-                cache.misses,
-                args.replicas,
-                stats.routed,
-                stats.failovers
-            );
-            router.shutdown();
-        }
+    if let Some((model_queries, decoder_calls, billable_tokens)) =
+        *usage.lock().expect("usage record poisoned")
+    {
+        println!(
+            "--- usage: {model_queries} model queries, {decoder_calls} decoder calls, \
+             {billable_tokens} billable tokens ---"
+        );
     }
     Ok(())
-}
-
-/// What executes the request: one runtime, or the `--replicas` pool.
-enum Backend {
-    Single(Box<Runtime>),
-    Pool(Router),
 }
 
 fn print_result(result: &lmql::QueryResult) {

@@ -40,7 +40,7 @@ pub mod prelude {
     };
     // The paper's §5 mask-generation engine selector.
     pub use lmql::constraints::MaskEngine;
-    pub use lmql_engine::{Engine, EngineConfig, QueryStream};
+    pub use lmql_engine::{EngineConfig, QueryStream, Router, RouterConfig};
     pub use lmql_lm::{
         corpus, CancelToken, Episode, LanguageModel, NGramLm, RetryPolicy, ScriptedLm,
     };

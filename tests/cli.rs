@@ -48,21 +48,30 @@ fn bind_passes_query_arguments() {
     assert!(stdout.contains("hello world: hi!"), "{stdout}");
 }
 
+/// `--trace` prints the decoder graph and the span dump, also next to
+/// `--stream` (whose live printing must not take the trace's place).
 #[test]
 fn trace_flag_prints_decoder_graph() {
     let q = write_query(
         "trace.lmql",
         "argmax\n    \"P:[X]\"\nfrom \"m\"\nwhere X in [\" yes\", \" no\"]\n",
     );
-    let out = lmql_run()
-        .arg(&q)
-        .args(["--model", "script:P:= yes", "--trace"])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("decoder trace"), "{stdout}");
-    assert!(stdout.contains("[X] stopped by"), "{stdout}");
+    for extra in [&[][..], &["--stream"]] {
+        let out = lmql_run()
+            .arg(&q)
+            .args(["--model", "script:P:= yes", "--trace"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(
+            stdout.contains("--- decoder trace ---"),
+            "{extra:?}: {stdout}"
+        );
+        assert!(stdout.contains("[X] stopped by"), "{extra:?}: {stdout}");
+        assert!(stdout.contains("--- spans ---"), "{extra:?}: {stdout}");
+    }
 }
 
 #[test]
@@ -201,10 +210,13 @@ fn stream_flag_prints_a_result_summary() {
     assert!(stdout.contains("--- result ---"), "{stdout}");
 }
 
-/// A pooled run, with and without affinity, prints the single runtime's
-/// bytes under non-default request options (seed, binding, sequential
-/// holes), for an argmax and a sampled query. Only the usage footer may
-/// differ; and the seed must matter, or a pool that dropped it would pass.
+/// A pool of 3, with and without affinity, prints the bytes of a
+/// one-replica run under non-default request options (seed, binding,
+/// sequential holes), for an argmax and a sampled query — the usage
+/// footer included, because it is the request's own cost wherever it
+/// ran. The `--trace` debug path, a bare `Runtime`, prints the same bytes
+/// up to its decoder graph, and the same footer after it. And the seed
+/// must matter, or a pool that dropped it would pass.
 #[test]
 fn replicas_print_the_single_runtime_bytes() {
     let argmax = write_query(
@@ -225,16 +237,20 @@ fn replicas_print_the_single_runtime_bytes() {
         ];
         args.extend_from_slice(extra);
         stdout_of(q, &args)
-            .lines()
-            .filter(|l| !l.starts_with("--- usage:"))
-            .map(|l| format!("{l}\n"))
-            .collect()
     };
     for q in [&argmax, &sample] {
         let one = run(q, &["--seed", "7"]);
+        assert!(one.contains("--- usage: "), "{one}");
         assert_eq!(run(q, &["--seed", "7", "--replicas", "3"]), one, "{q:?}");
         let round_robin = run(q, &["--seed", "7", "--replicas", "3", "--no-affinity"]);
         assert_eq!(round_robin, one, "{q:?}");
+
+        let traced = run(q, &["--seed", "7", "--trace"]);
+        let (head, graph) = traced
+            .split_once("--- decoder trace ---\n")
+            .unwrap_or_else(|| panic!("no decoder graph: {traced}"));
+        let footer = graph.lines().last().unwrap_or_default();
+        assert_eq!(format!("{head}{footer}\n"), one, "{q:?} under --trace");
     }
     assert_ne!(
         run(&sample, &["--seed", "7"]),

@@ -1,10 +1,10 @@
 //! The observability acceptance path end to end: a `sample(n)` query run
-//! through the concurrent engine with tracing on must emit a Chrome-trace
+//! through the router with tracing on must emit a Chrome-trace
 //! JSON (loadable in `chrome://tracing`) containing spans for hole
 //! decoding, batch dispatch and cache hits — and metrics must agree with
 //! the usage meter.
 
-use lmql_engine::{Engine, EngineConfig, EngineObs};
+use lmql_engine::{Router, RouterConfig, RouterObs};
 use lmql_lm::{Episode, ScriptedLm};
 use lmql_obs::{chrome, Registry, Tracer};
 use lmql_tokenizer::Bpe;
@@ -13,32 +13,32 @@ use std::sync::Arc;
 const SAMPLE_QUERY: &str =
     "sample(n=2, temperature=1.2)\n    \"Q:[A]\"\nfrom \"m\"\nwhere stops_at(A, \".\")\n";
 
-fn traced_engine(tracer: Tracer, registry: Option<Registry>) -> Engine {
+fn traced_router(tracer: Tracer, registry: Option<Registry>) -> Router {
     let bpe = Arc::new(Bpe::char_level(""));
     let lm = Arc::new(ScriptedLm::new(
         Arc::clone(&bpe),
         [Episode::plain("Q:", " ok.")],
     ));
-    Engine::new_with_obs(
+    Router::new_with_obs(
         lm,
         bpe,
-        EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        },
-        EngineObs { tracer, registry },
+        RouterConfig::default(),
+        RouterObs { tracer, registry },
     )
 }
 
 #[test]
 fn sample_run_emits_chrome_trace_with_required_spans() {
-    let eng = traced_engine(Tracer::manual(), None);
-    // Two identical sample(n) queries: the repeat's contexts are all
-    // prefix-cache hits.
-    let results = eng.run_queries(&[SAMPLE_QUERY, SAMPLE_QUERY]);
-    assert!(results.iter().all(|r| r.is_ok()), "{results:?}");
+    let tracer = Tracer::manual();
+    let eng = traced_router(tracer.clone(), None);
+    // Two identical sample(n) queries, one after the other: the repeat's
+    // contexts are all prefix-cache hits.
+    for _ in 0..2 {
+        let result = eng.run_query(SAMPLE_QUERY);
+        assert!(result.is_ok(), "{result:?}");
+    }
 
-    let events = eng.tracer().events();
+    let events = tracer.events();
     let json = chrome::to_chrome_json(&events);
 
     // Loadable in chrome://tracing: the canonical object form with a
@@ -67,9 +67,8 @@ fn sample_run_emits_chrome_trace_with_required_spans() {
 #[test]
 fn engine_metrics_snapshot_is_consistent_with_usage() {
     let registry = Registry::new();
-    let eng = traced_engine(Tracer::disabled(), Some(registry.clone()));
-    let results = eng.run_queries(&[SAMPLE_QUERY]);
-    assert!(results.iter().all(|r| r.is_ok()));
+    let eng = traced_router(Tracer::disabled(), Some(registry.clone()));
+    assert!(eng.run_query(SAMPLE_QUERY).is_ok());
 
     let usage = eng.stats().usage;
     assert!(usage.model_queries > 0);
@@ -89,9 +88,9 @@ fn engine_metrics_snapshot_is_consistent_with_usage() {
 
 #[test]
 fn disabled_tracer_stays_silent_through_the_engine() {
-    let eng = traced_engine(Tracer::disabled(), None);
-    let results = eng.run_queries(&[SAMPLE_QUERY]);
-    assert!(results.iter().all(|r| r.is_ok()));
-    assert!(eng.tracer().events().is_empty());
+    let tracer = Tracer::disabled();
+    let eng = traced_router(tracer.clone(), None);
+    assert!(eng.run_query(SAMPLE_QUERY).is_ok());
+    assert!(tracer.events().is_empty());
     assert_eq!(chrome::to_chrome_json(&[]), "{\"traceEvents\":[\n\n]}\n");
 }

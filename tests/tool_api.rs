@@ -4,13 +4,13 @@
 //! closures they replace (kept here as `FnTool`s) — same traces, same hole
 //! values, same log-probs — across every decoder (argmax, sample, beam,
 //! distribute). Also covers the request-level registry
-//! ([`QueryRequest::tool`]) and the engine-config path.
+//! ([`QueryRequest::tool`]) and the router's engine-config path.
 
 use lmql::{FnTool, QueryRequest, QueryResult, Runtime, ToolRegistry, Value};
 use lmql_datasets::tools::{CalculatorTool, WikiTool};
 use lmql_datasets::wiki::MiniWiki;
 use lmql_datasets::{calculator, hotpot, GPT_J_PROFILE};
-use lmql_engine::{Engine, EngineConfig};
+use lmql_engine::{EngineConfig, QueryStream, Router, RouterConfig};
 use lmql_lm::{corpus, Episode, LanguageModel, ScriptedLm};
 use lmql_tokenizer::Bpe;
 use std::sync::Arc;
@@ -193,22 +193,26 @@ fn request_level_tools_apply_to_one_query_only() {
 fn engine_config_tools_reach_every_worker() {
     let bpe = Arc::new(Bpe::char_level(""));
     let tools = ToolRegistry::new().with(Arc::new(CalculatorTool));
-    let engine = Engine::new(
+    let router = Router::new(
         calc_model(&bpe),
         Arc::clone(&bpe),
-        EngineConfig {
-            threads: 2,
-            tools: tools.clone(),
-            ..EngineConfig::default()
+        RouterConfig {
+            engine: EngineConfig {
+                tools: tools.clone(),
+                ..EngineConfig::default()
+            },
+            ..RouterConfig::default()
         },
     );
     let source = calc_query("argmax");
-    let sources = vec![source.as_str(); 4];
-    for result in engine.run_queries(&sources) {
-        let result = result.expect("engine query");
+    // Four queries in flight at once, one thread each.
+    let streams: Vec<QueryStream> = (0..4)
+        .map(|_| router.stream_query(source.as_str()))
+        .collect();
+    for stream in streams {
+        let result = stream.wait().expect("routed query");
         assert!(result.best().trace.contains(" 7 >>"));
     }
     // Shared counters roll usage up across the pool.
     assert_eq!(tools.usage(), vec![("calculator".to_owned(), 4)]);
-    assert_eq!(engine.tools().usage(), tools.usage());
 }
