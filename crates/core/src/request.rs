@@ -1,7 +1,7 @@
 //! The consolidated query entry point.
 //!
 //! [`QueryRequest`] gathers every per-query knob — decoding options, mask
-//! tuning, retry/deadline policy, bindings, tools, stream sink — behind
+//! tuning, bindings, tools, stream sink — behind
 //! one fluent builder, so a caller configures *a query*, not four layers:
 //! unset fields inherit the executing [`Runtime`](crate::Runtime)'s
 //! defaults, set fields override them for that call only. It is what
@@ -13,19 +13,16 @@ use crate::constraints::{MaskConfig, MaskEngine};
 use crate::stream::StreamSink;
 use crate::tool::{Tool, ToolRegistry};
 use crate::Value;
-use lmql_lm::RetryPolicy;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One query execution, fully described: source, decoding overrides,
-/// mask tuning, retry/deadline policy, bindings and stream sink.
+/// mask tuning, bindings and stream sink.
 ///
 /// # Example
 ///
 /// ```
 /// use lmql::{QueryRequest, Runtime, Value};
-/// use lmql_lm::{corpus, RetryPolicy};
-/// use std::time::Duration;
+/// use lmql_lm::corpus;
 ///
 /// # fn main() -> Result<(), lmql::Error> {
 /// let runtime = Runtime::new(corpus::standard_ngram(), corpus::standard_bpe());
@@ -34,8 +31,6 @@ use std::time::Duration;
 /// )
 /// .max_tokens(32)
 /// .seed(7)
-/// .retry(RetryPolicy::default())
-/// .deadline(Duration::from_secs(5))
 /// .bind("WHO", Value::Str("me".into()));
 /// let result = runtime.execute(&request)?;
 /// assert!(!result.best().trace.is_empty());
@@ -54,8 +49,6 @@ pub struct QueryRequest {
     speculative: Option<bool>,
     parallel_holes: Option<bool>,
     tracer: Option<lmql_obs::Tracer>,
-    retry: Option<RetryPolicy>,
-    deadline: Option<Duration>,
     sink: Option<StreamSink>,
     bindings: Vec<(String, Value)>,
     tools: ToolRegistry,
@@ -76,8 +69,6 @@ impl QueryRequest {
             speculative: None,
             parallel_holes: None,
             tracer: None,
-            retry: None,
-            deadline: None,
             sink: None,
             bindings: Vec::new(),
             tools: ToolRegistry::new(),
@@ -146,21 +137,6 @@ impl QueryRequest {
         self
     }
 
-    /// Wraps the model in a retry layer with `policy` for this request
-    /// (transient faults absorbed with backoff, PR 3 semantics).
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
-    /// Sets a per-model-call deadline. Implies a retry layer: the
-    /// deadline is the retry policy's budget, so a request with only a
-    /// deadline gets the default policy with this budget.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Streams [`QueryEvent`](crate::QueryEvent)s into `sink` while the
     /// request executes.
     pub fn stream(mut self, sink: StreamSink) -> Self {
@@ -202,25 +178,6 @@ impl QueryRequest {
     /// called).
     pub fn tool_registry(&self) -> &ToolRegistry {
         &self.tools
-    }
-
-    /// The effective retry policy: the explicit one, with the deadline
-    /// folded in; a deadline alone implies the default policy.
-    pub fn retry_policy(&self) -> Option<RetryPolicy> {
-        match (&self.retry, self.deadline) {
-            (Some(policy), deadline) => {
-                let mut policy = *policy;
-                if deadline.is_some() {
-                    policy.deadline = deadline;
-                }
-                Some(policy)
-            }
-            (None, Some(deadline)) => Some(RetryPolicy {
-                deadline: Some(deadline),
-                ..RetryPolicy::default()
-            }),
-            (None, None) => None,
-        }
     }
 
     /// Resolves the effective decode options: `base` (the runtime's
@@ -303,7 +260,6 @@ mod tests {
         let opts = req.apply_to(&base);
         assert_eq!(opts.temperature, 1.5);
         assert_eq!(opts.max_tokens_per_hole, 9);
-        assert!(req.retry_policy().is_none());
     }
 
     #[test]
@@ -321,23 +277,6 @@ mod tests {
         assert_eq!(opts.seed, 42);
         assert_eq!(opts.no_repeat_ngram, 2);
         assert!(opts.speculative);
-    }
-
-    #[test]
-    fn deadline_implies_retry_policy() {
-        let req = QueryRequest::new("q").deadline(Duration::from_millis(250));
-        let policy = req.retry_policy().expect("deadline implies policy");
-        assert_eq!(policy.deadline, Some(Duration::from_millis(250)));
-
-        let req = QueryRequest::new("q")
-            .retry(RetryPolicy {
-                max_retries: 9,
-                ..RetryPolicy::default()
-            })
-            .deadline(Duration::from_millis(100));
-        let policy = req.retry_policy().unwrap();
-        assert_eq!(policy.max_retries, 9);
-        assert_eq!(policy.deadline, Some(Duration::from_millis(100)));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::program::Instr;
 use crate::stream::{EventSink, QueryEvent, StreamSink};
 use crate::tool::{Tool, ToolRegistry};
 use crate::{compile_source, Error, Program, QueryRequest, Result, Value};
-use lmql_lm::{CachedLm, LanguageModel, MeteredLm, RetryLm, UsageMeter};
+use lmql_lm::{CachedLm, LanguageModel, MeteredLm, UsageMeter};
 use lmql_tokenizer::{Bpe, TokenId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
@@ -393,16 +393,12 @@ impl Runtime {
     }
 
     /// The environment `request` runs in: this runtime with the request's
-    /// decode options applied, its retry policy wrapped around the model,
-    /// its bindings laid over the runtime's and its tools merged in — so
-    /// all of it is visible to this call only (subqueries included: the
-    /// scoped runtime seeds the subquery tree).
+    /// decode options applied, its bindings laid over the runtime's and
+    /// its tools merged in — so all of it is visible to this call only
+    /// (subqueries included: the scoped runtime seeds the subquery tree).
     fn scoped_to(&self, request: &QueryRequest) -> Runtime {
         let mut rt = self.clone();
         request.apply(&mut rt.options);
-        if let Some(policy) = request.retry_policy() {
-            rt.lm = Arc::new(RetryLm::new(Arc::clone(&rt.lm), policy));
-        }
         for (name, value) in request.bindings() {
             rt.bind(name, value.clone());
         }
@@ -468,8 +464,8 @@ impl Runtime {
         }
         // Subquery context: the tree-shared state is created at the root
         // (a child runtime carries the root's via `subquery_ctx`) from
-        // this request-level runtime — retry-wrapped model, per-request
-        // tools and all — so children run like their parent.
+        // this request-level runtime — per-request tools and all — so
+        // children run like their parent.
         let sub = program_uses_subquery(program).then(|| match &self.subquery_ctx {
             Some((shared, depth)) => (Arc::clone(shared), *depth),
             None => (Arc::new(SubqueryShared::rooted_at(self)), 0),

@@ -8,10 +8,6 @@
 //! depth — if any completion satisfies the constraint, the token was
 //! decodable and must not have been masked (`T_Q ⊆ M`).
 
-// Property suites ride behind the default-off `slow-tests` feature:
-// run them with `cargo test --features slow-tests`.
-#![cfg(feature = "slow-tests")]
-
 use lmql::constraints::{
     collect_stop_phrases, eval_final, EvalCtx, MaskConfig, MaskEngine, Masker, ParallelScan,
     VocabSource,

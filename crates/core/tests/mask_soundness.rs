@@ -9,10 +9,6 @@
 //! permissive as the exact per-token engine (it may over-approximate, but
 //! never prune more).
 
-// Property suites ride behind the default-off `slow-tests` feature:
-// run them with `cargo test --features slow-tests`.
-#![cfg(feature = "slow-tests")]
-
 use lmql::constraints::{eval_final, EvalCtx, MaskEngine, Masker, VocabSource};
 use lmql_syntax::parse_expr;
 use lmql_tokenizer::{TokenId, Vocabulary};

@@ -1,6 +1,6 @@
 //! Property-based soundness for the hole-dependency analyzer
-//! (DESIGN.md §14), gated behind `--features slow-tests` like the other
-//! exhaustive suites.
+//! (DESIGN.md §14), gated behind `--features slow-tests`: the one suite
+//! still too slow for the tier-1 run.
 //!
 //! Random straight-line bodies are generated with known dependency
 //! structure — random `{recall}` edges and random `where` conjuncts

@@ -1,9 +1,5 @@
 //! Property-based tests for the dataset crate.
 
-// Property suites ride behind the default-off `slow-tests` feature:
-// run them with `cargo test --features slow-tests`.
-#![cfg(feature = "slow-tests")]
-
 use lmql_datasets::calculator;
 use lmql_datasets::date_understanding::Date;
 use lmql_datasets::{

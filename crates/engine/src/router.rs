@@ -734,29 +734,29 @@ mod tests {
     fn expired_deadline_does_not_fail_over() {
         use lmql_lm::RetryPolicy;
         let bpe = Arc::new(Bpe::char_level(""));
-        let router = Router::new(
-            Arc::new(Down(Arc::clone(&bpe))),
-            bpe,
-            RouterConfig {
-                replicas: 2,
-                engine: EngineConfig {
-                    retry: RetryPolicy::none(),
-                    ..EngineConfig::default()
+        let down_pool = |retry: RetryPolicy| {
+            Router::new(
+                Arc::new(Down(Arc::clone(&bpe))),
+                Arc::clone(&bpe),
+                RouterConfig {
+                    replicas: 2,
+                    engine: EngineConfig {
+                        retry,
+                        ..EngineConfig::default()
+                    },
+                    ..RouterConfig::default()
                 },
-                ..RouterConfig::default()
-            },
-        );
+            )
+        };
         let q = "argmax\n    \"Q:[A]\"\nfrom \"m\"\n";
-        let patient = RetryPolicy {
+        let patient = down_pool(RetryPolicy {
             max_retries: u32::MAX,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(1),
             deadline: Some(Duration::from_millis(20)),
             ..RetryPolicy::default()
-        };
-        let err = router
-            .run_query(QueryRequest::new(q).retry(patient))
-            .unwrap_err();
+        });
+        let err = patient.run_query(q).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -767,7 +767,7 @@ mod tests {
             ),
             "{err:?}"
         );
-        let stats = router.stats();
+        let stats = patient.stats();
         assert_eq!(stats.failovers, 0);
         let loads: Vec<u64> = stats.replicas.iter().map(|r| r.queries).collect();
         assert_eq!(
@@ -780,7 +780,8 @@ mod tests {
             .iter()
             .all(|r| r.breaker == BreakerState::Closed));
 
-        let err = router.run_query(q).unwrap_err();
+        let impatient = down_pool(RetryPolicy::none());
+        let err = impatient.run_query(q).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -791,7 +792,11 @@ mod tests {
             ),
             "{err:?}"
         );
-        assert_eq!(router.stats().failovers, 1, "a dead backend does fail over");
+        assert_eq!(
+            impatient.stats().failovers,
+            1,
+            "a dead backend does fail over"
+        );
     }
 
     #[test]

@@ -38,8 +38,10 @@ pub struct EngineConfig {
     /// Prefix-cache budgets.
     pub cache: RadixCacheConfig,
     /// Retry/deadline policy for dispatch-time fault recovery when the
-    /// model is fallible (a remote backend, a chaos wrapper). Free for
-    /// infallible models — retries only ever run after a fault.
+    /// model is fallible (a remote backend, a chaos wrapper): the one
+    /// place a transient model fault is retried, `1 + max_retries`
+    /// attempts per scheduler item. Free for infallible models — retries
+    /// only ever run after a fault.
     pub retry: RetryPolicy,
     /// Depth/budget limits on the `subquery(...)` trees queries may
     /// spawn (applied to every query's runtime).

@@ -27,8 +27,10 @@
 //! **Fault tolerance.** The model behind the scheduler may be fallible (a
 //! remote backend, a chaos wrapper). Results are per item: one context's
 //! fault never fails its batch partners or the single-flight waiters
-//! merged onto them. Faulted items fall back to direct per-item scoring,
-//! retried with backoff under the scheduler's [`RetryPolicy`]; items
+//! merged onto them. A faulted item is retried on its own with backoff
+//! under the scheduler's [`RetryPolicy`] — `1 + max_retries` attempts,
+//! the batched one included — the only loop on the in-process serving
+//! path that retries a transient model fault; items
 //! whose per-request deadline expires are answered with
 //! [`LmError::DeadlineExceeded`]. Every slot is always filled — with
 //! logits or with an error — so no waiter is ever left hanging, and the
@@ -300,34 +302,34 @@ impl Shared {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Direct per-item scoring with retry/backoff — the fallback when a
-    /// batch (or one item of it) faults, and the inline path during
-    /// shutdown drain. Honours the item's absolute deadline on top of
-    /// the policy's per-request budget.
-    fn score_direct(&self, context: &[TokenId], deadline: Option<Instant>) -> LmResult<Logits> {
+    /// Per-item scoring with retry/backoff under the scheduler's policy:
+    /// `1 + max_retries` attempts in all. A faulted batch item passes its
+    /// batched attempt's error as `first` (that attempt is attempt 0, so
+    /// the loop only makes the retries); the shutdown-drain path passes
+    /// `None` and makes every attempt here. Honours the item's absolute
+    /// deadline on top of the policy's per-request budget.
+    fn score_direct(
+        &self,
+        context: &[TokenId],
+        deadline: Option<Instant>,
+        mut first: Option<LmError>,
+    ) -> LmResult<Logits> {
         let mut policy = self.retry;
         if let Some(d) = deadline {
             let remaining = d.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                self.metrics.retry.deadline_exceeded.inc();
-                return Err(LmError::DeadlineExceeded {
-                    deadline: self.retry.deadline.unwrap_or_default(),
-                });
-            }
-            policy.deadline = Some(match policy.deadline {
-                Some(budget) => budget.min(remaining),
-                None => remaining,
-            });
+            policy.deadline = Some(policy.deadline.map_or(remaining, |b| b.min(remaining)));
         }
         call_with_retry(
             &policy,
             &self.metrics.retry,
             None,
             context_token(context),
-            || {
-                self.model
+            || match first.take() {
+                Some(e) => Err(e),
+                None => self
+                    .model
                     .try_score(context)
-                    .and_then(|l| validated(l, self.model.vocab().len()))
+                    .and_then(|l| validated(l, self.model.vocab().len())),
             },
         )
     }
@@ -519,7 +521,7 @@ impl Scheduler {
     /// that arrive during or after shutdown drain.
     fn score_inline(&self, context: &[TokenId]) -> LmResult<Logits> {
         self.note_cache_miss();
-        let result = self.shared.score_direct(context, None);
+        let result = self.shared.score_direct(context, None, None);
         if let Ok(logits) = &result {
             self.shared
                 .cache
@@ -857,24 +859,24 @@ fn dispatch_loop(shared: &Shared) {
         let vocab_len = shared.model.vocab().len();
         debug_assert_eq!(results.len(), batch.len());
 
-        // Per-item recovery: a faulted item falls back to direct scoring
-        // with retry/backoff, *without* failing its batch partners — the
-        // healthy items' logits (and their merged single-flight waiters)
-        // are already settled. Whatever still fails becomes that item's
-        // error; every slot is filled either way.
+        // Per-item recovery: a faulted item is retried on its own, its
+        // batched attempt counting as the first of its `1 + r`, *without*
+        // failing its batch partners — the healthy items' logits (and
+        // their merged single-flight waiters) are already settled.
+        // Whatever still fails becomes that item's error; every slot is
+        // filled either way.
         let results: Vec<LmResult<Logits>> = results
             .into_iter()
             .zip(&batch)
             .map(|(r, p)| match r.and_then(|l| validated(l, vocab_len)) {
                 Ok(logits) => Ok(logits),
                 Err(e) if e.is_transient() => {
-                    shared.metrics.retry.faults.inc();
                     shared
                         .tracer
                         .instant_with("fault", "batch_item_fallback", || {
                             vec![("context_tokens".to_owned(), (p.context.len() as u64).into())]
                         });
-                    shared.score_direct(&p.context, p.deadline)
+                    shared.score_direct(&p.context, p.deadline, Some(e))
                 }
                 Err(e) => Err(e),
             })
@@ -1308,18 +1310,26 @@ mod tests {
         );
     }
 
-    /// An item whose fallback also exhausts its retry budget fails alone:
-    /// its partners still succeed, and its waiter receives the error
-    /// rather than hanging.
+    /// An item that exhausts its retry budget fails alone: its partners
+    /// still succeed, and its waiter receives the error rather than
+    /// hanging. The budget is `1 + r` attempts with the batched one
+    /// counted as the first, each faulted attempt counted once.
     #[test]
     fn exhausted_item_fails_alone_with_per_item_errors() {
-        let (sched, _, _) = faulty_sched(1, 2);
+        let (sched, batch_calls, direct_calls) = faulty_sched(1, 2);
         let healthy = [TokenId(4)];
         let doomed = [DOOMED, TokenId(5)];
         let out = sched.try_score_many(&[&healthy, &doomed], None);
         assert!(out[0].is_ok(), "healthy partner unaffected: {:?}", out[0]);
         let err = out[1].as_ref().unwrap_err();
         assert!(err.is_transient(), "budget-exhausted transient surfaces");
+        let calls = (
+            batch_calls.load(Ordering::SeqCst),
+            direct_calls.load(Ordering::SeqCst),
+        );
+        assert_eq!(calls, (1, 1), "1 + r = 2 attempts: batched, then one retry");
+        let m = &sched.metrics().retry;
+        assert_eq!((m.faults.get(), m.retries.get()), (2, 1));
     }
 
     /// Fatal faults are not retried; every single-flight waiter merged

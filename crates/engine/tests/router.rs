@@ -11,11 +11,16 @@ mod common;
 
 use common::run_concurrently;
 use lmql::Runtime;
-use lmql_engine::{QueryStream, Router, RouterConfig, RouterObs};
-use lmql_lm::{ChaosLm, Episode, FaultPlan, LanguageModel, ScriptedLm};
+use lmql_engine::{EngineConfig, QueryStream, Router, RouterConfig, RouterObs};
+use lmql_lm::{
+    ChaosLm, Episode, FaultKind, FaultPlan, LanguageModel, LmError, LmResult, Logits, RetryPolicy,
+    ScriptedLm,
+};
 use lmql_obs::Registry;
-use lmql_tokenizer::Bpe;
+use lmql_tokenizer::{Bpe, TokenId, Vocabulary};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 const QUERIES: [&str; 3] = [
     "argmax\n    \"A:[X]\"\nfrom \"m\"\nwhere stops_at(X, \".\")\n",
@@ -313,5 +318,65 @@ fn registry_carries_pool_totals_matching_router_stats() {
             Some(stats.usage.model_queries)
         );
         assert!(stats.usage.model_queries > 0);
+    }
+}
+
+/// A backend whose every call fails transiently, counting the contexts
+/// it was asked to score.
+struct AlwaysDown {
+    bpe: Arc<Bpe>,
+    calls: AtomicU64,
+}
+
+impl LanguageModel for AlwaysDown {
+    fn vocab(&self) -> &Vocabulary {
+        self.bpe.vocab()
+    }
+    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
+        self.calls
+            .fetch_add(contexts.len() as u64, Ordering::SeqCst);
+        let down = Err(LmError::transient(FaultKind::Other, "down"));
+        vec![down; contexts.len()]
+    }
+}
+
+/// One retry loop per fault class: a persistent transient fault costs
+/// exactly `1 + r` backend calls on each replica the query is tried on —
+/// the scheduler item's budget, with no second loop nested around it.
+/// Trying the next replica is the router's fail-over, not a retry.
+#[test]
+fn persistent_transient_fault_costs_one_plus_r_calls_per_replica() {
+    let r = 3;
+    for replicas in [1, 2] {
+        let bpe = bpe();
+        let model = Arc::new(AlwaysDown {
+            bpe: Arc::clone(&bpe),
+            calls: AtomicU64::new(0),
+        });
+        let router = Router::new(
+            Arc::clone(&model) as Arc<dyn LanguageModel>,
+            bpe,
+            RouterConfig {
+                replicas,
+                engine: EngineConfig {
+                    retry: RetryPolicy {
+                        max_retries: r,
+                        base_backoff: Duration::ZERO,
+                        max_backoff: Duration::ZERO,
+                        jitter: 0.0,
+                        ..RetryPolicy::default()
+                    },
+                    ..EngineConfig::default()
+                },
+                ..RouterConfig::default()
+            },
+        );
+        assert!(router.run_query(QUERIES[0]).is_err());
+        assert_eq!(
+            model.calls.load(Ordering::SeqCst),
+            u64::from(1 + r) * replicas as u64,
+            "replicas {replicas}"
+        );
+        assert_eq!(router.stats().failovers, replicas as u64 - 1);
     }
 }

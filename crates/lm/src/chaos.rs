@@ -11,7 +11,7 @@
 //! Under concurrency the *assignment* of ordinals to calls follows
 //! arrival order, so which context hits which fault can vary — but the
 //! fault *pattern* (how many, of which kind, at which ordinals) is fixed,
-//! and a retry layer above must absorb all of it either way.
+//! and the retrying scheduler above must absorb all of it either way.
 
 use crate::{FaultKind, LanguageModel, LmError, LmResult, Logits};
 use lmql_obs::Counter;
@@ -27,7 +27,7 @@ pub struct FaultPlan {
     /// Probability a call returns a transient error.
     pub error_rate: f64,
     /// Probability a call returns a truncated logits vector (half the
-    /// vocabulary) — caught by the retry layer's length validation.
+    /// vocabulary) — caught by [`validated`](crate::validated).
     pub truncate_rate: f64,
     /// Probability a call stalls for [`latency`](Self::latency) first
     /// (drawn independently of the error faults; a call can both stall
@@ -90,9 +90,9 @@ impl ChaosStats {
 /// A [`LanguageModel`] wrapper that injects faults per a [`FaultPlan`].
 ///
 /// The infallible [`score`](LanguageModel::score) path panics on an
-/// injected error (the trait contract has no error channel); put a
-/// [`RetryLm`](crate::RetryLm) — or the scheduler's fault-tolerant
-/// dispatch — on top to exercise recovery.
+/// injected error (the trait contract has no error channel); serve it
+/// behind the scheduler (whose items retry transient faults) to exercise
+/// recovery.
 #[derive(Debug)]
 pub struct ChaosLm<L> {
     inner: L,
@@ -207,7 +207,7 @@ impl<L: LanguageModel> LanguageModel for ChaosLm<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RetryLm, RetryPolicy, UniformLm};
+    use crate::{call_with_retry, context_token, validated, RetryMetrics, RetryPolicy, UniformLm};
     use lmql_tokenizer::Bpe;
     use std::sync::Arc;
 
@@ -290,20 +290,22 @@ mod tests {
     #[test]
     fn retry_layer_recovers_chaos_to_clean_scores() {
         let reference = uniform();
-        let chaotic = ChaosLm::new(uniform(), FaultPlan::transient(9, 0.5));
-        let lm = RetryLm::new(
-            chaotic,
-            RetryPolicy {
-                max_retries: 20,
-                base_backoff: Duration::from_micros(10),
-                max_backoff: Duration::from_micros(50),
-                jitter: 0.0,
-                seed: 0,
-                deadline: None,
-            },
-        );
+        let lm = ChaosLm::new(uniform(), FaultPlan::transient(9, 0.5));
+        let policy = RetryPolicy {
+            max_retries: 20,
+            base_backoff: Duration::from_micros(10),
+            max_backoff: Duration::from_micros(50),
+            jitter: 0.0,
+            seed: 0,
+            deadline: None,
+        };
+        let metrics = RetryMetrics::default();
         for ctx in [&[][..], &[TokenId(1)][..], &[TokenId(2), TokenId(3)][..]] {
-            assert_eq!(lm.try_score(ctx).unwrap(), reference.score(ctx));
+            let recovered = call_with_retry(&policy, &metrics, None, context_token(ctx), || {
+                lm.try_score(ctx)
+                    .and_then(|l| validated(l, lm.vocab().len()))
+            });
+            assert_eq!(recovered.unwrap(), reference.score(ctx));
         }
     }
 }

@@ -17,10 +17,11 @@
 //! - [`UsageMeter`] / [`MeteredLm`] — the paper's §6 cost metrics (model
 //!   queries, decoder calls, billable tokens),
 //! - [`CachedLm`] — prefix-keyed score caching,
-//! - [`LmError`] / [`RetryLm`] / [`ChaosLm`] — the fault-tolerant serving
-//!   layer: transient-vs-fatal error taxonomy, retry with exponential
-//!   backoff and deterministic jitter, circuit breaking, and seeded
-//!   fault injection for reproducible chaos tests,
+//! - [`LmError`] / [`call_with_retry`] / [`ChaosLm`] — the fault-tolerant
+//!   serving layer: transient-vs-fatal error taxonomy, the one retry loop
+//!   (exponential backoff, deterministic jitter, circuit breaking) that
+//!   the scheduler and the remote client run, and seeded fault injection
+//!   for reproducible chaos tests,
 //! - [`corpus`] — the built-in synthetic training corpus and shared
 //!   tokenizer/model constructors used by examples and benchmarks,
 //! - [`testing`] — the consistency check every model implementation and
@@ -52,7 +53,7 @@ pub use model::LanguageModel;
 pub use ngram::NGramLm;
 pub use retry::{
     call_with_retry, context_token, validated, BreakerConfig, BreakerState, CircuitBreaker,
-    RetryLm, RetryMetrics, RetryPolicy,
+    RetryMetrics, RetryPolicy,
 };
 pub use scripted::{
     Branch, Digression, Episode, ScriptedLm, ScriptedLmBuilder, ALIGNED_LOGIT, DIGRESSION_LOGIT,

@@ -1,4 +1,4 @@
-//! Retry with exponential backoff, deterministic jitter, per-request
+//! Retry with exponential backoff, deterministic jitter, per-call
 //! deadlines, and a circuit breaker.
 //!
 //! [`RetryPolicy`] is pure configuration plus a pure backoff function:
@@ -6,16 +6,16 @@
 //! so a replay with the same seed produces the same delays — chaos tests
 //! stay reproducible while concurrent requests still desynchronise.
 //!
-//! [`RetryLm`] wraps any [`LanguageModel`] and absorbs transient faults
-//! ([`LmError::Transient`]) up to the policy's budget. Fatal errors and
-//! expired deadlines pass straight through. [`CircuitBreaker`] sits in
-//! front: enough consecutive failures open it, open calls fail fast
-//! (shedding pressure off a struggling backend), and a cooldown later a
-//! half-open probe decides whether to close it again.
+//! [`call_with_retry`] drives one fallible call, absorbing transient
+//! faults ([`LmError::Transient`]) up to the policy's budget. Fatal errors
+//! and expired deadlines pass straight through. An optional
+//! [`CircuitBreaker`] sits in front: enough consecutive failures open it,
+//! open calls fail fast (shedding pressure off a struggling backend), and
+//! a cooldown later a half-open probe decides whether to close it again.
 
-use crate::{FaultKind, LanguageModel, LmError, LmResult, Logits};
+use crate::{FaultKind, LmError, LmResult, Logits};
 use lmql_obs::{Counter, Gauge, Registry};
-use lmql_tokenizer::{TokenId, Vocabulary};
+use lmql_tokenizer::TokenId;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -35,8 +35,8 @@ pub struct RetryPolicy {
     pub jitter: f64,
     /// Seed for the deterministic jitter stream.
     pub seed: u64,
-    /// Per-request wall-clock budget across all attempts and backoffs.
-    /// `None` means unbounded.
+    /// Wall-clock budget of one call across all its attempts and
+    /// backoffs. `None` means unbounded.
     pub deadline: Option<Duration>,
 }
 
@@ -250,7 +250,7 @@ pub struct RetryMetrics {
     pub retries: Counter,
     /// Requests abandoned because their deadline expired.
     pub deadline_exceeded: Counter,
-    /// Transient faults observed (before any retry).
+    /// Transient faults observed: one per failed attempt.
     pub faults: Counter,
     /// Calls rejected fast by an open breaker.
     pub breaker_rejections: Counter,
@@ -297,8 +297,8 @@ pub fn validated(logits: Logits, vocab_len: usize) -> LmResult<Logits> {
 
 /// Drives one fallible call to completion under a policy: retries
 /// transient errors with backoff, enforces the deadline, and consults an
-/// optional breaker. The building block behind [`RetryLm`], the
-/// scheduler's per-item fallback and the remote client.
+/// optional breaker. The one retry loop behind the scheduler's items and
+/// the remote client.
 ///
 /// `token` seeds the jitter stream (use [`context_token`]); `f` is called
 /// once per attempt.
@@ -353,117 +353,11 @@ pub fn call_with_retry<T>(
     }
 }
 
-/// A [`LanguageModel`] wrapper that absorbs transient faults of its inner
-/// model: every context is retried per the policy, replies shorter than
-/// the vocabulary are treated as truncated (transient), and an optional
-/// circuit breaker fails fast while the backend is down.
-///
-/// The infallible [`score`](LanguageModel::score) panics only when the
-/// whole retry budget is exhausted or the error is fatal.
-#[derive(Debug, Clone)]
-pub struct RetryLm<L> {
-    inner: L,
-    policy: RetryPolicy,
-    breaker: Option<CircuitBreaker>,
-    metrics: RetryMetrics,
-}
-
-impl<L: LanguageModel> RetryLm<L> {
-    /// Wraps `inner` under `policy`, without a breaker.
-    pub fn new(inner: L, policy: RetryPolicy) -> Self {
-        RetryLm {
-            inner,
-            policy,
-            breaker: None,
-            metrics: RetryMetrics::default(),
-        }
-    }
-
-    /// Adds a circuit breaker in front of the inner model.
-    pub fn with_breaker(mut self, config: BreakerConfig) -> Self {
-        self.breaker = Some(CircuitBreaker::new(config));
-        self
-    }
-
-    /// The retry counters.
-    pub fn metrics(&self) -> &RetryMetrics {
-        &self.metrics
-    }
-
-    /// The breaker, if one was installed.
-    pub fn breaker(&self) -> Option<&CircuitBreaker> {
-        self.breaker.as_ref()
-    }
-
-    /// Registers retry counters (and the breaker-state gauge, when a
-    /// breaker is installed) into `registry` under `<prefix>.*` names —
-    /// e.g. `lm.retries`, `lm.deadline_exceeded`, `lm.breaker_state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any of the names is already registered.
-    pub fn register_into(&self, registry: &Registry, prefix: &str) {
-        self.metrics.register_into(registry, prefix);
-        if let Some(b) = &self.breaker {
-            registry.register_gauge(&format!("{prefix}.breaker_state"), b.gauge().clone());
-        }
-    }
-
-    /// Consumes the wrapper, returning the inner model.
-    pub fn into_inner(self) -> L {
-        self.inner
-    }
-}
-
-impl<L: LanguageModel> LanguageModel for RetryLm<L> {
-    fn vocab(&self) -> &Vocabulary {
-        self.inner.vocab()
-    }
-
-    /// A lone context is driven by [`call_with_retry`] from its first
-    /// attempt (breaker consulted every time). A batch is one inner
-    /// dispatch, then the same per-item retry loop for just the items
-    /// that faulted transiently — a partner's fault never fails the
-    /// batch, and a faulted item gets that first batched attempt on top
-    /// of its own budget.
-    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
-        let vocab_len = self.inner.vocab().len();
-        let retried = |ctx: &[TokenId]| {
-            call_with_retry(
-                &self.policy,
-                &self.metrics,
-                self.breaker.as_ref(),
-                context_token(ctx),
-                || {
-                    self.inner
-                        .try_score(ctx)
-                        .and_then(|l| validated(l, vocab_len))
-                },
-            )
-        };
-        if let [ctx] = contexts {
-            return vec![retried(ctx)];
-        }
-        self.inner
-            .try_score_batch(contexts)
-            .into_iter()
-            .zip(contexts)
-            .map(|(r, ctx)| match r.and_then(|l| validated(l, vocab_len)) {
-                Err(e) if e.is_transient() => {
-                    self.metrics.faults.inc();
-                    retried(ctx)
-                }
-                settled => settled,
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::UniformLm;
-    use lmql_tokenizer::Bpe;
+    use crate::{LanguageModel, UniformLm};
+    use lmql_tokenizer::{Bpe, Vocabulary};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -554,29 +448,45 @@ mod tests {
         }
     }
 
+    /// One context scored through [`call_with_retry`], replies checked by
+    /// [`validated`] — the loop the scheduler item and `RemoteLm` run.
+    fn score_retried(
+        lm: &impl LanguageModel,
+        policy: &RetryPolicy,
+        metrics: &RetryMetrics,
+        breaker: Option<&CircuitBreaker>,
+        ctx: &[TokenId],
+    ) -> LmResult<Logits> {
+        call_with_retry(policy, metrics, breaker, context_token(ctx), || {
+            lm.try_score(ctx)
+                .and_then(|l| validated(l, lm.vocab().len()))
+        })
+    }
+
     #[test]
     fn transient_faults_are_absorbed() {
-        let lm = RetryLm::new(FlakyLm::new(2, false), fast_policy(3));
-        let out = lm.try_score(&[TokenId(0)]).unwrap();
+        let (lm, metrics) = (FlakyLm::new(2, false), RetryMetrics::default());
+        let out = score_retried(&lm, &fast_policy(3), &metrics, None, &[TokenId(0)]).unwrap();
         assert_eq!(out.len(), lm.vocab().len());
-        assert_eq!(lm.metrics().retries.get(), 2);
-        assert_eq!(lm.metrics().faults.get(), 2);
+        assert_eq!(metrics.retries.get(), 2);
+        assert_eq!(metrics.faults.get(), 2);
     }
 
     #[test]
     fn budget_exhaustion_returns_the_error() {
-        let lm = RetryLm::new(FlakyLm::new(10, false), fast_policy(2));
-        let err = lm.try_score(&[]).unwrap_err();
+        let (lm, metrics) = (FlakyLm::new(10, false), RetryMetrics::default());
+        let err = score_retried(&lm, &fast_policy(2), &metrics, None, &[]).unwrap_err();
         assert!(err.is_transient());
-        assert_eq!(lm.metrics().retries.get(), 2, "2 retries = 3 attempts");
+        assert_eq!(metrics.retries.get(), 2, "2 retries = 3 attempts");
+        assert_eq!(lm.calls.load(Ordering::SeqCst), 3);
     }
 
     #[test]
     fn fatal_errors_pass_through_immediately() {
-        let lm = RetryLm::new(FlakyLm::new(10, true), fast_policy(5));
-        let err = lm.try_score(&[]).unwrap_err();
+        let (lm, metrics) = (FlakyLm::new(10, true), RetryMetrics::default());
+        let err = score_retried(&lm, &fast_policy(5), &metrics, None, &[]).unwrap_err();
         assert!(matches!(err, LmError::Fatal { .. }));
-        assert_eq!(lm.metrics().retries.get(), 0, "fatal is never retried");
+        assert_eq!(metrics.retries.get(), 0, "fatal is never retried");
     }
 
     #[test]
@@ -589,12 +499,12 @@ mod tests {
             seed: 0,
             deadline: Some(Duration::from_millis(30)),
         };
-        let lm = RetryLm::new(FlakyLm::new(u64::MAX, false), policy);
+        let (lm, metrics) = (FlakyLm::new(u64::MAX, false), RetryMetrics::default());
         let start = Instant::now();
-        let err = lm.try_score(&[]).unwrap_err();
+        let err = score_retried(&lm, &policy, &metrics, None, &[]).unwrap_err();
         assert!(matches!(err, LmError::DeadlineExceeded { .. }), "{err}");
         assert!(start.elapsed() < Duration::from_millis(300));
-        assert_eq!(lm.metrics().deadline_exceeded.get(), 1);
+        assert_eq!(metrics.deadline_exceeded.get(), 1);
     }
 
     #[test]
@@ -617,16 +527,14 @@ mod tests {
                 self.inner.try_score_batch(contexts)
             }
         }
-        let lm = RetryLm::new(
-            TruncatingLm {
-                inner: UniformLm::new(Arc::new(Bpe::char_level(""))),
-                calls: AtomicU64::new(0),
-            },
-            fast_policy(2),
-        );
-        let out = lm.try_score(&[]).unwrap();
+        let lm = TruncatingLm {
+            inner: UniformLm::new(Arc::new(Bpe::char_level(""))),
+            calls: AtomicU64::new(0),
+        };
+        let metrics = RetryMetrics::default();
+        let out = score_retried(&lm, &fast_policy(2), &metrics, None, &[]).unwrap();
         assert_eq!(out.len(), lm.vocab().len());
-        assert_eq!(lm.metrics().retries.get(), 1);
+        assert_eq!(metrics.retries.get(), 1);
     }
 
     #[test]
@@ -666,39 +574,40 @@ mod tests {
 
     #[test]
     fn open_breaker_fails_fast() {
-        let lm = RetryLm::new(FlakyLm::new(u64::MAX, false), fast_policy(0)).with_breaker(
-            BreakerConfig {
-                failure_threshold: 1,
-                cooldown: Duration::from_secs(60),
-            },
-        );
-        assert!(lm.try_score(&[]).is_err()); // trips the breaker
-        let err = lm.try_score(&[]).unwrap_err();
+        let (lm, metrics) = (FlakyLm::new(u64::MAX, false), RetryMetrics::default());
+        let breaker = CircuitBreaker::new(BreakerConfig {
+            failure_threshold: 1,
+            cooldown: Duration::from_secs(60),
+        });
+        let policy = fast_policy(0);
+        // Trips the breaker.
+        assert!(score_retried(&lm, &policy, &metrics, Some(&breaker), &[]).is_err());
+        let err = score_retried(&lm, &policy, &metrics, Some(&breaker), &[]).unwrap_err();
         assert_eq!(err.fault_kind(), Some(FaultKind::Busy));
-        assert_eq!(lm.metrics().breaker_rejections.get(), 1);
-    }
-
-    #[test]
-    fn batch_partner_fault_does_not_fail_healthy_items() {
-        // The batched dispatch's first item faults, its per-item retry
-        // succeeds: every item completes.
-        let lm = RetryLm::new(FlakyLm::new(1, false), fast_policy(2));
-        let c1 = [TokenId(0)];
-        let c2 = [TokenId(1)];
-        let out = lm.try_score_batch(&[&c1, &c2]);
-        assert!(out.iter().all(|r| r.is_ok()));
+        assert_eq!(metrics.breaker_rejections.get(), 1);
+        assert_eq!(
+            lm.calls.load(Ordering::SeqCst),
+            1,
+            "rejected before the model"
+        );
     }
 
     #[test]
     fn metrics_register_under_prefix() {
         let registry = Registry::new();
-        let lm = RetryLm::new(FlakyLm::new(1, false), fast_policy(2))
-            .with_breaker(BreakerConfig::default());
-        lm.register_into(&registry, "lm");
-        let _ = lm.try_score(&[]);
+        let metrics = RetryMetrics::default();
+        metrics.register_into(&registry, "lm");
+        let _ = score_retried(
+            &FlakyLm::new(1, false),
+            &fast_policy(2),
+            &metrics,
+            None,
+            &[],
+        );
         let snap = registry.snapshot();
         assert_eq!(snap.counter("lm.retries"), Some(1));
+        assert_eq!(snap.counter("lm.faults"), Some(1));
         assert_eq!(snap.counter("lm.deadline_exceeded"), Some(0));
-        assert!(snap.gauge("lm.breaker_state").is_some());
+        assert_eq!(snap.counter("lm.breaker_rejections"), Some(0));
     }
 }

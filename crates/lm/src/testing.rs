@@ -40,8 +40,8 @@ pub fn assert_scoring_consistent(lm: &dyn LanguageModel, contexts: &[&[TokenId]]
 mod tests {
     use super::*;
     use crate::{
-        corpus, CachedLm, ChaosLm, FaultPlan, LmResult, MeteredLm, MockLm, RetryLm, RetryPolicy,
-        ScriptedLm, UniformLm, UsageMeter,
+        corpus, CachedLm, ChaosLm, FaultPlan, LmResult, MeteredLm, MockLm, ScriptedLm, UniformLm,
+        UsageMeter,
     };
     use lmql_tokenizer::{Bpe, Vocabulary};
     use std::sync::Arc;
@@ -88,6 +88,8 @@ mod tests {
         let ctxs: Vec<&[TokenId]> = (0..text.len()).map(|n| &text[..n]).collect();
         assert_scoring_consistent(ngram.as_ref(), &ctxs);
         assert_scoring_consistent(&poison(), &CONTEXTS);
+        let faultless = ChaosLm::new(poison(), FaultPlan::transient(7, 0.0));
+        assert_scoring_consistent(&faultless, &CONTEXTS);
     }
 
     #[test]
@@ -102,15 +104,5 @@ mod tests {
         let u = meter.snapshot();
         assert_eq!((u.model_queries, u.batch_dispatches), (5, 0));
         assert_eq!((lm.hits(), lm.misses()), (6 + 3 + 3, 4 + 2));
-    }
-
-    #[test]
-    fn retry_over_faultless_chaos_scores_consistently() {
-        let lm = RetryLm::new(
-            ChaosLm::new(poison(), FaultPlan::transient(7, 0.0)),
-            RetryPolicy::default(),
-        );
-        assert_scoring_consistent(&lm, &CONTEXTS);
-        assert_eq!(lm.metrics().retries.get(), 0);
     }
 }

@@ -179,10 +179,10 @@ impl LanguageModel for FlakyUniform {
 #[test]
 fn server_side_model_fault_becomes_retry_frame() {
     let bpe = Arc::new(Bpe::char_level(""));
-    // Two consecutive faults: one for the batch dispatch and one for the
-    // scheduler's direct-scoring fallback — with RetryPolicy::none() the
-    // server then gives up and the fault reaches the wire as a RETRY
-    // frame; the client's retry re-sends the request and succeeds.
+    // Two consecutive faults. With RetryPolicy::none() the scheduler
+    // makes one attempt per request, so each fault reaches the wire as a
+    // RETRY frame; the client's retries re-send the request until the
+    // third send succeeds.
     let lm = Arc::new(FlakyUniform {
         inner: UniformLm::new(Arc::clone(&bpe)),
         calls: AtomicU64::new(0),

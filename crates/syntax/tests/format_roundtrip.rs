@@ -25,9 +25,6 @@ fn figure_queries_are_format_fixed_points() {
     }
 }
 
-// The random-expression property suite rides behind the default-off
-// `slow-tests` feature: run it with `cargo test --features slow-tests`.
-#[cfg(feature = "slow-tests")]
 mod props {
     use lmql_syntax::{format_expr, parse_expr};
     use proptest::prelude::*;

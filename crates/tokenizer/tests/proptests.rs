@@ -1,9 +1,5 @@
 //! Property-based tests for the tokenizer crate.
 
-// Property suites ride behind the default-off `slow-tests` feature:
-// run them with `cargo test --features slow-tests`.
-#![cfg(feature = "slow-tests")]
-
 use lmql_tokenizer::{pretokenize, Bpe, BpeTrainer, TokenId, TokenSet, TokenTrie, Vocabulary};
 use proptest::prelude::*;
 

@@ -9,7 +9,8 @@
 # timing harness; everything this script runs is a count or a byte.
 #
 # Usage: scripts/verify.sh [--slow | --quick | --serve]
-#   --slow    also runs the proptest suites (slow-tests feature)
+#   --slow    also runs the hole-analyzer proptest suite (crates/core's
+#             slow-tests feature); the other property suites always run
 #   --quick   build + tests + benchmark package tests only (skips
 #             rustfmt/clippy/rustdoc; useful where the toolchain
 #             components are not installed)

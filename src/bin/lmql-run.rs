@@ -28,18 +28,20 @@
 //! `--trace` is the one debug path: it runs the same request on a bare
 //! [`Runtime`] with [`Runtime::run_traced`] and prints the decoder graph
 //! plus the runtime's span trace (parse/compile, per-hole decoding, mask
-//! computation); it needs `--replicas 1`. `--trace-json` writes the
-//! spans as Chrome-trace JSON — load it in `chrome://tracing` or
-//! Perfetto. `--metrics` prints the full metrics registry
-//! (counter/gauge/histogram lines) after the run, the pool's
+//! computation); it needs `--replicas 1` and no fault flag (below).
+//! `--trace-json` writes the spans as Chrome-trace JSON — load it in
+//! `chrome://tracing` or Perfetto. `--metrics` prints the full metrics
+//! registry (counter/gauge/histogram lines) after the run, the pool's
 //! `router.*`, `engine.*` and `lm.*` totals included.
 //!
 //! `--chaos <seed>` wraps the model in a seeded [`ChaosLm`] injecting
-//! transient faults into ~20% of score calls; a retry layer absorbs
-//! them, so the output is byte-identical to the fault-free run.
-//! `--retries` and `--timeout-ms` tune that layer's budget and
-//! per-request deadline (both also work without `--chaos`, e.g. against
-//! a flaky scripted backend).
+//! transient faults into ~20% of score calls; the replicas' schedulers
+//! retry them, so the output is byte-identical to the fault-free run and
+//! every injected fault shows in `lm.faults` under `--metrics`.
+//! `--retries` and `--timeout-ms` tune that retry: the engine policy's
+//! budget and per-call deadline (`RouterConfig.engine.retry`; without
+//! either flag it is [`RetryPolicy::default`]). `--trace` has no
+//! scheduler to retry in, so it rejects all three flags.
 //!
 //! `--no-automata` disables compiled constraint automata and
 //! fast-forward decoding (DESIGN.md §12), forcing every mask through the
@@ -77,8 +79,8 @@
 
 use lmql::constraints::{MaskConfig, MaskEngine};
 use lmql::{QueryEvent, QueryRequest, Runtime, StreamSink, Value};
-use lmql_engine::{Router, RouterConfig, RouterObs};
-use lmql_lm::{corpus, ChaosLm, ChaosStats, Episode, FaultPlan, RetryLm, RetryPolicy, ScriptedLm};
+use lmql_engine::{EngineConfig, Router, RouterConfig, RouterObs};
+use lmql_lm::{corpus, ChaosLm, ChaosStats, Episode, FaultPlan, RetryPolicy, ScriptedLm};
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
@@ -268,26 +270,23 @@ fn run() -> Result<(), String> {
         ));
     };
 
-    // Fault-tolerance layers: `--chaos` injects seeded faults under the
-    // retry layer; `--retries`/`--timeout-ms` tune that layer. Any of the
-    // three flags switches the retrying wrapper on.
-    let mut policy = RetryPolicy::default();
+    // `--chaos` injects seeded faults under the replicas' schedulers,
+    // whose items retry them under `retry`.
+    let mut retry = RetryPolicy::default();
     if let Some(n) = args.retries {
-        policy.max_retries = n;
+        retry.max_retries = n;
     }
     if let Some(ms) = args.timeout_ms {
-        policy.deadline = Some(Duration::from_millis(ms));
+        retry.deadline = Some(Duration::from_millis(ms));
     }
-    let fault_layer = args.chaos.is_some() || args.retries.is_some() || args.timeout_ms.is_some();
     let mut chaos_stats: Option<ChaosStats> = None;
-    let lm: Arc<dyn lmql_lm::LanguageModel> = if let Some(seed) = args.chaos {
-        let chaos = ChaosLm::new(lm, FaultPlan::transient(seed, 0.2));
-        chaos_stats = Some(chaos.stats().clone());
-        Arc::new(RetryLm::new(chaos, policy))
-    } else if fault_layer {
-        Arc::new(RetryLm::new(lm, policy))
-    } else {
-        lm
+    let lm: Arc<dyn lmql_lm::LanguageModel> = match args.chaos {
+        Some(seed) => {
+            let chaos = ChaosLm::new(lm, FaultPlan::transient(seed, 0.2));
+            chaos_stats = Some(chaos.stats().clone());
+            Arc::new(chaos)
+        }
+        None => lm,
     };
 
     // `--corpus`: index the file once, expose it as the `retrieval`
@@ -316,6 +315,11 @@ fn run() -> Result<(), String> {
             "--trace runs on a bare runtime; with --replicas use --trace-json for spans instead"
                 .to_owned(),
         );
+    }
+    if args.trace && (args.chaos.is_some() || args.retries.is_some() || args.timeout_ms.is_some()) {
+        return Err("--trace runs on a bare runtime, which does not retry; \
+             with --chaos/--retries/--timeout-ms use --trace-json for spans instead"
+            .to_owned());
     }
     let tracer = if args.trace || args.trace_json.is_some() {
         lmql_obs::Tracer::recording()
@@ -397,6 +401,10 @@ fn run() -> Result<(), String> {
             RouterConfig {
                 replicas: args.replicas,
                 affinity: !args.no_affinity,
+                engine: EngineConfig {
+                    retry,
+                    ..EngineConfig::default()
+                },
                 ..RouterConfig::default()
             },
             RouterObs {

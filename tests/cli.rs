@@ -117,12 +117,11 @@ fn ngram_model_runs_builtin_corpus_queries() {
     assert!(stdout.contains("THING = "), "{stdout}");
 }
 
+const CHAOS_QUERY: &str = "argmax\n    \"A list of things not to forget when travelling:\\n-[THING]\"\nfrom \"ngram\"\nwhere stops_at(THING, \"\\n\")\n";
+
 #[test]
 fn chaos_flag_injects_absorbed_faults() {
-    let q = write_query(
-        "chaos.lmql",
-        "argmax\n    \"A list of things not to forget when travelling:\\n-[THING]\"\nfrom \"ngram\"\nwhere stops_at(THING, \"\\n\")\n",
-    );
+    let q = write_query("chaos.lmql", CHAOS_QUERY);
     let clean = lmql_run().arg(&q).output().unwrap();
     assert!(clean.status.success(), "{clean:?}");
     let chaotic = lmql_run()
@@ -145,6 +144,55 @@ fn chaos_flag_injects_absorbed_faults() {
         .map(|l| format!("{l}\n"))
         .collect();
     assert_eq!(without_summary, clean);
+}
+
+/// The scheduler is what retries an injected fault, so every one shows
+/// in the pool's `lm.*` counters: each injected error or truncation is
+/// one failed attempt, counted once in `lm.faults`.
+#[test]
+fn chaos_faults_show_in_lm_metrics() {
+    let q = write_query("chaos_metrics.lmql", CHAOS_QUERY);
+    let flags = ["--chaos", "6", "--retries", "8", "--timeout-ms", "5000"];
+    let stdout = stdout_of(&q, &[&flags[..], &["--metrics"]].concat());
+    let counter = |name: &str| -> u64 {
+        stdout
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("counter {name} ")))
+            .unwrap_or_else(|| panic!("no {name} counter: {stdout}"))
+            .parse()
+            .unwrap()
+    };
+    // `--- chaos: N faults injected (E errors, T truncations, S latency
+    // spikes) — all absorbed ---`
+    let summary = stdout
+        .lines()
+        .find(|l| l.starts_with("--- chaos: "))
+        .expect("chaos summary line");
+    let counts: Vec<u64> = summary
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|w| w.parse().ok())
+        .collect();
+    let injected = counts[1] + counts[2];
+    assert!(counter("lm.faults") > 0, "{stdout}");
+    assert_eq!(counter("lm.faults"), injected, "{stdout}");
+}
+
+/// `--trace` runs a bare runtime, which does not retry: the fault flags
+/// are refused rather than silently ignored.
+#[test]
+fn trace_rejects_fault_flags() {
+    let q = write_query("trace_faults.lmql", CHAOS_QUERY);
+    for flag in [["--chaos", "6"], ["--retries", "2"], ["--timeout-ms", "50"]] {
+        let out = lmql_run()
+            .arg(&q)
+            .arg("--trace")
+            .args(flag)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{flag:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("--trace"), "{flag:?}: {stderr}");
+    }
 }
 
 #[test]
