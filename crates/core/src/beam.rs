@@ -7,6 +7,7 @@
 //! beams are pruned and never extended further.
 
 use crate::constraints::{fingerprint_scope_full, MaskOutcome, Masker};
+use crate::debug::StopReason;
 use crate::decode::{ngram_blocked_into, DecodeOptions};
 use crate::interp::{Externals, Step, VmState};
 use crate::stream::{QueryEvent, StreamSink};
@@ -36,6 +37,9 @@ struct Beam {
     /// mint fresh ids for every clone but the first.
     path: u32,
     done: bool,
+    /// This step's admissible-token count (taken only under an active
+    /// sink) and EOS flag, for the picked token's stream event.
+    step: (usize, bool),
 }
 
 /// A live beam's fate for one search step, decided before any scoring so
@@ -45,7 +49,7 @@ enum Planned {
     /// Already finished; carried through unchanged.
     Done(Beam),
     /// The hole ends here (stop condition, exhausted mask, budget).
-    Finish(Beam),
+    Finish(Beam, StopReason),
     /// Extend by one token under this mask.
     Extend { beam: Beam, mask: TokenSet },
     /// The automaton proved exactly one admissible continuation (and no
@@ -105,6 +109,7 @@ pub fn run_beam_search<L: LanguageModel + ?Sized>(
         log_prob: 0.0,
         path: sink.path(),
         done: false,
+        step: (0, false),
     };
     advance(&mut init, program, externals, bpe, sink)?;
     let mut beams = vec![init];
@@ -132,7 +137,7 @@ pub fn run_beam_search<L: LanguageModel + ?Sized>(
         // contexts that need scores this step are known up front.
         step_masks.clear();
         let mut planned: Vec<Planned> = Vec::with_capacity(beams.len());
-        for beam in beams.drain(..) {
+        for mut beam in beams.drain(..) {
             if beam.done {
                 planned.push(Planned::Done(beam));
                 continue;
@@ -154,11 +159,15 @@ pub fn run_beam_search<L: LanguageModel + ?Sized>(
                 }
             };
 
-            if outcome.must_stop
-                || (outcome.allowed.is_empty() && outcome.eos_allowed)
-                || beam.hole_tokens >= options.max_tokens_per_hole
-            {
-                planned.push(Planned::Finish(beam));
+            let stop = if outcome.must_stop {
+                Some(StopReason::StopPhrase)
+            } else if outcome.allowed.is_empty() && outcome.eos_allowed {
+                Some(StopReason::MaskExhausted)
+            } else {
+                (beam.hole_tokens >= options.max_tokens_per_hole).then_some(StopReason::Budget)
+            };
+            if let Some(stop) = stop {
+                planned.push(Planned::Finish(beam, stop));
                 masker.recycle(outcome);
                 continue;
             }
@@ -170,13 +179,16 @@ pub fn run_beam_search<L: LanguageModel + ?Sized>(
                 masker.recycle(outcome);
                 continue; // prune this beam
             }
+            beam.step = (sink.mask_size(&outcome.allowed), outcome.eos_allowed);
             if let Some(blocked) = &mut ngram_blocked {
                 ngram_blocked_into(&beam.context, options.no_repeat_ngram, blocked);
             }
             if let Some(token) = forced {
                 // A blocked forced token leaves nothing admissible.
                 planned.push(match &ngram_blocked {
-                    Some(blocked) if blocked.contains(token) => Planned::Finish(beam),
+                    Some(blocked) if blocked.contains(token) => {
+                        Planned::Finish(beam, StopReason::MaskExhausted)
+                    }
                     _ => Planned::Forced { beam, token },
                 });
                 masker.recycle(outcome);
@@ -193,7 +205,7 @@ pub fn run_beam_search<L: LanguageModel + ?Sized>(
                     // Blocking exhausted the mask: the hole ends here, as
                     // in `decode_hole`.
                     masker.recycle_mask(mask);
-                    planned.push(Planned::Finish(beam));
+                    planned.push(Planned::Finish(beam, StopReason::MaskExhausted));
                     continue;
                 }
             }
@@ -222,21 +234,24 @@ pub fn run_beam_search<L: LanguageModel + ?Sized>(
         for plan in planned {
             match plan {
                 Planned::Done(beam) => candidates.push(beam),
-                Planned::Finish(mut beam) => {
-                    finish_hole(&mut beam, program, externals, bpe, sink)?;
+                Planned::Finish(mut beam, stop) => {
+                    finish_hole(&mut beam, program, externals, bpe, sink, stop, None)?;
                     candidates.push(beam);
                 }
                 Planned::Forced { mut beam, token } => {
                     masker.note_fast_forward(1);
+                    let (allowed, eos_allowed) = beam.step;
                     let (var, v) = beam.hole.as_mut().expect("active beam has a hole");
                     let text = bpe.vocab().token_str(token);
-                    sink.with_path(beam.path).token_delta(var, text, 0.0);
+                    sink.with_path(beam.path)
+                        .token_delta(var, text, 0.0, allowed, eos_allowed);
                     v.push_str(text);
                     beam.context.push(token);
                     beam.hole_tokens += 1;
                     candidates.push(beam);
                 }
                 Planned::Extend { beam, mask } => {
+                    let (allowed, eos_allowed) = beam.step;
                     let logits = scored.next().expect("one score per extending beam")?;
                     let dist = logits.softmax(options.temperature);
                     let masked = dist.masked(&mask);
@@ -277,11 +292,21 @@ pub fn run_beam_search<L: LanguageModel + ?Sized>(
                         b.path = id;
                         b.log_prob += p.ln();
                         if t == eos {
-                            finish_hole(&mut b, program, externals, bpe, sink)?;
+                            let eos_step = sink.is_active().then(|| (allowed, p.ln()));
+                            finish_hole(
+                                &mut b,
+                                program,
+                                externals,
+                                bpe,
+                                sink,
+                                StopReason::Eos,
+                                eos_step,
+                            )?;
                         } else {
                             let (var, v) = b.hole.as_mut().expect("active beam has a hole");
                             let text = bpe.vocab().token_str(t);
-                            sink.with_path(id).token_delta(var, text, p.ln());
+                            sink.with_path(id)
+                                .token_delta(var, text, p.ln(), allowed, eos_allowed);
                             v.push_str(text);
                             b.context.push(t);
                             b.hole_tokens += 1;
@@ -361,13 +386,15 @@ fn finish_hole(
     externals: &Externals,
     bpe: &Arc<Bpe>,
     sink: &StreamSink,
+    stopped_by: StopReason,
+    eos_step: Option<(usize, f64)>,
 ) -> Result<()> {
     let (var, value) = beam
         .hole
         .take()
         .expect("finish_hole without an active hole");
     sink.with_path(beam.path)
-        .variable_done(&var, &value, beam.log_prob);
+        .variable_done(&var, &value, beam.log_prob, stopped_by, eos_step);
     beam.vm.provide_hole(value);
     beam.hole_tokens = 0;
     advance(beam, program, externals, bpe, sink)

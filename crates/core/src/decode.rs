@@ -1,7 +1,7 @@
 //! Constrained decoding (the paper's Alg. 2) and decoder strategies.
 
 use crate::constraints::{MaskConfig, MaskEngine, Masker};
-use crate::debug::{StepTrace, StopReason};
+use crate::debug::StopReason;
 use crate::{Error, Result};
 use lmql_lm::LanguageModel;
 use lmql_tokenizer::{Bpe, TokenSet};
@@ -86,23 +86,12 @@ impl DecodeOptions {
     }
 }
 
-/// Tokens that would repeat an `n`-gram already present in `context`
-/// (HuggingFace's `no_repeat_ngram_size` semantics): for the last `n-1`
-/// context tokens as a prefix, every token that completed that prefix to
-/// an existing `n`-gram is blocked.
-pub fn ngram_blocked_tokens(
-    context: &[lmql_tokenizer::TokenId],
-    n: usize,
-    vocab_len: usize,
-) -> TokenSet {
-    let mut blocked = TokenSet::empty(vocab_len);
-    ngram_blocked_into(context, n, &mut blocked);
-    blocked
-}
-
-/// [`ngram_blocked_tokens`] into a caller-owned buffer, so per-step
-/// callers (the decode loop, beam search) allocate the set once per hole
-/// instead of once per token.
+/// Fills `blocked` with the tokens that would repeat an `n`-gram already
+/// present in `context` (HuggingFace's `no_repeat_ngram_size` semantics):
+/// for the last `n-1` context tokens as a prefix, every token that
+/// completed that prefix to an existing `n`-gram is blocked. The buffer is
+/// caller-owned, so per-step callers (the decode loop, beam search)
+/// allocate the set once per hole instead of once per token.
 pub fn ngram_blocked_into(context: &[lmql_tokenizer::TokenId], n: usize, blocked: &mut TokenSet) {
     blocked.clear();
     if n == 0 || context.len() < n {
@@ -148,12 +137,20 @@ pub struct DecodedValue {
     pub tokens: usize,
     /// Why decoding ended.
     pub stopped_by: StopReason,
+    /// Under an active sink, for a picked EOS: that step's admissible
+    /// count and EOS log-probability, for the hole's
+    /// [`VariableDone`](crate::QueryEvent::VariableDone).
+    pub eos_step: Option<(usize, f64)>,
 }
 
 /// Decodes a value for hole `var` given the current interaction trace.
 ///
 /// Implements Alg. 2: at each step compute the mask, stop on dead ends or
 /// forced stops, renormalise the masked distribution, pick a token, append.
+///
+/// Under an active sink each picked token streams as a
+/// [`TokenDelta`](crate::QueryEvent::TokenDelta) carrying its step's
+/// mask size and EOS flag — the Appendix A.3 debugger's row.
 ///
 /// # Errors
 ///
@@ -171,37 +168,14 @@ pub fn decode_hole<L: LanguageModel + ?Sized>(
     pick: &mut Pick,
     options: &DecodeOptions,
 ) -> Result<DecodedValue> {
-    decode_hole_traced(
-        lm, bpe, masker, where_expr, scope, trace, var, pick, options, None,
-    )
-}
-
-/// [`decode_hole`] with optional per-step introspection recording
-/// (Appendix A.3 debugger support).
-///
-/// # Errors
-///
-/// See [`decode_hole`].
-#[allow(clippy::too_many_arguments)]
-pub fn decode_hole_traced<L: LanguageModel + ?Sized>(
-    lm: &L,
-    bpe: &Arc<Bpe>,
-    masker: &mut Masker,
-    where_expr: Option<&lmql_syntax::ast::Expr>,
-    scope: &HashMap<String, crate::Value>,
-    trace: &str,
-    var: &str,
-    pick: &mut Pick,
-    options: &DecodeOptions,
-    mut steps_out: Option<&mut Vec<StepTrace>>,
-) -> Result<DecodedValue> {
-    let tracer = options.tracer.clone();
+    let (tracer, sink) = (options.tracer.clone(), &options.sink);
     let mut hole_span = tracer.span_lazy("decode", || format!("hole:{var}"));
     let eos = bpe.vocab().eos();
     let mut value = String::new();
     let mut log_prob = 0.0;
     let mut tokens = 0;
     let stopped_by;
+    let mut eos_step = None;
     // Alg. 2 operates on the token sequence `uv`: the prompt is encoded
     // once, picked tokens are appended as-is (no per-step re-encoding,
     // which could even re-factorise the value differently).
@@ -218,7 +192,7 @@ pub fn decode_hole_traced<L: LanguageModel + ?Sized>(
     loop {
         // Cooperative cancellation: a dropped stream handle (or a
         // disconnected client) stops the run between tokens.
-        if options.sink.cancelled() {
+        if sink.cancelled() {
             return Err(Error::Cancelled);
         }
         // Speculative mode (§4): kick off the forward pass while the mask
@@ -264,6 +238,7 @@ pub fn decode_hole_traced<L: LanguageModel + ?Sized>(
             break;
         }
 
+        let allowed = sink.mask_size(&outcome.allowed);
         mask.fill_from(&outcome.allowed);
         if outcome.eos_allowed {
             mask.insert(eos);
@@ -283,10 +258,10 @@ pub fn decode_hole_traced<L: LanguageModel + ?Sized>(
         // irrelevant — the forced token is appended without scoring.
         // Chains of forced states (template text, closing brackets)
         // therefore cost zero LM calls, while the per-token stream
-        // events, step traces and log-prob stay byte-identical to the
-        // scored path: a singleton renormalises to probability exactly
-        // 1.0, log-prob exactly 0.0. (Speculative mode already paid for
-        // the forward pass, so it keeps the scored path.)
+        // events and log-prob stay byte-identical to the scored path: a
+        // singleton renormalises to probability exactly 1.0, log-prob
+        // exactly 0.0. (Speculative mode already paid for the forward
+        // pass, so it keeps the scored path.)
         if speculative_logits.is_none() {
             if let Some(t) = masker.forced_token(&outcome) {
                 let mut ff_span = tracer.span("decode", "fast_forward");
@@ -301,18 +276,8 @@ pub fn decode_hole_traced<L: LanguageModel + ?Sized>(
                 if ff_span.is_recording() {
                     ff_span.arg("token", text.to_owned());
                 }
-                if let Some(steps) = steps_out.as_deref_mut() {
-                    steps.push(StepTrace {
-                        value_chars: value.chars().count(),
-                        allowed: outcome.allowed.count(),
-                        vocab: bpe.vocab().len(),
-                        eos_allowed: outcome.eos_allowed,
-                        picked: Some(text.to_owned()),
-                        prob: 1.0,
-                    });
-                }
                 masker.note_fast_forward(1);
-                options.sink.token_delta(var, text, 0.0);
+                sink.token_delta(var, text, 0.0, allowed, outcome.eos_allowed);
                 value.push_str(text);
                 context.push(t);
                 tokens += 1;
@@ -343,25 +308,17 @@ pub fn decode_hole_traced<L: LanguageModel + ?Sized>(
             Pick::Argmax => dist.argmax(),
             Pick::Sample(rng) => dist.sample(rng),
         };
-        if let Some(steps) = steps_out.as_deref_mut() {
-            steps.push(StepTrace {
-                value_chars: value.chars().count(),
-                allowed: outcome.allowed.count(),
-                vocab: bpe.vocab().len(),
-                eos_allowed: outcome.eos_allowed,
-                picked: (t != eos).then(|| bpe.vocab().token_str(t).to_owned()),
-                prob: dist.prob(t),
-            });
-        }
+        let eos_allowed = outcome.eos_allowed;
         masker.recycle(outcome);
         if t == eos {
             stopped_by = StopReason::Eos;
+            eos_step = sink.is_active().then(|| (allowed, dist.log_prob(t)));
             break;
         }
         let lp = dist.log_prob(t);
         let text = bpe.vocab().token_str(t);
         log_prob += lp;
-        options.sink.token_delta(var, text, lp);
+        sink.token_delta(var, text, lp, allowed, eos_allowed);
         value.push_str(text);
         context.push(t);
         tokens += 1;
@@ -376,15 +333,8 @@ pub fn decode_hole_traced<L: LanguageModel + ?Sized>(
         log_prob,
         tokens,
         stopped_by,
+        eos_step,
     })
-}
-
-/// The full-vocabulary mask (minus EOS) — what an unconstrained decoder
-/// sees.
-pub fn unconstrained_mask(bpe: &Bpe) -> TokenSet {
-    let mut m = TokenSet::full(bpe.vocab().len());
-    m.remove(bpe.vocab().eos());
-    m
 }
 
 #[cfg(test)]

@@ -70,10 +70,7 @@ mod value;
 pub use beam::{run_beam_search, FinishedBeam};
 pub use compile::{compile_query, compile_source};
 pub use debug::{DebugTrace, HoleTrace, StepTrace, StopReason};
-pub use decode::{
-    decode_hole, decode_hole_traced, ngram_blocked_tokens, unconstrained_mask, DecodeOptions,
-    DecodedValue, Pick,
-};
+pub use decode::{decode_hole, DecodeOptions, DecodedValue, Pick};
 pub use error::{Error, ModelErrorClass, Result};
 pub use interp::{ExternalFn, Externals, HoleRecord, HoleRequest, Step, VmState};
 pub use naive::{decode_hole_naive, decode_hole_naive_strict, NaiveOptions, NaiveOutcome};

@@ -2,8 +2,8 @@
 
 use crate::beam::run_beam_search;
 use crate::constraints::{eval_expr, AutomataCache, CustomOp, CustomOps, MaskMemo, Masker};
-use crate::debug::{DebugTrace, HoleTrace, StopReason};
-use crate::decode::{decode_hole_traced, DecodeOptions, DecodedValue, Pick};
+use crate::debug::StopReason;
+use crate::decode::{decode_hole, DecodeOptions, DecodedValue, Pick};
 use crate::interp::{Externals, HoleRecord, Step, VmState};
 use crate::program::Instr;
 use crate::stream::{EventSink, QueryEvent, StreamSink};
@@ -263,11 +263,6 @@ impl Runtime {
         self.subqueries = limits;
     }
 
-    /// The current `subquery(...)` limits.
-    pub fn subquery_limits(&self) -> SubqueryLimits {
-        self.subqueries
-    }
-
     /// The installed trace recorder (disabled unless [`Self::set_tracer`]
     /// was called).
     pub fn tracer(&self) -> &lmql_obs::Tracer {
@@ -317,11 +312,6 @@ impl Runtime {
         self.bindings.push((name.to_owned(), value));
     }
 
-    /// Removes all query arguments.
-    pub fn clear_bindings(&mut self) {
-        self.bindings.clear();
-    }
-
     /// Parses, compiles and runs LMQL source.
     ///
     /// # Errors
@@ -329,32 +319,6 @@ impl Runtime {
     /// Syntax, compile, evaluation and decoding errors.
     pub fn run(&self, source: &str) -> Result<QueryResult> {
         self.execute(&QueryRequest::new(source))
-    }
-
-    /// Like [`Runtime::execute`] (a bare source converts into a request
-    /// with nothing set), additionally recording a per-step decode trace
-    /// for the debugger (Appendix A.3). Tracing covers `argmax` and
-    /// `sample` runs; beam search returns an empty trace.
-    ///
-    /// # Errors
-    ///
-    /// See [`Runtime::run`].
-    pub fn run_traced(
-        &self,
-        request: impl Into<QueryRequest>,
-    ) -> Result<(QueryResult, DebugTrace)> {
-        let mut debug = DebugTrace::default();
-        let result = self.execute_full(&request.into(), Some(&mut debug))?;
-        Ok((result, debug))
-    }
-
-    /// Runs a pre-compiled program.
-    ///
-    /// # Errors
-    ///
-    /// See [`Runtime::run`].
-    pub fn run_program(&self, program: &Program) -> Result<QueryResult> {
-        self.run_program_full(program, None)
     }
 
     /// Like [`Runtime::run`], streaming [`QueryEvent`]s into `sink` as
@@ -379,17 +343,9 @@ impl Runtime {
     ///
     /// See [`Runtime::run`].
     pub fn execute(&self, request: &QueryRequest) -> Result<QueryResult> {
-        self.execute_full(request, None)
-    }
-
-    fn execute_full(
-        &self,
-        request: &QueryRequest,
-        debug: Option<&mut DebugTrace>,
-    ) -> Result<QueryResult> {
         let scoped = self.scoped_to(request);
         let program = scoped.compile(request.source())?;
-        scoped.run_program_full(&program, debug)
+        scoped.run_program(&program)
     }
 
     /// The environment `request` runs in: this runtime with the request's
@@ -415,16 +371,16 @@ impl Runtime {
         compile_source(source)
     }
 
-    /// The full execution path: dispatches on the decoder and, when the
-    /// options carry an active stream sink, brackets the run with the
+    /// Runs a pre-compiled program: dispatches on the decoder and, when
+    /// the options carry an active stream sink, brackets the run with the
     /// terminal events (`Usage` + `Done` on success, `Error` on failure).
-    fn run_program_full(
-        &self,
-        program: &Program,
-        debug: Option<&mut DebugTrace>,
-    ) -> Result<QueryResult> {
+    ///
+    /// # Errors
+    ///
+    /// See [`Runtime::run`].
+    pub fn run_program(&self, program: &Program) -> Result<QueryResult> {
         let sink = &self.options.sink;
-        let outcome = self.run_program_dispatch(program, debug);
+        let outcome = self.run_program_dispatch(program);
         if let Some(registry) = &self.metrics {
             if !self.tools.is_empty() {
                 self.tools.report_metrics(registry);
@@ -454,11 +410,7 @@ impl Runtime {
     /// Runs the decoder, returning the result plus the surviving path
     /// ids best-first (the streaming `Done` ranking; `runs[i]` was
     /// streamed under path `ranking[i]`).
-    fn run_program_dispatch(
-        &self,
-        program: &Program,
-        mut debug: Option<&mut DebugTrace>,
-    ) -> Result<(QueryResult, Vec<u32>)> {
+    fn run_program_dispatch(&self, program: &Program) -> Result<(QueryResult, Vec<u32>)> {
         if let Some(w) = &program.where_clause {
             self.validate_where(w)?;
         }
@@ -483,15 +435,8 @@ impl Runtime {
 
         match program.decoder.name.as_str() {
             "argmax" => {
-                let run = self.run_single(
-                    program,
-                    &lm,
-                    &mut masker,
-                    Pick::argmax(),
-                    0,
-                    sub.as_ref(),
-                    debug.take(),
-                )?;
+                let run =
+                    self.run_single(program, &lm, &mut masker, Pick::argmax(), 0, sub.as_ref())?;
                 Ok((run, vec![0]))
             }
             "sample" => {
@@ -506,7 +451,6 @@ impl Runtime {
                         Pick::sample(options.seed.wrapping_add(i as u64)),
                         i as u32,
                         sub.as_ref(),
-                        debug.as_deref_mut(),
                     )?;
                     distribution = distribution.or(r.distribution);
                     runs.extend(r.runs.into_iter().map(|run| (i as u32, run)));
@@ -608,7 +552,6 @@ impl Runtime {
 
     /// Runs one execution path (argmax or one sample), streamed under
     /// hypothesis id `path` when the options carry an active sink.
-    #[allow(clippy::too_many_arguments)]
     fn run_single<L: LanguageModel + Sync>(
         &self,
         program: &Program,
@@ -617,7 +560,6 @@ impl Runtime {
         mut pick: Pick,
         path: u32,
         sub: Option<&(Arc<SubqueryShared>, u32)>,
-        mut debug: Option<&mut DebugTrace>,
     ) -> Result<QueryResult> {
         let mut opts = self.options.clone().with_decoder_params(&program.decoder);
         opts.sink = self.options.sink.with_path(path);
@@ -627,20 +569,16 @@ impl Runtime {
 
         // Program-level parallelism (DESIGN.md §14): argmax only (a
         // sample threads one RNG through its holes in order), never under
-        // the step debugger or an enabled tracer (span interleaving must
-        // stay deterministic), and only when the analyzer finds a
-        // multi-hole independent group. Buffered members are joined —
-        // replayed through the exact sequential event protocol — when
-        // the interpreter reaches them.
-        let plan = if matches!(pick, Pick::Argmax)
-            && opts.parallel_holes
-            && debug.is_none()
-            && !opts.tracer.is_enabled()
-        {
-            crate::parallel::plan_holes(program).filter(|p| p.max_group_len() > 1)
-        } else {
-            None
-        };
+        // an enabled tracer (span interleaving must stay deterministic),
+        // and only when the analyzer finds a multi-hole independent group.
+        // Buffered members are joined — their events replayed at their
+        // exact sequential position — when the interpreter reaches them.
+        let plan =
+            if matches!(pick, Pick::Argmax) && opts.parallel_holes && !opts.tracer.is_enabled() {
+                crate::parallel::plan_holes(program).filter(|p| p.max_group_len() > 1)
+            } else {
+                None
+            };
         let mut pending: HashMap<String, PendingHole> = HashMap::new();
 
         let mut vm = VmState::new(self.bindings.iter().cloned());
@@ -706,20 +644,18 @@ impl Runtime {
                             })
                             .map(|(v, _)| v.clone())
                             .ok_or_else(|| Error::eval("distribute support is empty", d.span))?;
-                        if let Some(d) = debug.as_deref_mut() {
-                            d.holes.push(HoleTrace {
-                                var: req.var.clone(),
-                                value: best.clone(),
-                                steps: Vec::new(),
-                                stopped_by: StopReason::Distribution,
-                            });
-                        }
                         if sink.is_active() {
                             sink.emit(QueryEvent::Distribution {
                                 support: dist.clone(),
                             });
                         }
-                        sink.variable_done(&req.var, &best, log_prob);
+                        sink.variable_done(
+                            &req.var,
+                            &best,
+                            log_prob,
+                            StopReason::Distribution,
+                            None,
+                        );
                         distribution = Some(dist);
                         vm.provide_hole(best);
                         emitted = vm.trace().len();
@@ -752,18 +688,17 @@ impl Runtime {
                         let decoded = match pending.remove(&req.var) {
                             Some(member) => {
                                 // Join: replay this member's buffered
-                                // token deltas at its sequential position
-                                // (an error propagates after them, just
-                                // as a live decode would).
-                                for (text, lp) in &member.deltas {
-                                    sink.token_delta(&req.var, text, *lp);
+                                // events at its sequential position (an
+                                // error propagates after them, just as a
+                                // live decode would).
+                                for event in member.events {
+                                    sink.emit(event);
                                 }
                                 member.result?
                             }
                             None => {
-                                let mut steps = debug.as_deref_mut().map(|_| Vec::new());
                                 vm.trace().write_into(&mut trace_buf);
-                                let decoded = decode_hole_traced(
+                                decode_hole(
                                     lm,
                                     &self.bpe,
                                     masker,
@@ -773,21 +708,17 @@ impl Runtime {
                                     &req.var,
                                     &mut pick,
                                     &opts,
-                                    steps.as_mut(),
-                                )?;
-                                if let Some(d) = debug.as_deref_mut() {
-                                    d.holes.push(HoleTrace {
-                                        var: req.var.clone(),
-                                        value: decoded.value.clone(),
-                                        steps: steps.unwrap_or_default(),
-                                        stopped_by: decoded.stopped_by,
-                                    });
-                                }
-                                decoded
+                                )?
                             }
                         };
                         log_prob += decoded.log_prob;
-                        sink.variable_done(&req.var, &decoded.value, log_prob);
+                        sink.variable_done(
+                            &req.var,
+                            &decoded.value,
+                            log_prob,
+                            decoded.stopped_by,
+                            decoded.eos_step,
+                        );
                         vm.provide_hole(decoded.value);
                         emitted = vm.trace().len();
                     }
@@ -872,13 +803,15 @@ impl Runtime {
                     scope.spawn(move || {
                         let buffer = Arc::new(GroupBufferSink {
                             parent: parent_sink.clone(),
-                            deltas: Mutex::new(Vec::new()),
+                            events: Mutex::new(Vec::new()),
                         });
                         let mut member_opts = opts.clone();
-                        member_opts.sink = StreamSink::new(Arc::clone(&buffer) as _);
+                        if parent_sink.is_active() {
+                            member_opts.sink = StreamSink::new(Arc::clone(&buffer) as _)
+                                .with_path(parent_sink.path());
+                        }
                         let mut masker = self.make_masker();
-                        let mut pick = Pick::argmax();
-                        let result = decode_hole_traced(
+                        let result = decode_hole(
                             lm,
                             &self.bpe,
                             &mut masker,
@@ -886,14 +819,13 @@ impl Runtime {
                             job_scope,
                             trace,
                             var,
-                            &mut pick,
+                            &mut Pick::argmax(),
                             &member_opts,
-                            None,
                         );
-                        let deltas = std::mem::take(
-                            &mut *buffer.deltas.lock().expect("delta buffer poisoned"),
+                        let events = std::mem::take(
+                            &mut *buffer.events.lock().expect("event buffer poisoned"),
                         );
-                        (var.clone(), PendingHole { result, deltas })
+                        (var.clone(), PendingHole { result, events })
                     })
                 })
                 .collect();
@@ -902,9 +834,7 @@ impl Runtime {
                 .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
-        for (var, outcome) in outcomes {
-            pending.insert(var, outcome);
-        }
+        pending.extend(outcomes);
         if let Some(registry) = &self.metrics {
             registry.counter("holes.parallel").add(members.len() as u64);
         }
@@ -1057,26 +987,25 @@ impl Runtime {
 /// A parallel group member's buffered outcome, awaiting its join point.
 struct PendingHole {
     result: Result<DecodedValue>,
-    deltas: Vec<(String, f64)>,
+    events: Vec<QueryEvent>,
 }
 
-/// The sink a parallel group member decodes against: token deltas are
-/// buffered (for in-order replay at the join) instead of reaching the
-/// stream out of program order, while cancellation still flows through
-/// from the real sink so concurrent members stop cooperatively.
+/// The sink a parallel group member of an observed run decodes against:
+/// its events are buffered whole (for in-order replay at the join)
+/// instead of reaching the stream out of program order, while
+/// cancellation still flows through from the real sink so concurrent
+/// members stop cooperatively.
 struct GroupBufferSink {
     parent: StreamSink,
-    deltas: Mutex<Vec<(String, f64)>>,
+    events: Mutex<Vec<QueryEvent>>,
 }
 
 impl EventSink for GroupBufferSink {
     fn emit(&self, event: QueryEvent) {
-        if let QueryEvent::TokenDelta { text, log_prob, .. } = event {
-            self.deltas
-                .lock()
-                .expect("delta buffer poisoned")
-                .push((text, log_prob));
-        }
+        self.events
+            .lock()
+            .expect("event buffer poisoned")
+            .push(event);
     }
 
     fn cancelled(&self) -> bool {
@@ -1199,7 +1128,7 @@ fn run_subquery(
     child.subquery_ctx = Some((Arc::clone(shared), depth + 1));
     let outcome = child
         .compile(source)
-        .and_then(|program| child.run_program_full(&program, None));
+        .and_then(|program| child.run_program(&program));
     parent_sink.emit(QueryEvent::SubqueryDone {
         path: child_root,
         ok: outcome.is_ok(),
@@ -1256,7 +1185,7 @@ impl SubquerySink {
 }
 
 impl EventSink for SubquerySink {
-    fn emit(&self, event: QueryEvent) {
+    fn emit(&self, mut event: QueryEvent) {
         if let QueryEvent::TokenDelta { path, .. } = &event {
             // One budget unit per decoded token, counted once: deltas a
             // deeper sink already globalised were counted there.
@@ -1269,62 +1198,26 @@ impl EventSink for SubquerySink {
         if !self.parent.is_active() {
             return;
         }
-        let mapped = match event {
-            QueryEvent::PromptChunk { path, text } => QueryEvent::PromptChunk {
-                path: self.map_path(path),
-                text,
-            },
-            QueryEvent::VariableStart { path, var } => QueryEvent::VariableStart {
-                path: self.map_path(path),
-                var,
-            },
-            QueryEvent::TokenDelta {
-                path,
-                var,
-                text,
-                log_prob,
-            } => QueryEvent::TokenDelta {
-                path: self.map_path(path),
-                var,
-                text,
-                log_prob,
-            },
-            QueryEvent::VariableDone {
-                path,
-                var,
-                value,
-                score,
-            } => QueryEvent::VariableDone {
-                path: self.map_path(path),
-                var,
-                value,
-                score,
-            },
-            QueryEvent::BeamFork { parent, child } => QueryEvent::BeamFork {
-                parent: self.map_path(parent),
-                child: self.map_path(child),
-            },
-            QueryEvent::BeamPrune { path } => QueryEvent::BeamPrune {
-                path: self.map_path(path),
-            },
-            QueryEvent::SubqueryStart {
-                parent,
-                child,
-                depth,
-            } => QueryEvent::SubqueryStart {
-                parent: self.map_path(parent),
-                // Grandchild roots come from the shared allocator and
-                // are already global.
-                child,
-                depth,
-            },
-            QueryEvent::SubqueryDone { path, ok } => QueryEvent::SubqueryDone { path, ok },
+        match &mut event {
+            QueryEvent::PromptChunk { path, .. }
+            | QueryEvent::VariableStart { path, .. }
+            | QueryEvent::TokenDelta { path, .. }
+            | QueryEvent::VariableDone { path, .. }
+            | QueryEvent::BeamPrune { path } => *path = self.map_path(*path),
+            QueryEvent::BeamFork { parent, child } => {
+                *parent = self.map_path(*parent);
+                *child = self.map_path(*child);
+            }
+            // Grandchild roots come from the shared allocator and are
+            // already global.
+            QueryEvent::SubqueryStart { parent, .. } => *parent = self.map_path(*parent),
+            QueryEvent::SubqueryDone { .. } => {}
             QueryEvent::Distribution { .. }
             | QueryEvent::Usage { .. }
             | QueryEvent::Done { .. }
             | QueryEvent::Error { .. } => return,
-        };
-        self.parent.emit(mapped);
+        }
+        self.parent.emit(event);
     }
 
     fn cancelled(&self) -> bool {

@@ -23,16 +23,17 @@
 //! mints fresh ids on fork. Forks are emitted *before* the parent's next
 //! token delta, so a child always inherits the parent's pre-delta state.
 
+use crate::debug::StopReason;
 use lmql_lm::CancelToken;
+use lmql_tokenizer::TokenSet;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::{mpsc, Arc, Mutex};
 
 /// The first path id available to nested subquery streams. A single
 /// run's own hypothesis ids (sample indices, beam forks) stay far below
 /// this, so every id at or above it unambiguously belongs to a subquery.
 pub(crate) const SUBQUERY_PATH_BASE: u32 = 1 << 16;
-use std::fmt;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
 
 /// One observable step of a streaming query run.
 ///
@@ -63,8 +64,13 @@ pub enum QueryEvent {
         var: String,
         /// The token's exact text.
         text: String,
-        /// The token's log-probability under the masked distribution.
+        /// The token's log-probability under the masked distribution
+        /// (0.0 for a fast-forwarded token).
         log_prob: f64,
+        /// Admissible regular tokens at this step, before n-gram blocking.
+        allowed: usize,
+        /// Whether EOS was admissible at this step.
+        eos_allowed: bool,
     },
     /// Hole `var` finished; `value` is the authoritative final text (for
     /// a `distribute` hole there are no deltas, only this event).
@@ -79,6 +85,11 @@ pub enum QueryEvent {
         /// The hypothesis' cumulative log-probability after this hole
         /// (bit-exact: reassembly uses it as the run's `log_prob`).
         score: f64,
+        /// Why decoding ended.
+        stopped_by: StopReason,
+        /// For a picked EOS (a step with no delta): that step's
+        /// admissible-token count and the EOS log-probability.
+        eos_step: Option<(usize, f64)>,
     },
     /// Beam search cloned `parent` into a new hypothesis `child`.
     /// Emitted *before* the parent's token delta for the same step, so
@@ -161,12 +172,6 @@ impl QueryEvent {
             }
             _ => None,
         }
-    }
-
-    /// Whether this is a terminal event ([`Done`](QueryEvent::Done) or
-    /// [`Error`](QueryEvent::Error)).
-    pub fn is_terminal(&self) -> bool {
-        matches!(self, QueryEvent::Done { .. } | QueryEvent::Error { .. })
     }
 }
 
@@ -272,6 +277,23 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, WireError> 
         .map_err(|_| WireError::new(format!("bad {what} `{s}`")))
 }
 
+fn parse_flag(s: &str) -> Result<bool, WireError> {
+    match s {
+        "1" => Ok(true),
+        "0" => Ok(false),
+        other => Err(WireError::new(format!("bad flag `{other}`"))),
+    }
+}
+
+/// The wire tag of each [`StopReason`].
+const STOP_TAGS: [(StopReason, &str); 5] = [
+    (StopReason::Eos, "eos"),
+    (StopReason::StopPhrase, "stop"),
+    (StopReason::MaskExhausted, "mask"),
+    (StopReason::Budget, "budget"),
+    (StopReason::Distribution, "dist"),
+];
+
 impl QueryEvent {
     /// Serialises the event as a single line (no trailing newline) of
     /// space-separated tokens; text fields are escaped, floats are
@@ -289,10 +311,13 @@ impl QueryEvent {
                 var,
                 text,
                 log_prob,
+                allowed,
+                eos_allowed,
             } => format!(
-                "delta {path} {} {} {}",
+                "delta {path} {} {} {allowed} {} {}",
                 escape(var),
                 f64_to_hex(*log_prob),
+                u8::from(*eos_allowed),
                 escape(text)
             ),
             QueryEvent::VariableDone {
@@ -300,10 +325,20 @@ impl QueryEvent {
                 var,
                 value,
                 score,
+                stopped_by,
+                eos_step,
             } => format!(
-                "vardone {path} {} {} {}",
+                "vardone {path} {} {} {} {} {}",
                 escape(var),
                 f64_to_hex(*score),
+                STOP_TAGS
+                    .iter()
+                    .find(|(r, _)| r == stopped_by)
+                    .map_or("", |(_, t)| t),
+                match eos_step {
+                    Some((allowed, lp)) => format!("{allowed}:{}", f64_to_hex(*lp)),
+                    None => "-".to_owned(),
+                },
                 escape(value)
             ),
             QueryEvent::BeamFork { parent, child } => format!("fork {parent} {child}"),
@@ -367,12 +402,31 @@ impl QueryEvent {
                 path: parse_num(field("path")?, "path")?,
                 var: unescape(field("var")?)?,
                 log_prob: f64_from_hex(field("log_prob")?)?,
+                allowed: parse_num(field("allowed")?, "count")?,
+                eos_allowed: parse_flag(field("eos_allowed")?)?,
                 text: unescape(field("text")?)?,
             },
             "vardone" => QueryEvent::VariableDone {
                 path: parse_num(field("path")?, "path")?,
                 var: unescape(field("var")?)?,
                 score: f64_from_hex(field("score")?)?,
+                stopped_by: {
+                    let tag = field("stopped_by")?;
+                    STOP_TAGS
+                        .iter()
+                        .find(|(_, t)| *t == tag)
+                        .ok_or_else(|| WireError::new(format!("bad stop reason `{tag}`")))?
+                        .0
+                },
+                eos_step: match field("eos_step")? {
+                    "-" => None,
+                    step => {
+                        let (allowed, lp) = step
+                            .split_once(':')
+                            .ok_or_else(|| WireError::new(format!("bad eos step `{step}`")))?;
+                        Some((parse_num(allowed, "count")?, f64_from_hex(lp)?))
+                    }
+                },
                 value: unescape(field("value")?)?,
             },
             "fork" => QueryEvent::BeamFork {
@@ -389,15 +443,11 @@ impl QueryEvent {
             },
             "subqdone" => QueryEvent::SubqueryDone {
                 path: parse_num(field("path")?, "path")?,
-                ok: match field("ok")? {
-                    "1" => true,
-                    "0" => false,
-                    other => return Err(WireError::new(format!("bad ok flag `{other}`"))),
-                },
+                ok: parse_flag(field("ok")?)?,
             },
             "dist" => {
                 let n: usize = parse_num(field("count")?, "count")?;
-                let mut support = Vec::with_capacity(n);
+                let mut support = Vec::new();
                 for _ in 0..n {
                     let p = f64_from_hex(field("probability")?)?;
                     let value = unescape(field("value")?)?;
@@ -412,7 +462,7 @@ impl QueryEvent {
             },
             "done" => {
                 let n: usize = parse_num(field("count")?, "count")?;
-                let mut ranking = Vec::with_capacity(n);
+                let mut ranking = Vec::new();
                 for _ in 0..n {
                     ranking.push(parse_num(field("path")?, "path")?);
                 }
@@ -561,26 +611,50 @@ impl StreamSink {
         }
     }
 
+    /// The debugger's mask size: `allowed`'s count under an active sink,
+    /// else 0, so an unobserved decode loop never counts.
+    pub(crate) fn mask_size(&self, allowed: &TokenSet) -> usize {
+        self.inner.as_ref().map_or(0, |_| allowed.count())
+    }
+
     /// Emits a [`QueryEvent::TokenDelta`].
-    pub fn token_delta(&self, var: &str, text: &str, log_prob: f64) {
+    pub fn token_delta(
+        &self,
+        var: &str,
+        text: &str,
+        log_prob: f64,
+        allowed: usize,
+        eos_allowed: bool,
+    ) {
         if self.inner.is_some() {
             self.emit(QueryEvent::TokenDelta {
                 path: self.path,
                 var: var.to_owned(),
                 text: text.to_owned(),
                 log_prob,
+                allowed,
+                eos_allowed,
             });
         }
     }
 
     /// Emits a [`QueryEvent::VariableDone`].
-    pub fn variable_done(&self, var: &str, value: &str, score: f64) {
+    pub fn variable_done(
+        &self,
+        var: &str,
+        value: &str,
+        score: f64,
+        stopped_by: StopReason,
+        eos_step: Option<(usize, f64)>,
+    ) {
         if self.inner.is_some() {
             self.emit(QueryEvent::VariableDone {
                 path: self.path,
                 var: var.to_owned(),
                 value: value.to_owned(),
                 score,
+                stopped_by,
+                eos_step,
             });
         }
     }
@@ -718,8 +792,14 @@ struct PathState {
 /// for ev in [
 ///     QueryEvent::PromptChunk { path: 0, text: "Q:".into() },
 ///     QueryEvent::VariableStart { path: 0, var: "A".into() },
-///     QueryEvent::TokenDelta { path: 0, var: "A".into(), text: " hi".into(), log_prob: -0.5 },
-///     QueryEvent::VariableDone { path: 0, var: "A".into(), value: " hi".into(), score: -0.5 },
+///     QueryEvent::TokenDelta {
+///         path: 0, var: "A".into(), text: " hi".into(), log_prob: -0.5,
+///         allowed: 7, eos_allowed: false,
+///     },
+///     QueryEvent::VariableDone {
+///         path: 0, var: "A".into(), value: " hi".into(), score: -0.5,
+///         stopped_by: lmql::StopReason::MaskExhausted, eos_step: None,
+///     },
 ///     QueryEvent::Done { ranking: vec![0] },
 /// ] {
 ///     r.apply(&ev).unwrap();
@@ -815,6 +895,7 @@ impl Reassembler {
                 var,
                 value,
                 score,
+                ..
             } => {
                 let st = self.path_mut(*path);
                 let open = st.cur.take().ok_or_else(|| {
@@ -966,60 +1047,121 @@ mod tests {
         assert_eq!(back, ev, "roundtrip of {line}");
     }
 
+    /// One event of every variant, with every stop reason, an EOS step
+    /// and a zero mask count among them.
+    fn every_variant() -> Vec<QueryEvent> {
+        let mut events = vec![
+            QueryEvent::PromptChunk {
+                path: 3,
+                text: "a b\nc\\d\te — ü".into(),
+            },
+            QueryEvent::VariableStart {
+                path: 0,
+                var: "ANSWER".into(),
+            },
+            QueryEvent::TokenDelta {
+                path: 1,
+                var: "X".into(),
+                text: " ".into(),
+                log_prob: -1.25e-3,
+                allowed: 3,
+                eos_allowed: true,
+            },
+            QueryEvent::TokenDelta {
+                path: 0,
+                var: "X".into(),
+                text: "}".into(),
+                log_prob: 0.0,
+                allowed: 0,
+                eos_allowed: false,
+            },
+            QueryEvent::BeamFork {
+                parent: 0,
+                child: 7,
+            },
+            QueryEvent::BeamPrune { path: 7 },
+            QueryEvent::SubqueryStart {
+                parent: 0,
+                child: 65536,
+                depth: 1,
+            },
+            QueryEvent::SubqueryDone {
+                path: 65536,
+                ok: true,
+            },
+            QueryEvent::SubqueryDone {
+                path: 65537,
+                ok: false,
+            },
+            QueryEvent::Distribution {
+                support: vec![("pos itive".into(), 0.75), ("neg\native".into(), 0.25)],
+            },
+            QueryEvent::Usage {
+                model_queries: 10,
+                decoder_calls: 20,
+                billable_tokens: 30,
+            },
+            QueryEvent::Done {
+                ranking: vec![2, 0, 1],
+            },
+            QueryEvent::Error {
+                message: "model failure: boom".into(),
+            },
+        ];
+        for stopped_by in [
+            StopReason::Eos,
+            StopReason::StopPhrase,
+            StopReason::MaskExhausted,
+            StopReason::Budget,
+            StopReason::Distribution,
+        ] {
+            events.push(QueryEvent::VariableDone {
+                path: 1,
+                var: "X".into(),
+                value: String::new(),
+                score: f64::NEG_INFINITY,
+                stopped_by,
+                eos_step: (stopped_by == StopReason::Eos).then_some((0, -2.5)),
+            });
+        }
+        events
+    }
+
     #[test]
     fn wire_roundtrips_every_variant() {
-        roundtrip(QueryEvent::PromptChunk {
-            path: 3,
-            text: "a b\nc\\d\te — ü".into(),
-        });
-        roundtrip(QueryEvent::VariableStart {
-            path: 0,
-            var: "ANSWER".into(),
-        });
-        roundtrip(QueryEvent::TokenDelta {
-            path: 1,
-            var: "X".into(),
-            text: " ".into(),
-            log_prob: -1.25e-3,
-        });
+        for ev in every_variant() {
+            roundtrip(ev);
+        }
         roundtrip(QueryEvent::VariableDone {
-            path: 1,
-            var: "X".into(),
-            value: String::new(),
-            score: f64::NEG_INFINITY,
+            path: 2,
+            var: "Y".into(),
+            value: "z".into(),
+            score: 0.0,
+            stopped_by: StopReason::Eos,
+            eos_step: Some((807, f64::NEG_INFINITY)),
         });
-        roundtrip(QueryEvent::BeamFork {
-            parent: 0,
-            child: 7,
-        });
-        roundtrip(QueryEvent::BeamPrune { path: 7 });
-        roundtrip(QueryEvent::SubqueryStart {
-            parent: 0,
-            child: 65536,
-            depth: 1,
-        });
-        roundtrip(QueryEvent::SubqueryDone {
-            path: 65536,
-            ok: true,
-        });
-        roundtrip(QueryEvent::SubqueryDone {
-            path: 65537,
-            ok: false,
-        });
-        roundtrip(QueryEvent::Distribution {
-            support: vec![("pos itive".into(), 0.75), ("neg\native".into(), 0.25)],
-        });
-        roundtrip(QueryEvent::Usage {
-            model_queries: 10,
-            decoder_calls: 20,
-            billable_tokens: 30,
-        });
-        roundtrip(QueryEvent::Done {
-            ranking: vec![2, 0, 1],
-        });
-        roundtrip(QueryEvent::Error {
-            message: "model failure: boom".into(),
-        });
+    }
+
+    /// Every byte-prefix and every one-field-dropped variant of each valid
+    /// line parses to `Ok` or `Err` — never a panic, and an absurd count
+    /// allocates nothing up front.
+    #[test]
+    fn wire_parses_truncated_and_thinned_lines_without_panicking() {
+        for ev in every_variant() {
+            let line = ev.to_wire();
+            for end in 0..=line.len() {
+                let _ = QueryEvent::from_wire(&String::from_utf8_lossy(&line.as_bytes()[..end]));
+            }
+            let fields: Vec<&str> = line.split(' ').collect();
+            for drop in 0..fields.len() {
+                let mut thinned = fields.clone();
+                thinned.remove(drop);
+                let _ = QueryEvent::from_wire(&thinned.join(" "));
+            }
+        }
+        for huge in ["done 18446744073709551615", "dist 18446744073709551615 00"] {
+            assert!(QueryEvent::from_wire(huge).is_err(), "{huge}");
+        }
     }
 
     #[test]
@@ -1055,24 +1197,32 @@ mod tests {
                 var: "A".into(),
                 text: " yes".into(),
                 log_prob: -0.1,
+                allowed: 3,
+                eos_allowed: true,
             },
             QueryEvent::TokenDelta {
                 path: 1,
                 var: "A".into(),
                 text: " no".into(),
                 log_prob: -0.9,
+                allowed: 3,
+                eos_allowed: true,
             },
             QueryEvent::VariableDone {
                 path: 0,
                 var: "A".into(),
                 value: " yes".into(),
                 score: -0.1,
+                stopped_by: StopReason::StopPhrase,
+                eos_step: None,
             },
             QueryEvent::VariableDone {
                 path: 1,
                 var: "A".into(),
                 value: " no".into(),
                 score: -0.9,
+                stopped_by: StopReason::StopPhrase,
+                eos_step: None,
             },
             QueryEvent::BeamPrune { path: 1 },
             QueryEvent::Done { ranking: vec![0] },
@@ -1096,6 +1246,8 @@ mod tests {
                 var: "A".into(),
                 text: "x".into(),
                 log_prob: 0.0,
+                allowed: 3,
+                eos_allowed: true,
             })
             .is_err());
         let mut r = Reassembler::new();
@@ -1109,6 +1261,8 @@ mod tests {
             var: "A".into(),
             text: "x".into(),
             log_prob: 0.0,
+            allowed: 3,
+            eos_allowed: true,
         })
         .unwrap();
         let err = r
@@ -1117,6 +1271,8 @@ mod tests {
                 var: "A".into(),
                 value: "different".into(),
                 score: 0.0,
+                stopped_by: StopReason::StopPhrase,
+                eos_step: None,
             })
             .unwrap_err();
         assert!(err.message.contains("reassemble"), "{err}");
@@ -1141,6 +1297,8 @@ mod tests {
             var: "CLS".into(),
             value: "positive".into(),
             score: 0.0,
+            stopped_by: StopReason::StopPhrase,
+            eos_step: None,
         })
         .unwrap();
         let out = r.finish();
@@ -1174,6 +1332,8 @@ mod tests {
                 var: "S".into(),
                 value: " pack".into(),
                 score: -0.25,
+                stopped_by: StopReason::StopPhrase,
+                eos_step: None,
             },
             QueryEvent::SubqueryDone {
                 path: child,
@@ -1188,6 +1348,8 @@ mod tests {
                 var: "OUT".into(),
                 value: "done".into(),
                 score: -1.0,
+                stopped_by: StopReason::StopPhrase,
+                eos_step: None,
             },
             QueryEvent::Done { ranking: vec![0] },
         ] {
@@ -1259,7 +1421,7 @@ mod tests {
     fn channel_sink_cancels_when_receiver_drops() {
         let (sink, rx, token) = StreamSink::channel();
         sink.prompt_chunk("hi");
-        assert_eq!(rx.recv().ok().map(|e| e.is_terminal()), Some(false));
+        assert!(matches!(rx.recv(), Ok(QueryEvent::PromptChunk { .. })));
         drop(rx);
         assert!(!token.is_cancelled(), "not before the next emit");
         sink.prompt_chunk("more");
@@ -1273,7 +1435,7 @@ mod tests {
         assert!(!sink.is_active());
         assert!(!sink.cancelled());
         sink.prompt_chunk("ignored");
-        sink.variable_done("X", "v", 0.0);
+        sink.variable_done("X", "v", 0.0, StopReason::Budget, None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! `no_repeat_ngram_size`, `max_length`, speculative scoring, and the
 //! debug trace.
 
-use lmql::{DecodeOptions, Runtime, StopReason};
+use lmql::{DebugTrace, DecodeOptions, QueryResult, Runtime, StopReason, StreamSink};
 use lmql_lm::{Episode, LanguageModel, LmResult, Logits, MeteredLm, ScriptedLm, UsageMeter};
 use lmql_tokenizer::{Bpe, TokenId, Vocabulary};
 use std::sync::Arc;
@@ -14,6 +14,15 @@ fn runtime(script: &str) -> Runtime {
         [Episode::plain("P:", script)],
     ));
     Runtime::new(lm, bpe)
+}
+
+/// Runs `source` with a collecting sink and folds the events into the
+/// step debugger's trace.
+fn run_traced(rt: &Runtime, source: &str) -> (QueryResult, DebugTrace) {
+    let (sink, events) = StreamSink::collector();
+    let result = rt.run_streamed(source, sink).unwrap();
+    let vocab = Bpe::char_level("").vocab().len();
+    (result, DebugTrace::from_events(&events.events(), vocab))
 }
 
 /// A model that wants to repeat "ab" forever.
@@ -107,9 +116,10 @@ fn speculative_mode_same_output_extra_queries() {
 #[test]
 fn debug_trace_records_steps_and_reason() {
     let rt = runtime(" short.");
-    let (result, trace) = rt
-        .run_traced("argmax\n    \"P:[X]\"\nfrom \"m\"\nwhere stops_at(X, \".\")\n")
-        .unwrap();
+    let (result, trace) = run_traced(
+        &rt,
+        "argmax\n    \"P:[X]\"\nfrom \"m\"\nwhere stops_at(X, \".\")\n",
+    );
     assert_eq!(result.best().var_str("X"), Some(" short."));
     assert_eq!(trace.holes.len(), 1);
     let hole = &trace.holes[0];
@@ -124,9 +134,10 @@ fn debug_trace_records_steps_and_reason() {
 #[test]
 fn debug_trace_covers_distribution_holes() {
     let rt = runtime(" yes");
-    let (_, trace) = rt
-        .run_traced("argmax\n    \"P:[X]\"\nfrom \"m\"\ndistribute X in [\" yes\", \" no\"]\n")
-        .unwrap();
+    let (_, trace) = run_traced(
+        &rt,
+        "argmax\n    \"P:[X]\"\nfrom \"m\"\ndistribute X in [\" yes\", \" no\"]\n",
+    );
     assert_eq!(trace.holes.len(), 1);
     assert_eq!(trace.holes[0].stopped_by, StopReason::Distribution);
     assert!(trace.holes[0].steps.is_empty());

@@ -93,6 +93,53 @@ fn has_legal_completion(
         .any(|t| has_legal_completion(expr, scope, &format!("{value}{t}"), depth - 1))
 }
 
+/// Theorem 5.1 for one draw: every token `engine` masks after `value`
+/// under `constraint` has no legal completion.
+fn check_masked_tokens_have_no_legal_completion(
+    constraint: &str,
+    value: &str,
+    engine: MaskEngine,
+) -> Result<(), TestCaseError> {
+    let expr = parse_expr(constraint).unwrap();
+    let scope = HashMap::new();
+    let v = vocab();
+    let mut masker = Masker::new(engine, v.clone());
+    let out = masker.compute(Some(&expr), &scope, "X", value);
+    if out.must_stop {
+        // Stop phrase already satisfied; no mask to check.
+        return Ok(());
+    }
+    for (i, tok) in TOKENS.iter().enumerate() {
+        let id = TokenId(i as u32);
+        if !out.allowed.contains(id) {
+            let candidate = format!("{value}{tok}");
+            // The containment rule for stops_at masks tokens that run
+            // *past* the phrase even when a legal completion exists;
+            // that is intentional truncation, not a soundness issue.
+            let overruns_stop = lmql::constraints::collect_stop_phrases(&expr, "X")
+                .iter()
+                .any(|p| candidate.contains(p.as_str()) && !candidate.ends_with(p.as_str()));
+            if overruns_stop {
+                continue;
+            }
+            prop_assert!(
+                !has_legal_completion(&expr, &scope, &candidate, 2),
+                "{engine:?} masked token {tok:?} after value {value:?} under {constraint:?}, \
+                 but a legal completion exists"
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Two-word values (`word word`): the value strategy above draws at most
+/// two tokens, so it almost never reaches one — and only there does a
+/// word-count bound decide whether a token merges into the last word.
+fn two_word_value_strategy() -> impl Strategy<Value = String> {
+    let word = proptest::sample::select(&["a", "b", "ab", "bc", "abc", "x", "yz"]);
+    (word, word).prop_map(|(a, b)| format!("{a} {b}"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -103,35 +150,21 @@ proptest! {
         value in value_strategy(),
         engine in prop_oneof![Just(MaskEngine::Exact), Just(MaskEngine::Symbolic)],
     ) {
-        let expr = parse_expr(&constraint).unwrap();
-        let scope = HashMap::new();
-        let v = vocab();
-        let mut masker = Masker::new(engine, v.clone());
-        let out = masker.compute(Some(&expr), &scope, "X", &value);
-        if out.must_stop {
-            // Stop phrase already satisfied; no mask to check.
-            return Ok(());
-        }
-        for (i, tok) in TOKENS.iter().enumerate() {
-            let id = TokenId(i as u32);
-            if !out.allowed.contains(id) {
-                let candidate = format!("{value}{tok}");
-                // The containment rule for stops_at masks tokens that run
-                // *past* the phrase even when a legal completion exists;
-                // that is intentional truncation, not a soundness issue.
-                let overruns_stop = lmql::constraints::collect_stop_phrases(&expr, "X")
-                    .iter()
-                    .any(|p| candidate.contains(p.as_str()) && !candidate.ends_with(p.as_str()));
-                if overruns_stop {
-                    continue;
-                }
-                prop_assert!(
-                    !has_legal_completion(&expr, &scope, &candidate, 2),
-                    "{engine:?} masked token {tok:?} after value {value:?} under {constraint:?}, \
-                     but a legal completion exists"
-                );
-            }
-        }
+        check_masked_tokens_have_no_legal_completion(&constraint, &value, engine)?;
+    }
+
+    /// Theorem 5.1 under `len(words(X)) < k` / `<= k` on two-word values:
+    /// a token continuing the last word adds no word, so it stays
+    /// admissible while the bound still holds.
+    #[test]
+    fn word_bounds_keep_tokens_that_extend_the_last_word(
+        value in two_word_value_strategy(),
+        op in proptest::sample::select(&["<", "<="]),
+        bound in 2i64..5,
+        engine in prop_oneof![Just(MaskEngine::Exact), Just(MaskEngine::Symbolic)],
+    ) {
+        let constraint = format!("len(words(X)) {op} {bound}");
+        check_masked_tokens_have_no_legal_completion(&constraint, &value, engine)?;
     }
 
     /// The symbolic engine never prunes more than the exact engine.

@@ -18,7 +18,8 @@
 
 use lmql::constraints::{CustomOp, Fin, FinalValue, OpCtx};
 use lmql::{
-    compile_source, plan_holes, FnTool, QueryEvent, Reassembler, Runtime, StreamSink, Value,
+    compile_source, plan_holes, DebugTrace, FnTool, QueryEvent, Reassembler, Runtime, StreamSink,
+    Value,
 };
 use lmql_lm::{corpus, Branch, Digression, Episode, ScriptedLm, ScriptedLmBuilder, SCRIPT_LOGIT};
 use lmql_tokenizer::Bpe;
@@ -664,4 +665,40 @@ fn grid_plans_match_expectations() {
     let program = compile_source(&chained).expect("grid compiles");
     let plan = plan_holes(&program).expect("straight-line body");
     assert_eq!(plan.max_group_len(), 1, "recall chain serialises");
+}
+
+/// The step debugger is a fold over the event stream, and parallel group
+/// members replay their events at their sequential positions — so the
+/// folded trace is the same with parallel holes on and off. The on-run
+/// must really decode a group in parallel, or this would pass vacuously.
+#[test]
+fn debug_trace_is_identical_with_parallel_holes_on_and_off() {
+    let source = r#"
+argmax
+    "Q: [JOKE]\n"
+    "A: [PUNCHLINE]\n"
+from "builtin-ngram"
+where
+    stops_at(JOKE, "?") and stops_at(PUNCHLINE, "END")
+    and len(words(JOKE)) < 20 and len(characters(PUNCHLINE)) > 10
+"#;
+    let traced = |parallel: bool| {
+        let registry = lmql_obs::Registry::new();
+        let mut rt = ngram_runtime();
+        rt.options_mut().parallel_holes = parallel;
+        rt.set_metrics_registry(registry.clone());
+        let (sink, collector) = StreamSink::collector();
+        rt.run_streamed(source, sink).expect("jokes runs");
+        let vocab = corpus::standard_bpe().vocab().len();
+        let trace = DebugTrace::from_events(&collector.events(), vocab);
+        (trace, registry.counter("holes.parallel").get())
+    };
+    let (on, parallel_members) = traced(true);
+    let (off, sequential_members) = traced(false);
+    assert!(parallel_members > 0, "the group decoded in parallel");
+    assert_eq!(sequential_members, 0);
+    assert_eq!(on.holes.len(), 2);
+    assert!(on.holes.iter().all(|h| !h.steps.is_empty()));
+    assert_eq!(on, off);
+    assert_eq!(on.render(), off.render());
 }

@@ -5,7 +5,7 @@
 //! hop. Every test runs over both deployment shapes (`replicas` 1 and 2):
 //! they are the same serving path and must behave the same.
 
-use lmql::{QueryEvent, Runtime};
+use lmql::{DebugTrace, QueryEvent, Runtime, StreamSink};
 use lmql_lm::{Episode, FaultKind, LanguageModel, LmError, LmResult, Logits, ScriptedLm};
 use lmql_server::{InferenceServer, RemoteLm, ServerConfig, ServerError};
 use lmql_tokenizer::{Bpe, TokenId, Vocabulary};
@@ -95,6 +95,39 @@ fn streamed_remote_query_matches_local_bit_for_bit() {
                     usage.billable_tokens
                 )),
                 "replicas={replicas} {query:?}: Usage event differs"
+            );
+        }
+        server.shutdown();
+    }
+}
+
+/// The step debugger is a fold over events, so a remote stream folds —
+/// with the client's fetched tokenizer for the vocabulary size — into
+/// the same decoder graph as the same request run in-process.
+#[test]
+fn remote_events_fold_into_the_local_debug_trace() {
+    let sample = QUERY.replacen("argmax", "sample(n=2)", 1);
+    for replicas in SHAPES {
+        let bpe = Arc::new(Bpe::char_level(""));
+        let server = spawn(scripted(&bpe), &bpe, shape(replicas));
+        let (remote, remote_bpe) = RemoteLm::connect(server.addr()).unwrap();
+        for query in [QUERY, sample.as_str()] {
+            let (sink, collector) = StreamSink::collector();
+            Runtime::new(scripted(&bpe) as Arc<dyn LanguageModel>, Arc::clone(&bpe))
+                .run_streamed(query, sink)
+                .unwrap();
+            let local = DebugTrace::from_events(&collector.events(), bpe.vocab().len());
+            let events: Vec<QueryEvent> = remote
+                .stream_query(query, TIMEOUT)
+                .unwrap()
+                .map(|e| e.expect("clean stream"))
+                .collect();
+            let folded = DebugTrace::from_events(&events, remote_bpe.vocab().len());
+            assert!(local.holes.iter().any(|h| !h.steps.is_empty()));
+            assert_eq!(
+                folded.render(),
+                local.render(),
+                "replicas={replicas} {query:?}"
             );
         }
         server.shutdown();

@@ -2,9 +2,11 @@
 # Full verification: formatting, lints, rustdoc (a broken or private
 # intra-doc link fails), release build, every workspace test (the tier-1
 # `cargo test -q` runs the same crates through the root manifest's
-# `default-members`), and the stand-alone benchmark package's own tests
-# (`benchmark/run.sh --test`), so a change that removes an API the
-# benchmark uses, or moves a byte its seed-1 digests cover, fails here
+# `default-members`), the Appendix A.3 debugger example (tests only
+# compile examples; this runs its assertions), and the stand-alone
+# benchmark package's own tests (`benchmark/run.sh --test`), so a change
+# that removes an API the benchmark uses, or moves a byte its seed-1
+# digests cover, fails here
 # and not in the benchmark pipeline. `benchmark/` is the repo's only
 # timing harness; everything this script runs is a count or a byte.
 #
@@ -79,6 +81,9 @@ cargo build --release --workspace
 
 echo "==> cargo test"
 cargo test --workspace -q "${FEATURES[@]}"
+
+echo "==> cargo run --example debugger (Appendix A.3's step table, asserted)"
+cargo run --release -q --example debugger
 
 echo "==> benchmark package tests (builds against this tree; digests unblessed)"
 bash benchmark/run.sh --test

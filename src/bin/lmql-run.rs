@@ -16,19 +16,20 @@
 //! Every run serves the query through a [`Router`] of `--replicas N`
 //! (default 1) in-process replicas (DESIGN.md §15), on the main thread.
 //! The request carries one [`StreamSink`] that prints the output live
-//! under `--stream` and records the run's `Usage` event: the closing
-//! `--- usage: … ---` footer is the request's own cost, the same on
-//! every path and at every replica count.
+//! under `--stream` and records the run's events; the closing
+//! `--- usage: … ---` footer is its last `Usage` event, the request's own
+//! cost, the same on every path and at every replica count.
 //!
 //! `--stream` prints the model output live, token by token, as the
 //! decoder produces it (DESIGN.md §11), then the normal result summary.
 //! The decoding loop is the same with or without the sink, so the final
 //! output is byte-identical to a non-streamed run.
 //!
-//! `--trace` is the one debug path: it runs the same request on a bare
-//! [`Runtime`] with [`Runtime::run_traced`] and prints the decoder graph
-//! plus the runtime's span trace (parse/compile, per-hole decoding, mask
-//! computation); it needs `--replicas 1` and no fault flag (below).
+//! `--trace` prints the decoder graph (Appendix A.3) — folded by
+//! [`DebugTrace::from_events`] from the events the request's sink
+//! receives, so it is served like every other run, at any `--replicas`
+//! and under the fault flags — plus the span trace (parse/compile,
+//! per-hole decoding, mask computation, scheduling).
 //! `--trace-json` writes the spans as Chrome-trace JSON — load it in
 //! `chrome://tracing` or Perfetto. `--metrics` prints the full metrics
 //! registry (counter/gauge/histogram lines) after the run, the pool's
@@ -40,8 +41,7 @@
 //! every injected fault shows in `lm.faults` under `--metrics`.
 //! `--retries` and `--timeout-ms` tune that retry: the engine policy's
 //! budget and per-call deadline (`RouterConfig.engine.retry`; without
-//! either flag it is [`RetryPolicy::default`]). `--trace` has no
-//! scheduler to retry in, so it rejects all three flags.
+//! either flag it is [`RetryPolicy::default`]).
 //!
 //! `--no-automata` disables compiled constraint automata and
 //! fast-forward decoding (DESIGN.md §12), forcing every mask through the
@@ -78,7 +78,7 @@
 //! ```
 
 use lmql::constraints::{MaskConfig, MaskEngine};
-use lmql::{QueryEvent, QueryRequest, Runtime, StreamSink, Value};
+use lmql::{DebugTrace, QueryEvent, QueryRequest, StreamSink, Value};
 use lmql_engine::{EngineConfig, Router, RouterConfig, RouterObs};
 use lmql_lm::{corpus, ChaosLm, ChaosStats, Episode, FaultPlan, RetryPolicy, ScriptedLm};
 use std::io::Write;
@@ -148,17 +148,9 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown engine {other:?}")),
                 }
             }
-            "--seed" => {
-                out.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed takes a number")?
-            }
+            "--seed" => out.seed = number(args.next(), 0, "--seed takes a number")?,
             "--max-tokens" => {
-                out.max_tokens = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--max-tokens takes a number")?
+                out.max_tokens = number(args.next(), 0, "--max-tokens takes a number")?;
             }
             "--stream" => out.stream = true,
             "--trace" => out.trace = true,
@@ -167,46 +159,22 @@ fn parse_args() -> Result<Args, String> {
             }
             "--metrics" => out.metrics = true,
             "--format" => out.format = true,
-            "--retries" => {
-                out.retries = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--retries takes a number")?,
-                )
-            }
+            "--retries" => out.retries = Some(number(args.next(), 0, "--retries takes a number")?),
             "--timeout-ms" => {
-                out.timeout_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--timeout-ms takes a number")?,
-                )
+                out.timeout_ms = Some(number(args.next(), 0, "--timeout-ms takes a number")?);
             }
-            "--chaos" => {
-                out.chaos = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--chaos takes a seed")?,
-                )
-            }
+            "--chaos" => out.chaos = Some(number(args.next(), 0, "--chaos takes a seed")?),
             "--no-automata" => out.no_automata = true,
             "--no-parallel-holes" => out.no_parallel_holes = true,
             "--replicas" => {
-                out.replicas = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or("--replicas takes a count >= 1")?
+                out.replicas = number(args.next(), 1, "--replicas takes a count >= 1")?;
             }
             "--no-affinity" => out.no_affinity = true,
             "--corpus" => {
                 out.corpus = Some(args.next().ok_or("--corpus takes a path")?);
             }
             "--corpus-k" => {
-                out.corpus_k = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or("--corpus-k takes a count >= 1")?
+                out.corpus_k = number(args.next(), 1, "--corpus-k takes a count >= 1")?;
             }
             "--help" | "-h" => {
                 return Err(
@@ -229,6 +197,19 @@ fn parse_args() -> Result<Args, String> {
         return Err("missing query file (try --help)".to_owned());
     }
     Ok(out)
+}
+
+/// A flag's value as a number `>= min`, or the flag's `usage` error when
+/// it is missing, malformed or too small.
+fn number<T: std::str::FromStr + PartialOrd>(
+    value: Option<String>,
+    min: T,
+    usage: &str,
+) -> Result<T, String> {
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(|n| *n >= min)
+        .ok_or_else(|| usage.to_owned())
 }
 
 fn main() -> ExitCode {
@@ -310,17 +291,6 @@ fn run() -> Result<(), String> {
         None => None,
     };
 
-    if args.trace && args.replicas > 1 {
-        return Err(
-            "--trace runs on a bare runtime; with --replicas use --trace-json for spans instead"
-                .to_owned(),
-        );
-    }
-    if args.trace && (args.chaos.is_some() || args.retries.is_some() || args.timeout_ms.is_some()) {
-        return Err("--trace runs on a bare runtime, which does not retry; \
-             with --chaos/--retries/--timeout-ms use --trace-json for spans instead"
-            .to_owned());
-    }
     let tracer = if args.trace || args.trace_json.is_some() {
         lmql_obs::Tracer::recording()
     } else {
@@ -330,35 +300,30 @@ fn run() -> Result<(), String> {
 
     // `--stream` prints path 0 (argmax / first beam / first sample) live
     // as the decoder emits it; other paths would interleave incoherently
-    // on a terminal, so they stay silent here. The last `Usage` event is
-    // the footer (after a fail-over, the attempt that finished).
-    let usage = Arc::new(Mutex::new(None));
+    // on a terminal, so they stay silent here. Every event is kept: the
+    // last `Usage` is the footer (after a fail-over, the attempt that
+    // finished), and `--trace` folds them into the decoder graph.
+    let events = Arc::new(Mutex::new(Vec::new()));
     let sink = {
-        let (usage, stream) = (Arc::clone(&usage), args.stream);
-        StreamSink::callback(move |event| match event {
-            QueryEvent::PromptChunk { path: 0, text }
-            | QueryEvent::TokenDelta { path: 0, text, .. }
-                if stream =>
+        let (events, stream) = (Arc::clone(&events), args.stream);
+        StreamSink::callback(move |event| {
+            if let QueryEvent::PromptChunk { path: 0, text }
+            | QueryEvent::TokenDelta { path: 0, text, .. } = event
             {
-                print!("{text}");
-                let _ = std::io::stdout().flush();
+                if stream {
+                    print!("{text}");
+                    let _ = std::io::stdout().flush();
+                }
             }
-            QueryEvent::Usage {
-                model_queries,
-                decoder_calls,
-                billable_tokens,
-            } => {
-                *usage.lock().expect("usage record poisoned") =
-                    Some((*model_queries, *decoder_calls, *billable_tokens));
-            }
-            _ => {}
+            events
+                .lock()
+                .expect("event record poisoned")
+                .push(event.clone());
         })
     };
 
-    // Every per-query flag lands on the one request, whichever path
-    // executes it — so a pooled run (and each fail-over attempt inside
-    // it) decodes under exactly the settings the bare `--trace` runtime
-    // does.
+    // Every per-query flag lands on the one request, so each fail-over
+    // attempt decodes under exactly the same settings.
     let mut request = QueryRequest::new(source)
         .stream(sink)
         .engine(args.engine)
@@ -386,43 +351,35 @@ fn run() -> Result<(), String> {
         request = request.tool(tool);
     }
 
-    let (result, debug) = if args.trace {
-        let mut runtime = Runtime::new(lm, bpe);
-        if args.metrics {
-            runtime.meter().register_into(&registry, "lm");
-            runtime.set_metrics_registry(registry.clone());
-        }
-        let (result, trace) = runtime.run_traced(request).map_err(|e| e.to_string())?;
-        (result, Some(trace))
-    } else {
-        let router = Router::new_with_obs(
-            lm,
-            bpe,
-            RouterConfig {
-                replicas: args.replicas,
-                affinity: !args.no_affinity,
-                engine: EngineConfig {
-                    retry,
-                    ..EngineConfig::default()
-                },
-                ..RouterConfig::default()
+    let router = Router::new_with_obs(
+        lm,
+        Arc::clone(&bpe),
+        RouterConfig {
+            replicas: args.replicas,
+            affinity: !args.no_affinity,
+            engine: EngineConfig {
+                retry,
+                ..EngineConfig::default()
             },
-            RouterObs {
-                tracer: tracer.clone(),
-                registry: args.metrics.then(|| registry.clone()),
-            },
-        );
-        (router.run_query(request).map_err(|e| e.to_string())?, None)
-    };
+            ..RouterConfig::default()
+        },
+        RouterObs {
+            tracer: tracer.clone(),
+            registry: args.metrics.then(|| registry.clone()),
+        },
+    );
+    let result = router.run_query(request).map_err(|e| e.to_string())?;
 
     if args.stream {
         println!();
         println!("--- result ---");
     }
     print_result(&result);
-    if let Some(debug) = debug {
+    let events = events.lock().expect("event record poisoned");
+    if args.trace {
+        let graph = DebugTrace::from_events(events.iter(), bpe.vocab().len());
         println!("--- decoder trace ---");
-        print!("{}", debug.render());
+        print!("{}", graph.render());
         println!("--- spans ---");
         print!("{}", tracer.render_text());
     }
@@ -448,8 +405,14 @@ fn run() -> Result<(), String> {
         );
     }
 
-    if let Some((model_queries, decoder_calls, billable_tokens)) =
-        *usage.lock().expect("usage record poisoned")
+    if let Some(QueryEvent::Usage {
+        model_queries,
+        decoder_calls,
+        billable_tokens,
+    }) = events
+        .iter()
+        .rev()
+        .find(|e| matches!(e, QueryEvent::Usage { .. }))
     {
         println!(
             "--- usage: {model_queries} model queries, {decoder_calls} decoder calls, \

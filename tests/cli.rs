@@ -177,22 +177,38 @@ fn chaos_faults_show_in_lm_metrics() {
     assert_eq!(counter("lm.faults"), injected, "{stdout}");
 }
 
-/// `--trace` runs a bare runtime, which does not retry: the fault flags
-/// are refused rather than silently ignored.
+/// `--trace` is served like every other run, so the fault flags apply
+/// to it: the schedulers retry the injected faults (counted in
+/// `lm.faults`) and the decoder graph is the fault-free one.
 #[test]
-fn trace_rejects_fault_flags() {
+fn trace_is_served_under_fault_flags() {
     let q = write_query("trace_faults.lmql", CHAOS_QUERY);
-    for flag in [["--chaos", "6"], ["--retries", "2"], ["--timeout-ms", "50"]] {
-        let out = lmql_run()
-            .arg(&q)
-            .arg("--trace")
-            .args(flag)
-            .output()
-            .unwrap();
-        assert!(!out.status.success(), "{flag:?}: {out:?}");
-        let stderr = String::from_utf8(out.stderr).unwrap();
-        assert!(stderr.contains("--trace"), "{flag:?}: {stderr}");
-    }
+    let clean = stdout_of(&q, &["--trace"]);
+    let chaotic = stdout_of(
+        &q,
+        &[
+            "--trace",
+            "--chaos",
+            "6",
+            "--retries",
+            "8",
+            "--timeout-ms",
+            "5000",
+            "--metrics",
+        ],
+    );
+    assert!(
+        decoder_trace(&clean).contains("[THING] stopped by"),
+        "{clean}"
+    );
+    assert_eq!(decoder_trace(&chaotic), decoder_trace(&clean));
+    let faults: u64 = chaotic
+        .lines()
+        .find_map(|l| l.strip_prefix("counter lm.faults "))
+        .unwrap_or_else(|| panic!("no lm.faults counter: {chaotic}"))
+        .parse()
+        .unwrap();
+    assert!(faults > 0, "{chaotic}");
 }
 
 #[test]
@@ -208,6 +224,17 @@ fn format_flag_pretty_prints() {
         stdout,
         "argmax(n=2)\n    \"[X]\"\nfrom \"m\"\nwhere len(X) < 5 and stops_at(X, \".\")\n"
     );
+}
+
+/// The `--- decoder trace ---` section of a `--trace` run's stdout, up to
+/// (not including) the `--- spans ---` header.
+fn decoder_trace(stdout: &str) -> &str {
+    let (_, graph) = stdout
+        .split_once("--- decoder trace ---\n")
+        .unwrap_or_else(|| panic!("no decoder graph: {stdout}"));
+    graph
+        .split_once("--- spans ---\n")
+        .map_or(graph, |(g, _)| g)
 }
 
 /// Runs `lmql-run` on `query` and returns its stdout, failing the test
@@ -258,13 +285,55 @@ fn stream_flag_prints_a_result_summary() {
     assert!(stdout.contains("--- result ---"), "{stdout}");
 }
 
+/// The decoder graphs `lmql-run --trace` prints for the two queries of
+/// `replicas_print_the_single_runtime_bytes`, pinned byte for byte.
+const ARGMAX_GRAPH: &str = "\
+[THING] stopped by stop phrase, value \" beach towel\\n\"
+  step   1: mask  807/808  eos=yes  picked \" beach\" (p=0.071)
+  step   2: mask  807/808  eos=yes  picked \" towel\" (p=0.854)
+  step   3: mask  807/808  eos=yes  picked \"\\n\" (p=0.742)
+";
+const SAMPLE_GRAPH: &str = "\
+[THING] stopped by stop phrase, value \" tickets\\n\"
+  step   1: mask  807/808  eos=yes  picked \" tickets\" (p=0.071)
+  step   2: mask  807/808  eos=yes  picked \"\\n\" (p=0.803)
+[OTHER] stopped by token budget, value \" toothbrush find world workA: An impast month from today is 7 days\"
+  step   1: mask  807/808  eos=yes  picked \" toothbrush\" (p=0.048)
+  step   2: mask  807/808  eos=yes  picked \" find\" (p=0.000)
+  step   3: mask  807/808  eos=yes  picked \" world\" (p=0.000)
+  step   4: mask  807/808  eos=yes  picked \" work\" (p=0.000)
+  step   5: mask  807/808  eos=yes  picked \"A\" (p=0.002)
+  step   6: mask  807/808  eos=yes  picked \":\" (p=0.215)
+  step   7: mask  807/808  eos=yes  picked \" A\" (p=0.053)
+  step   8: mask  807/808  eos=yes  picked \"n\" (p=0.606)
+  step   9: mask  807/808  eos=yes  picked \" imp\" (p=0.649)
+  step  10: mask  807/808  eos=yes  picked \"ast\" (p=0.853)
+  step  11: mask  807/808  eos=yes  picked \" month\" (p=0.182)
+  step  12: mask  807/808  eos=yes  picked \" from\" (p=0.108)
+  step  13: mask  807/808  eos=yes  picked \" today\" (p=0.638)
+  step  14: mask  807/808  eos=yes  picked \" is\" (p=0.537)
+  step  15: mask  807/808  eos=yes  picked \" 7\" (p=0.161)
+  step  16: mask  807/808  eos=yes  picked \" days\" (p=0.598)
+[THING] stopped by stop phrase, value \" toothbrush\\n\"
+  step   1: mask  807/808  eos=yes  picked \" toothbrush\" (p=0.071)
+  step   2: mask  807/808  eos=yes  picked \"\\n\" (p=0.803)
+[OTHER] stopped by stop phrase, value \" ticketsgether. END\\n\"
+  step   1: mask  807/808  eos=yes  picked \" tickets\" (p=0.323)
+  step   2: mask  807/808  eos=yes  picked \"get\" (p=0.000)
+  step   3: mask  807/808  eos=yes  picked \"her\" (p=0.650)
+  step   4: mask  807/808  eos=yes  picked \".\" (p=0.684)
+  step   5: mask  807/808  eos=yes  picked \" END\" (p=0.593)
+  step   6: mask  807/808  eos=yes  picked \"\\n\" (p=0.665)
+";
+
 /// A pool of 3, with and without affinity, prints the bytes of a
 /// one-replica run under non-default request options (seed, binding,
 /// sequential holes), for an argmax and a sampled query — the usage
 /// footer included, because it is the request's own cost wherever it
-/// ran. The `--trace` debug path, a bare `Runtime`, prints the same bytes
-/// up to its decoder graph, and the same footer after it. And the seed
-/// must matter, or a pool that dropped it would pass.
+/// ran. `--trace` prints the same bytes up to its decoder graph, and the
+/// same footer after it; the graph itself is the same at 1 and 3
+/// replicas, and the pinned one. And the seed must matter, or a pool that
+/// dropped it would pass.
 #[test]
 fn replicas_print_the_single_runtime_bytes() {
     let argmax = write_query(
@@ -286,7 +355,7 @@ fn replicas_print_the_single_runtime_bytes() {
         args.extend_from_slice(extra);
         stdout_of(q, &args)
     };
-    for q in [&argmax, &sample] {
+    for (q, graph) in [(&argmax, ARGMAX_GRAPH), (&sample, SAMPLE_GRAPH)] {
         let one = run(q, &["--seed", "7"]);
         assert!(one.contains("--- usage: "), "{one}");
         assert_eq!(run(q, &["--seed", "7", "--replicas", "3"]), one, "{q:?}");
@@ -294,11 +363,14 @@ fn replicas_print_the_single_runtime_bytes() {
         assert_eq!(round_robin, one, "{q:?}");
 
         let traced = run(q, &["--seed", "7", "--trace"]);
-        let (head, graph) = traced
+        let (head, rest) = traced
             .split_once("--- decoder trace ---\n")
             .unwrap_or_else(|| panic!("no decoder graph: {traced}"));
-        let footer = graph.lines().last().unwrap_or_default();
+        let footer = rest.lines().last().unwrap_or_default();
         assert_eq!(format!("{head}{footer}\n"), one, "{q:?} under --trace");
+        assert_eq!(decoder_trace(&traced), graph, "{q:?}");
+        let pooled = run(q, &["--seed", "7", "--trace", "--replicas", "3"]);
+        assert_eq!(decoder_trace(&pooled), graph, "{q:?} at --replicas 3");
     }
     assert_ne!(
         run(&sample, &["--seed", "7"]),
