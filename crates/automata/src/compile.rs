@@ -41,18 +41,17 @@ fn compile_leaf(
     scope: &dyn ScopeResolver,
     is_custom_op: &dyn Fn(&str) -> bool,
 ) -> Result<LeafDfa, Unsupported> {
-    // Custom operators receive the raw hole value through their OpCtx
-    // even when their arguments don't mention the variable, so their
-    // presence anywhere in the leaf disqualifies it.
-    if contains_custom_call(e, is_custom_op) {
+    // A leaf that never reads the hole evaluates identically for every
+    // value: a single-state machine.
+    if !reads_hole(e, var, is_custom_op) {
+        return Ok(LeafDfa::Const);
+    }
+    // Custom operators observe the raw hole value, so their presence
+    // anywhere in a hole-reading leaf disqualifies it.
+    if any_node(e, &|n| is_custom_call(n, is_custom_op)) {
         return Err(Unsupported {
             reason: "custom operator",
         });
-    }
-    // A leaf that never reads the hole variable evaluates identically
-    // for every value: a single-state machine.
-    if !references_var(e, var) {
-        return Ok(LeafDfa::Const);
     }
     let is_var = |e: &Expr| matches!(e, Expr::Name { name, .. } if name == var);
     match e {
@@ -218,37 +217,32 @@ fn const_str_list(e: &Expr, var: &str, scope: &dyn ScopeResolver) -> Option<Vec<
     }
 }
 
-/// `true` if the expression reads the hole variable anywhere.
-fn references_var(e: &Expr, var: &str) -> bool {
-    match e {
-        Expr::Str { .. }
-        | Expr::Int { .. }
-        | Expr::Float { .. }
-        | Expr::Bool { .. }
-        | Expr::None { .. } => false,
+/// `true` if evaluating `e` can observe the value of hole `var`: it
+/// names `var` somewhere, or it calls a registered custom operator
+/// (custom operators receive the raw hole value through their context,
+/// whatever their arguments). An expression that reads no hole
+/// evaluates identically for every value of `var` — the automaton
+/// compiles it to a constant leaf and the FollowMap engine keeps its
+/// current verdict for every token.
+pub fn reads_hole(e: &Expr, var: &str, is_custom_op: &dyn Fn(&str) -> bool) -> bool {
+    any_node(e, &|n| match n {
         Expr::Name { name, .. } => name == var,
-        Expr::List { items, .. } => items.iter().any(|i| references_var(i, var)),
-        Expr::Call { func, args, .. } => {
-            references_var(func, var) || args.iter().any(|a| references_var(a, var))
-        }
-        Expr::Attribute { obj, .. } => references_var(obj, var),
-        Expr::Index { obj, index, .. } => references_var(obj, var) || references_var(index, var),
-        Expr::Slice { obj, lo, hi, .. } => {
-            references_var(obj, var)
-                || lo.as_ref().is_some_and(|e| references_var(e, var))
-                || hi.as_ref().is_some_and(|e| references_var(e, var))
-        }
-        Expr::BinOp { left, right, .. } | Expr::Compare { left, right, .. } => {
-            references_var(left, var) || references_var(right, var)
-        }
-        Expr::BoolOp { operands, .. } => operands.iter().any(|o| references_var(o, var)),
-        Expr::Not { operand, .. } | Expr::Neg { operand, .. } => references_var(operand, var),
-    }
+        call => is_custom_call(call, is_custom_op),
+    })
 }
 
-/// `true` if any call in the expression targets a registered custom
-/// operator.
-fn contains_custom_call(e: &Expr, is_custom_op: &dyn Fn(&str) -> bool) -> bool {
+/// `true` for a call whose target is a registered custom operator.
+fn is_custom_call(e: &Expr, is_custom_op: &dyn Fn(&str) -> bool) -> bool {
+    matches!(e, Expr::Call { func, .. }
+        if matches!(func.as_ref(), Expr::Name { name, .. } if is_custom_op(name)))
+}
+
+/// `true` if `pred` holds for `e` or any of its subexpressions.
+fn any_node(e: &Expr, pred: &dyn Fn(&Expr) -> bool) -> bool {
+    if pred(e) {
+        return true;
+    }
+    let any = |es: &[Expr]| es.iter().any(|x| any_node(x, pred));
     match e {
         Expr::Str { .. }
         | Expr::Int { .. }
@@ -256,37 +250,19 @@ fn contains_custom_call(e: &Expr, is_custom_op: &dyn Fn(&str) -> bool) -> bool {
         | Expr::Bool { .. }
         | Expr::None { .. }
         | Expr::Name { .. } => false,
-        Expr::List { items, .. } => items.iter().any(|i| contains_custom_call(i, is_custom_op)),
-        Expr::Call { func, args, .. } => {
-            if let Expr::Name { name, .. } = func.as_ref() {
-                if is_custom_op(name) {
-                    return true;
-                }
-            }
-            contains_custom_call(func, is_custom_op)
-                || args.iter().any(|a| contains_custom_call(a, is_custom_op))
-        }
-        Expr::Attribute { obj, .. } => contains_custom_call(obj, is_custom_op),
-        Expr::Index { obj, index, .. } => {
-            contains_custom_call(obj, is_custom_op) || contains_custom_call(index, is_custom_op)
-        }
+        Expr::List { items, .. } => any(items),
+        Expr::Call { func, args, .. } => any_node(func, pred) || any(args),
+        Expr::Attribute { obj, .. } => any_node(obj, pred),
+        Expr::Index { obj, index, .. } => any_node(obj, pred) || any_node(index, pred),
         Expr::Slice { obj, lo, hi, .. } => {
-            contains_custom_call(obj, is_custom_op)
-                || lo
-                    .as_ref()
-                    .is_some_and(|e| contains_custom_call(e, is_custom_op))
-                || hi
-                    .as_ref()
-                    .is_some_and(|e| contains_custom_call(e, is_custom_op))
+            any_node(obj, pred)
+                || lo.as_ref().is_some_and(|x| any_node(x, pred))
+                || hi.as_ref().is_some_and(|x| any_node(x, pred))
         }
         Expr::BinOp { left, right, .. } | Expr::Compare { left, right, .. } => {
-            contains_custom_call(left, is_custom_op) || contains_custom_call(right, is_custom_op)
+            any_node(left, pred) || any_node(right, pred)
         }
-        Expr::BoolOp { operands, .. } => operands
-            .iter()
-            .any(|o| contains_custom_call(o, is_custom_op)),
-        Expr::Not { operand, .. } | Expr::Neg { operand, .. } => {
-            contains_custom_call(operand, is_custom_op)
-        }
+        Expr::BoolOp { operands, .. } => any(operands),
+        Expr::Not { operand, .. } | Expr::Neg { operand, .. } => any_node(operand, pred),
     }
 }

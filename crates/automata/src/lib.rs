@@ -26,6 +26,8 @@
 mod compile;
 mod leaf;
 
+pub use compile::reads_hole;
+
 use lmql_syntax::ast::Expr;
 use lmql_tokenizer::TokenSet;
 use std::collections::HashMap;

@@ -10,11 +10,19 @@
 //! - `definitely_true`  — tokens for which it becomes `FIN(⊤)`,
 //!
 //! and compose them case-wise through `and`/`or`/`not` exactly as the
-//! recursive `Follow[·]` operator of §5.2 composes FollowMaps. Leaf
-//! expressions with a known shape (membership in a constant list,
-//! substring constraints, string equality, `int(…)`) resolve to token sets
-//! through the vocabulary prefix trie ("Subtokenization", §5.2); any other
-//! leaf falls back to per-token FINAL evaluation *of that leaf only*.
+//! recursive `Follow[·]` operator of §5.2 composes FollowMaps. A
+//! subexpression (leaf or `and`/`or`/`not` subtree) that cannot observe
+//! the hole — it names no `v` and calls no custom operator, see
+//! [`lmql_automata::reads_hole`] — cannot change under `v ← u·t`, so its
+//! FollowMap is its current verdict and no token is scanned for it. Leaf
+//! expressions over `v` with a known shape (membership in a constant
+//! list, substring constraints, string equality, length bounds, `int(…)`,
+//! custom operators with a follow fast path) resolve to token sets
+//! through the vocabulary prefix trie ("Subtokenization", §5.2). Only the
+//! remaining leaves over `v` — `len(X) + 1 < 5`, `upper(X) == "A"`, a
+//! bare `X`, custom operators without a fast path and the like — fall
+//! back to per-token FINAL evaluation *of that leaf only*, counted by the
+//! `mask.scan.tokens` metric.
 //!
 //! Soundness (Theorem 5.1): a token lands in `definitely_false` only if
 //! FINAL evaluation under `v ← u·t` yields `FIN(⊥)`, so no token admitting
@@ -126,95 +134,26 @@ impl SetPool {
     }
 }
 
-/// Scans the vocabulary, calling `classify` on `value·token` for every
-/// regular token and collecting the two verdict bits into `df_words` /
-/// `dt_words` (64 tokens per word, matching [`TokenSet::words_mut`]).
-///
-/// With `threads > 1` the scan is chunked into word-aligned 64-token
-/// ranges distributed over a scoped thread pool; each chunk's bits are
-/// accumulated in a register and stored into its own `u64` word, so
-/// writers never share a word and no synchronisation is needed. The
-/// result is bit-identical to the sequential scan — every token's verdict
-/// is a pure function of `value·token` — only the evaluation order
-/// changes.
-///
-/// Returns the number of word-chunks scanned in parallel (0 for a
-/// sequential scan), for the `mask.scan.parallel_chunks` metric.
-pub(crate) fn scan_vocab<F>(
+/// Calls `visit` with every regular token and its candidate value
+/// `value·token`, built with a rolling truncate-then-push (no per-token
+/// `String`). Returns the number of candidates visited, for the
+/// `mask.scan.tokens` metric.
+pub(crate) fn scan_vocab(
     vocab: &Vocabulary,
     value: &str,
-    threads: usize,
-    df_words: &mut [u64],
-    dt_words: &mut [u64],
-    classify: &F,
-) -> u64
-where
-    F: Fn(&str) -> (bool, bool) + Sync,
-{
-    let words = df_words.len();
-    debug_assert_eq!(words, dt_words.len());
-    let vlen = vocab.len();
-
-    // One word-aligned chunk of 64 candidate tokens: builds each
-    // candidate with a rolling truncate-then-push (no per-token String),
-    // accumulates the verdict bits, and stores them as one word.
-    let scan_word = |word: usize, candidate: &mut String, base: usize| -> (u64, u64) {
-        let (mut df_bits, mut dt_bits) = (0u64, 0u64);
-        for bit in 0..64 {
-            let idx = word * 64 + bit;
-            if idx >= vlen {
-                break;
-            }
-            let id = TokenId(idx as u32);
-            if vocab.is_special(id) {
-                continue;
-            }
-            candidate.truncate(base);
-            candidate.push_str(vocab.token_str(id));
-            let (f, t) = classify(candidate);
-            if f {
-                df_bits |= 1 << bit;
-            }
-            if t {
-                dt_bits |= 1 << bit;
-            }
-        }
-        (df_bits, dt_bits)
-    };
-
-    if threads <= 1 || words <= 1 {
-        let mut candidate = String::with_capacity(value.len() + 24);
-        candidate.push_str(value);
-        let base = candidate.len();
-        for word in 0..words {
-            let (df, dt) = scan_word(word, &mut candidate, base);
-            df_words[word] = df;
-            dt_words[word] = dt;
-        }
-        return 0;
+    mut visit: impl FnMut(TokenId, &str),
+) -> u64 {
+    let mut candidate = String::with_capacity(value.len() + 24);
+    candidate.push_str(value);
+    let base = candidate.len();
+    let mut scanned = 0;
+    for (id, token) in vocab.regular_tokens() {
+        candidate.truncate(base);
+        candidate.push_str(token);
+        visit(id, &candidate);
+        scanned += 1;
     }
-
-    let chunk = words.div_ceil(threads).max(1);
-    std::thread::scope(|s| {
-        for (i, (dfc, dtc)) in df_words
-            .chunks_mut(chunk)
-            .zip(dt_words.chunks_mut(chunk))
-            .enumerate()
-        {
-            let scan_word = &scan_word;
-            s.spawn(move || {
-                let mut candidate = String::with_capacity(value.len() + 24);
-                candidate.push_str(value);
-                let base = candidate.len();
-                for (w, (dfw, dtw)) in dfc.iter_mut().zip(dtc.iter_mut()).enumerate() {
-                    let (df, dt) = scan_word(i * chunk + w, &mut candidate, base);
-                    *dfw = df;
-                    *dtw = dt;
-                }
-            });
-        }
-    });
-    words as u64
+    scanned
 }
 
 /// Reusable vocabulary-scan caches; needle scans are O(|V|·|token|) and
@@ -340,10 +279,9 @@ pub(crate) struct FollowCtx<'a> {
     pub custom: Option<&'a crate::constraints::CustomOps>,
     /// Scratch-set pool shared with the masker.
     pub pool: &'a mut SetPool,
-    /// Thread count for generic vocabulary scans (`<= 1` = sequential).
-    pub threads: usize,
-    /// Accumulates word-chunks scanned in parallel (metric output).
-    pub parallel_chunks: u64,
+    /// Accumulates candidates classified by per-token leaf scans (metric
+    /// output).
+    pub scanned: u64,
 }
 
 impl FollowCtx<'_> {
@@ -368,6 +306,14 @@ pub(crate) fn follow_sets(expr: &Expr, ctx: &mut FollowCtx<'_>) -> FollowSets {
     }
     if now.is_definitely_false() {
         return FollowSets::constant(ctx.pool, false);
+    }
+    // A subtree that cannot observe the hole evaluates to `now` under
+    // every `v ← u·t`, and `now` is undetermined: no token decides it.
+    let custom = ctx.custom;
+    if !lmql_automata::reads_hole(expr, ctx.var, &|name| {
+        custom.is_some_and(|c| c.contains(name))
+    }) {
+        return FollowSets::neutral(ctx.pool);
     }
 
     match expr {
@@ -414,12 +360,11 @@ fn leaf_follow_sets(expr: &Expr, ctx: &mut FollowCtx<'_>) -> FollowSets {
         return fs;
     }
     // Generic fallback: evaluate this leaf for every candidate token.
-    // Sound and complete for one-token lookahead, just not O(1); the
-    // scan is chunked across threads when the masker enables it.
+    // Sound and complete for one-token lookahead, just not O(1).
     let mut df = ctx.pool.take_empty();
     let mut dt = ctx.pool.take_empty();
-    let (scope, var, custom, vocab) = (ctx.scope, ctx.var, ctx.custom, ctx.vocab);
-    let classify = |candidate: &str| {
+    let (scope, var, custom) = (ctx.scope, ctx.var, ctx.custom);
+    ctx.scanned += scan_vocab(ctx.vocab, ctx.value, |id, candidate| {
         let fv = eval_final(
             expr,
             &EvalCtx {
@@ -430,17 +375,12 @@ fn leaf_follow_sets(expr: &Expr, ctx: &mut FollowCtx<'_>) -> FollowSets {
                 custom,
             },
         );
-        let f = fv.is_definitely_false();
-        (f, !f && fv.is_definitely_true())
-    };
-    ctx.parallel_chunks += scan_vocab(
-        vocab,
-        ctx.value,
-        ctx.threads,
-        df.words_mut(),
-        dt.words_mut(),
-        &classify,
-    );
+        if fv.is_definitely_false() {
+            df.insert(id);
+        } else if fv.is_definitely_true() {
+            dt.insert(id);
+        }
+    });
     FollowSets {
         definitely_false: df,
         definitely_true: dt,
@@ -451,7 +391,6 @@ fn leaf_follow_sets(expr: &Expr, ctx: &mut FollowCtx<'_>) -> FollowSets {
 /// recognised.
 fn fast_path(expr: &Expr, ctx: &mut FollowCtx<'_>) -> Option<FollowSets> {
     match expr {
-        Expr::Bool { value, .. } => Some(FollowSets::constant(ctx.pool, *value)),
         // stops_at never constrains validity (its FOLLOW value is ⊤-ish).
         Expr::Call { func, .. } if matches!(func.as_ref(), Expr::Name { name, .. } if name == "stops_at") => {
             Some(FollowSets::neutral(ctx.pool))
@@ -780,8 +719,7 @@ mod tests {
             cache: &mut cache,
             custom: None,
             pool: &mut pool,
-            threads: 1,
-            parallel_chunks: 0,
+            scanned: 0,
         };
         let fs = follow_sets(&e, &mut ctx);
         let name = |s: &TokenSet| -> Vec<String> {
@@ -896,8 +834,7 @@ mod tests {
             cache: &mut cache,
             custom: None,
             pool: &mut pool,
-            threads: 1,
-            parallel_chunks: 0,
+            scanned: 0,
         };
         let fs = follow_sets(&e, &mut ctx);
         let df: Vec<&str> = fs
@@ -909,28 +846,5 @@ mod tests {
         assert!(df.contains(&"z"));
         assert!(!df.contains(&"a"));
         assert!(!df.contains(&"ab"));
-    }
-
-    /// The parallel vocabulary scan is bit-identical to the sequential
-    /// one, including for universes that are not a multiple of 64.
-    #[test]
-    fn parallel_scan_matches_sequential() {
-        let tokens: Vec<String> = (0..331).map(|i| format!("t{i:03}")).collect();
-        let vocab = Vocabulary::from_tokens(tokens.iter().map(String::as_str));
-        let classify = |c: &str| {
-            let digits: u32 = c.chars().filter(|ch| ch.is_ascii_digit()).count() as u32;
-            (digits.is_multiple_of(3), c.ends_with('7'))
-        };
-        let words = vocab.len().div_ceil(64);
-        let (mut df_seq, mut dt_seq) = (vec![0u64; words], vec![0u64; words]);
-        let chunks = scan_vocab(&vocab, "v:", 1, &mut df_seq, &mut dt_seq, &classify);
-        assert_eq!(chunks, 0, "sequential scan reports no parallel chunks");
-        for threads in [2, 3, 8] {
-            let (mut df, mut dt) = (vec![0u64; words], vec![0u64; words]);
-            let chunks = scan_vocab(&vocab, "v:", threads, &mut df, &mut dt, &classify);
-            assert!(chunks > 0);
-            assert_eq!(df, df_seq, "threads={threads}");
-            assert_eq!(dt, dt_seq, "threads={threads}");
-        }
     }
 }

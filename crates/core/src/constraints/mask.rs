@@ -38,25 +38,9 @@ pub enum MaskEngine {
     Symbolic,
 }
 
-/// Parallelism policy for O(|V|) vocabulary scans (the Exact engine and
-/// the FollowMap generic leaf fallback).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParallelScan {
-    /// Always scan sequentially.
-    Off,
-    /// Scan in parallel when the machine has more than one core *and* the
-    /// vocabulary meets [`MaskConfig::parallel_min_vocab`] (thread-spawn
-    /// overhead dwarfs small scans).
-    #[default]
-    Auto,
-    /// Use exactly this many scan threads regardless of vocabulary size
-    /// or core count (for tests and benchmarks).
-    Threads(usize),
-}
-
-/// Tuning knobs for mask generation. The defaults memoize and
-/// auto-parallelise; every fast path can be disabled to recover the
-/// reference behaviour bit-for-bit.
+/// Tuning knobs for mask generation. The defaults memoize and compile
+/// automata; every fast path can be disabled to recover the reference
+/// behaviour bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MaskConfig {
     /// Memoize mask outcomes keyed on `(expr, referenced scope values,
@@ -65,10 +49,6 @@ pub struct MaskConfig {
     /// Capacity of the per-masker memo created when no shared memo is
     /// installed.
     pub memo_capacity: usize,
-    /// Parallelism policy for vocabulary scans.
-    pub parallel: ParallelScan,
-    /// Minimum vocabulary size for [`ParallelScan::Auto`] to engage.
-    pub parallel_min_vocab: usize,
     /// Compile eager `where` clauses to constraint automata and serve
     /// masks per automaton state (DESIGN.md §12). Clauses that don't
     /// compile — custom operators above all — fall back transparently.
@@ -80,51 +60,20 @@ impl Default for MaskConfig {
         MaskConfig {
             memo: true,
             memo_capacity: 256,
-            parallel: ParallelScan::Auto,
-            parallel_min_vocab: 2048,
             automata: true,
         }
     }
 }
 
 impl MaskConfig {
-    /// The reference configuration: no memo, sequential scans, no
-    /// automata.
+    /// The reference configuration: no memo, no automata.
     pub fn reference() -> Self {
         MaskConfig {
             memo: false,
-            parallel: ParallelScan::Off,
             automata: false,
             ..MaskConfig::default()
         }
     }
-
-    /// Resolves the thread count for one scan over `vocab_len` tokens.
-    pub(crate) fn scan_threads(&self, vocab_len: usize) -> usize {
-        match self.parallel {
-            ParallelScan::Off => 1,
-            ParallelScan::Threads(n) => n.max(1),
-            ParallelScan::Auto => {
-                if vocab_len < self.parallel_min_vocab {
-                    return 1;
-                }
-                machine_parallelism().min(8)
-            }
-        }
-    }
-}
-
-/// [`std::thread::available_parallelism`], cached: on Linux the probe
-/// re-reads cgroup quota files on every call (tens of microseconds —
-/// comparable to an entire symbolic mask computation), and the answer
-/// never changes mid-process.
-fn machine_parallelism() -> usize {
-    static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
 }
 
 /// Counter handles for mask-generation metrics, registered once and
@@ -133,7 +82,7 @@ fn machine_parallelism() -> usize {
 pub struct MaskMetrics {
     hits: lmql_obs::Counter,
     misses: lmql_obs::Counter,
-    parallel_chunks: lmql_obs::Counter,
+    scan_tokens: lmql_obs::Counter,
     automata_hits: lmql_obs::Counter,
     automata_fallbacks: lmql_obs::Counter,
     fast_forwarded: lmql_obs::Counter,
@@ -143,8 +92,10 @@ pub struct MaskMetrics {
 
 impl MaskMetrics {
     /// Registers (or re-attaches to) the mask counters in `registry`:
-    /// `mask.cache.hit`, `mask.cache.miss`, `mask.scan.parallel_chunks`,
-    /// plus the automaton family — `automata.hit` (mask served from a
+    /// `mask.cache.hit`, `mask.cache.miss`, `mask.scan.tokens`
+    /// (candidates classified by a per-token scan: the Exact engine's
+    /// every step, the FollowMap engine's fallback leaves), plus the
+    /// automaton family — `automata.hit` (mask served from a
     /// cached automaton state), `automata.fallback` (clause didn't
     /// compile), `automata.fast_forwarded_tokens` (tokens appended
     /// without an LM call), `automata.states` (distinct states
@@ -153,7 +104,7 @@ impl MaskMetrics {
         MaskMetrics {
             hits: registry.counter("mask.cache.hit"),
             misses: registry.counter("mask.cache.miss"),
-            parallel_chunks: registry.counter("mask.scan.parallel_chunks"),
+            scan_tokens: registry.counter("mask.scan.tokens"),
             automata_hits: registry.counter("automata.hit"),
             automata_fallbacks: registry.counter("automata.fallback"),
             fast_forwarded: registry.counter("automata.fast_forwarded_tokens"),
@@ -549,40 +500,37 @@ impl Masker {
         );
         let eos_allowed = final_eval.truthy() != Some(false);
 
-        let mut allowed = match self.engine {
+        let (mut allowed, scanned) = match self.engine {
             MaskEngine::Exact => {
                 let _span = self.tracer.span("mask", "exact_eval");
                 self.exact_allowed(expr, scope, var, value)
             }
             MaskEngine::Symbolic => {
                 let _span = self.tracer.span("mask", "follow_eval");
-                let vocab = self.vocab_owner.vocabulary();
-                let threads = self.config.scan_threads(vocab.len());
                 let mut ctx = FollowCtx {
                     scope,
                     var,
                     value,
-                    vocab,
+                    vocab: self.vocab_owner.vocabulary(),
                     trie: &self.trie,
                     cache: &mut self.cache,
                     custom: Some(&self.custom),
                     pool: &mut self.pool,
-                    threads,
-                    parallel_chunks: 0,
+                    scanned: 0,
                 };
                 let fs = follow_sets(expr, &mut ctx);
-                let chunks = ctx.parallel_chunks;
+                let scanned = ctx.scanned;
                 let mut allowed = fs.definitely_false;
                 self.pool.put(fs.definitely_true);
                 allowed.complement_in_place();
-                if chunks > 0 {
-                    if let Some(m) = &self.metrics {
-                        m.parallel_chunks.add(chunks);
-                    }
-                }
-                allowed
+                (allowed, scanned)
             }
         };
+        if scanned > 0 {
+            if let Some(m) = &self.metrics {
+                m.scan_tokens.add(scanned);
+            }
+        }
         let vocab = self.vocab_owner.vocabulary();
         allowed.remove(vocab.eos());
 
@@ -614,22 +562,19 @@ impl Masker {
         }
     }
 
+    /// The Exact engine's admissible tokens and the number of candidates
+    /// it classified.
     fn exact_allowed(
         &mut self,
         expr: &Expr,
         scope: &HashMap<String, Value>,
         var: &str,
         value: &str,
-    ) -> TokenSet {
-        let owner = Arc::clone(&self.vocab_owner);
-        let vocab = owner.vocabulary();
-        let threads = self.config.scan_threads(vocab.len());
+    ) -> (TokenSet, u64) {
         let mut allowed = self.pool.take_empty();
-        let mut scratch = self.pool.take_empty();
         let custom = &self.custom;
-        // A token is allowed unless FINAL evaluation is definitely false;
-        // the scan's second verdict channel is unused here.
-        let classify = |candidate: &str| {
+        // A token is allowed unless FINAL evaluation is definitely false.
+        let scanned = scan_vocab(self.vocab_owner.vocabulary(), value, |id, candidate| {
             let fv = eval_final(
                 expr,
                 &EvalCtx {
@@ -640,23 +585,11 @@ impl Masker {
                     custom: Some(custom),
                 },
             );
-            (!fv.is_definitely_false(), false)
-        };
-        let chunks = scan_vocab(
-            vocab,
-            value,
-            threads,
-            allowed.words_mut(),
-            scratch.words_mut(),
-            &classify,
-        );
-        if chunks > 0 {
-            if let Some(m) = &self.metrics {
-                m.parallel_chunks.add(chunks);
+            if !fv.is_definitely_false() {
+                allowed.insert(id);
             }
-        }
-        self.pool.put(scratch);
-        allowed
+        });
+        (allowed, scanned)
     }
 }
 

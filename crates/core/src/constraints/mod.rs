@@ -14,8 +14,7 @@ pub use custom::{CustomOp, CustomOps, FollowView, OpCtx};
 pub use eval::{eval_expr, eval_final, EvalCtx};
 pub use final_sem::{Fin, FinalValue};
 pub use mask::{
-    collect_stop_phrases, MaskConfig, MaskEngine, MaskMetrics, MaskOutcome, Masker, ParallelScan,
-    VocabSource,
+    collect_stop_phrases, MaskConfig, MaskEngine, MaskMetrics, MaskOutcome, Masker, VocabSource,
 };
 pub use memo::MaskMemo;
 

@@ -22,9 +22,9 @@ pub struct DecodeOptions {
     pub seed: u64,
     /// Mask-generation engine (§5): exact reference or symbolic FollowMap.
     pub engine: MaskEngine,
-    /// Mask-generation tuning (memoization, parallel vocabulary scans).
-    /// The default memoizes and auto-parallelises; use
-    /// [`MaskConfig::reference`] to recover the unaccelerated engines.
+    /// Mask-generation tuning (memoization, constraint automata). The
+    /// default turns both on; use [`MaskConfig::reference`] to recover
+    /// the unaccelerated engines.
     pub mask: MaskConfig,
     /// HuggingFace-style n-gram blocking (the `no_repeat_ngram_size`
     /// decoder parameter of Fig. 11): a token is masked if appending it

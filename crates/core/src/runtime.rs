@@ -251,7 +251,7 @@ impl Runtime {
 
     /// Installs a metrics registry: every subsequent run reports
     /// `mask.cache.hit`, `mask.cache.miss`,
-    /// `mask.scan.parallel_chunks`, `holes.parallel` and
+    /// `mask.scan.tokens`, `holes.parallel` and
     /// `engine.subquery.*` counters into it.
     pub fn set_metrics_registry(&mut self, registry: lmql_obs::Registry) {
         self.metrics = Some(registry);

@@ -9,8 +9,7 @@
 //! decodable and must not have been masked (`T_Q ⊆ M`).
 
 use lmql::constraints::{
-    collect_stop_phrases, eval_final, EvalCtx, MaskConfig, MaskEngine, Masker, ParallelScan,
-    VocabSource,
+    collect_stop_phrases, eval_final, EvalCtx, MaskConfig, MaskEngine, Masker, VocabSource,
 };
 use lmql_syntax::parse_expr;
 use lmql_tokenizer::{TokenId, Vocabulary};
@@ -142,12 +141,11 @@ proptest! {
         let mut masker =
             Masker::new(engine, v.clone()).with_config(MaskConfig::reference());
         let out = masker.compute(Some(&expr), &scope, "X", &value);
-        // The accelerated configuration (memo on, forced parallel scan)
-        // must reproduce the reference mask bit for bit, so the soundness
-        // property below transfers to the fast paths too.
+        // The accelerated configuration (memo on) must reproduce the
+        // reference mask bit for bit, so the soundness property below
+        // transfers to the fast paths too.
         let mut fast = Masker::new(engine, v.clone()).with_config(MaskConfig {
             memo: true,
-            parallel: ParallelScan::Threads(2),
             automata: false,
             ..MaskConfig::default()
         });

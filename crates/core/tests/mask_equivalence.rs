@@ -1,16 +1,13 @@
-//! Differential tests for the mask fast paths: memoization, parallel
-//! vocabulary scans and the pooled scratch-set plumbing must be
-//! *bit-identical* to the reference configuration (no memo, sequential
-//! scans) for both engines.
+//! Differential tests for the mask fast paths: memoization and the
+//! pooled scratch-set plumbing must be *bit-identical* to the reference
+//! configuration (no memo, no automata) for both engines.
 //!
 //! The two engines are deliberately NOT compared against each other —
 //! Symbolic over-approximates `allowed` relative to Exact by design.
 //! Each engine is compared against *its own* reference output across
 //! every accelerated configuration.
 
-use lmql::constraints::{
-    MaskConfig, MaskEngine, MaskMemo, MaskOutcome, Masker, ParallelScan, VocabSource,
-};
+use lmql::constraints::{MaskConfig, MaskEngine, MaskMemo, MaskOutcome, Masker, VocabSource};
 use lmql::Value;
 use lmql_syntax::parse_expr;
 use lmql_tokenizer::Vocabulary;
@@ -36,7 +33,7 @@ fn small_vocab() -> Arc<RawVocab> {
 }
 
 /// A synthetic ~330-token vocabulary whose size is not a multiple of 64,
-/// so parallel scans exercise a partial tail word.
+/// so vocabulary scans exercise a partial tail word.
 fn wide_vocab() -> Arc<RawVocab> {
     let toks: Vec<String> = (0..329)
         .map(|i| match i % 7 {
@@ -107,23 +104,6 @@ fn accelerated_configs() -> Vec<(&'static str, MaskConfig)> {
             "memo",
             MaskConfig {
                 memo: true,
-                parallel: ParallelScan::Off,
-                ..MaskConfig::default()
-            },
-        ),
-        (
-            "parallel",
-            MaskConfig {
-                memo: false,
-                parallel: ParallelScan::Threads(4),
-                ..MaskConfig::default()
-            },
-        ),
-        (
-            "memo+parallel",
-            MaskConfig {
-                memo: true,
-                parallel: ParallelScan::Threads(4),
                 ..MaskConfig::default()
             },
         ),
@@ -132,7 +112,6 @@ fn accelerated_configs() -> Vec<(&'static str, MaskConfig)> {
             MaskConfig {
                 memo: true,
                 memo_capacity: 3, // constant eviction churn
-                parallel: ParallelScan::Off,
                 ..MaskConfig::default()
             },
         ),
@@ -197,7 +176,6 @@ fn memo_metrics_report_hits_and_misses() {
     let mut masker = Masker::new(MaskEngine::Symbolic, small_vocab())
         .with_config(MaskConfig {
             memo: true,
-            parallel: ParallelScan::Off,
             // Automata off: compiled constraints would intercept computes
             // before the memo, breaking the hit+miss == total accounting.
             automata: false,
@@ -214,30 +192,6 @@ fn memo_metrics_report_hits_and_misses() {
     let scopes = scope_variants().len() as u64;
     let total = (CONSTRAINTS.len() * VALUES.len()) as u64 * scopes;
     assert_eq!(hits + misses, total);
-}
-
-#[test]
-fn parallel_scan_metric_counts_chunks() {
-    let registry = lmql_obs::Registry::new();
-    // Exact engine always scans the vocabulary, so forcing threads must
-    // report parallel chunks even on a single-core machine.
-    let mut masker = Masker::new(MaskEngine::Exact, wide_vocab())
-        .with_config(MaskConfig {
-            memo: false,
-            parallel: ParallelScan::Threads(4),
-            // Automata off so the scan runs on every compute, not only on
-            // the automaton's first visit to each state.
-            automata: false,
-            ..MaskConfig::default()
-        })
-        .with_metrics(&registry);
-    let expr = parse_expr("len(X) < 4").unwrap();
-    masker.compute(Some(&expr), &HashMap::new(), "X", "");
-    let snap = registry.snapshot();
-    assert!(
-        snap.counter("mask.scan.parallel_chunks").unwrap_or(0) > 0,
-        "forced-thread exact scan must record parallel chunks"
-    );
 }
 
 #[test]

@@ -131,15 +131,6 @@ impl TokenSet {
         &self.bits
     }
 
-    /// Mutable access to the backing bit words, for chunked writers that
-    /// fill disjoint word ranges (e.g. parallel vocabulary scans).
-    ///
-    /// Callers must keep bits at positions `>= universe_len()` zero;
-    /// setting a tail bit breaks `count`/equality invariants.
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.bits
-    }
-
     /// Adds a token to the set.
     ///
     /// # Panics
