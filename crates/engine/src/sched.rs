@@ -561,12 +561,14 @@ impl Scheduler {
         // by now or genuinely never requested. Without this re-check, a
         // requester racing the dispatcher (stale cache miss above, then an
         // inflight miss after cleanup) would re-score a finished context.
+        // The re-check is the first probe's lookup again, so it counts
+        // only if it hits, turning that miss into a hit.
         if let Some(hit) = self
             .shared
             .cache
             .lock()
             .expect("cache poisoned")
-            .get(context)
+            .recheck(context)
         {
             self.note_cache_hit(context);
             return Ok(Ok(hit));

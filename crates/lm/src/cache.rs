@@ -9,8 +9,8 @@
 //! The cache is bounded: least-recently-used entries are evicted past a
 //! configurable capacity, so long-lived processes (servers, benchmark
 //! sweeps) reach a steady state instead of holding every context ever
-//! scored. The cross-query trie-shaped variant lives in the engine crate
-//! as `RadixCache`.
+//! scored. The cross-query variant, a radix tree shared by every
+//! execution on a replica, lives in the engine crate as `RadixCache`.
 
 use crate::{LanguageModel, LmResult, Logits};
 use lmql_tokenizer::{TokenId, Vocabulary};
