@@ -1,6 +1,7 @@
 //! Row formatting shared by the experiment binaries.
 
 use crate::experiments::Stats;
+use lmql_lm::Usage;
 
 /// GPT-3 davinci pricing the paper uses for cost estimates: $0.02 per 1k
 /// billable tokens, i.e. 2¢/1k.
@@ -72,8 +73,8 @@ pub fn print_metric_block(label: &str, baseline: &Stats, lmql: &Stats, with_accu
         println!(
             "  {:<18} {:>12.2} {:>12.2}",
             "Mean Batch Size",
-            baseline.usage.mean_batch_size(),
-            lmql.usage.mean_batch_size()
+            mean_batch_size(&baseline.usage),
+            mean_batch_size(&lmql.usage)
         );
     }
     if baseline.usage.cache_hits
@@ -95,6 +96,18 @@ pub fn print_metric_block(label: &str, baseline: &Stats, lmql: &Stats, with_accu
         "  {:<18} {saved_cents:>32.2} cents/query",
         "Est. Cost Savings"
     );
+}
+
+/// The "Mean Batch Size" cell for one side: contexts per batched
+/// dispatch. A side that queried the model without ever batching scored
+/// one context per call, so its mean is 1, not the 0 of
+/// [`Usage::mean_batch_size`].
+fn mean_batch_size(usage: &Usage) -> f64 {
+    if usage.batch_dispatches == 0 && usage.model_queries > 0 {
+        1.0
+    } else {
+        usage.mean_batch_size()
+    }
 }
 
 /// Lowercases a human row label into a metric-name segment
@@ -148,6 +161,23 @@ mod tests {
         assert_eq!(metric_slug("Odd One Out"), "odd_one_out");
         assert_eq!(metric_slug("ReAct (Case Study 2)"), "react_case_study_2");
         assert_eq!(metric_slug("gpt-j-6b.lmql"), "gpt_j_6b_lmql");
+    }
+
+    #[test]
+    fn unbatched_side_has_batches_of_one() {
+        let standard = Usage {
+            model_queries: 12,
+            ..Usage::default()
+        };
+        assert_eq!(mean_batch_size(&standard), 1.0);
+        let batched = Usage {
+            model_queries: 12,
+            batch_dispatches: 3,
+            batched_queries: 12,
+            ..Usage::default()
+        };
+        assert_eq!(mean_batch_size(&batched), 4.0);
+        assert_eq!(mean_batch_size(&Usage::default()), 0.0, "no queries at all");
     }
 
     #[test]

@@ -423,10 +423,14 @@ impl Runtime {
             None => (Arc::new(SubqueryShared::rooted_at(self)), 0),
         });
         let options = &self.options;
-        // One shared score cache per run: lockstep samples and beams that
-        // revisit identical contexts pay for the model only once, and
-        // cache hits are not billed as model queries. Each subquery child
-        // run gets its own, exactly like an isolated run.
+        // One score cache per run. Argmax never revisits a context, but
+        // lockstep `sample(n)` and beam forks do, and a hit is not billed
+        // as a model query; the §6 counts depend on that, so the cache
+        // stays even where the engine's radix would answer the revisit
+        // (that one bills it). It is a radix tree of shared logits: a
+        // decode step adds one node with a one-token edge and a refcount
+        // bump, no copy of the context or the scores. Each subquery
+        // child run gets its own, exactly like an isolated run.
         let lm = CachedLm::new(MeteredLm::new(Arc::clone(&self.lm), self.meter.clone()));
         let mut masker = self.make_masker();
         let _query_span = options

@@ -14,7 +14,8 @@
 use lmql::constraints::{MaskConfig, MaskEngine, Masker};
 use lmql::{compile_source, decode_hole, DecodeOptions, Externals, Pick, Step, VmState};
 use lmql_arena::Rope;
-use lmql_lm::corpus;
+use lmql_lm::{corpus, CachedLm, LanguageModel, Logits, RadixCache, RadixCacheConfig, UniformLm};
+use lmql_tokenizer::TokenId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -25,15 +26,19 @@ thread_local! {
     /// `const`-initialised and without a destructor: touching it from
     /// inside the allocator never allocates and never re-enters.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested by those allocations (a `realloc` counts its new
+    /// size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn bump() {
+fn bump(bytes: usize) {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -44,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         // SAFETY: `ptr` came from `System`; the caller upholds the rest.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -55,9 +60,18 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Allocations made by `f` on the calling thread.
 fn count_allocs(f: impl FnOnce()) -> u64 {
-    let start = ALLOCS.with(Cell::get);
+    count_allocs_and_bytes(f).0
+}
+
+/// Allocations made by `f` on the calling thread, and the bytes they
+/// requested.
+fn count_allocs_and_bytes(f: impl FnOnce()) -> (u64, u64) {
+    let start = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     f();
-    ALLOCS.with(Cell::get) - start
+    (
+        ALLOCS.with(Cell::get) - start.0,
+        BYTES.with(Cell::get) - start.1,
+    )
 }
 
 /// A finished `VmState` whose trace is one emitted literal of `chars`
@@ -118,13 +132,67 @@ fn beam_fork_makes_zero_trace_copy_allocations() {
 }
 
 #[test]
+fn logits_clone_allocates_nothing() {
+    let vocab = corpus::standard_bpe().vocab().len();
+    let logits = Logits::constant(vocab, -1.5);
+    let allocs = count_allocs(|| {
+        let copy = logits.clone();
+        std::hint::black_box(&copy);
+    });
+    assert_eq!(allocs, 0, "Logits::clone must be a refcount bump");
+}
+
+#[test]
+fn warm_radix_hit_allocates_nothing() {
+    let vocab = corpus::standard_bpe().vocab().len();
+    let mut cache = RadixCache::new(RadixCacheConfig::default());
+    let key: Vec<TokenId> = (0..600).map(TokenId).collect();
+    cache.insert(&key, Logits::constant(vocab, 0.25));
+    let _ = cache.get(&key);
+    let allocs = count_allocs(|| {
+        let hit = cache.get(&key);
+        assert!(hit.is_some());
+        std::hint::black_box(&hit);
+    });
+    assert_eq!(allocs, 0, "a warm radix hit must not copy the logits");
+}
+
+#[test]
+fn cached_lm_decode_step_cost_is_independent_of_context_length() {
+    // A decode step asks for the previous context plus one token: a miss
+    // whose store adds one node with a one-token edge to the run's score
+    // cache. It allocates the same, in count and in bytes, whether the
+    // context is 100 tokens or 10 000.
+    let bpe = corpus::standard_bpe();
+    let vocab = bpe.vocab().len() as u32;
+    let step = |context_tokens: u32| {
+        let lm = CachedLm::new(UniformLm::new(bpe.clone()));
+        let mut context: Vec<TokenId> = (0..context_tokens).map(|i| TokenId(i % vocab)).collect();
+        let _ = lm.score(&context);
+        context.push(TokenId(1));
+        let cost = count_allocs_and_bytes(|| {
+            std::hint::black_box(lm.score(&context));
+        });
+        assert_eq!((lm.misses(), lm.len()), (2, 2));
+        cost
+    };
+    let short = step(100);
+    let long = step(10_000);
+    assert_eq!(
+        short, long,
+        "a decode step's (allocations, bytes) must not grow with the context"
+    );
+}
+
+#[test]
 fn decode_steady_state_stays_within_alloc_budget() {
     // Marginal allocations per decode step, isolated from per-hole setup
     // by differencing a short and a long run of the same workload: with
     // pooled mask outcomes, in-place softmax into reused scratch and the
     // rope trace, the loop body allocates only what the model call
-    // returns — the logits buffer and the one-element result vector of
-    // `try_score_batch` — under argmax and sampling alike. Counting is per
+    // returns — the logits buffer (the models collect their scores
+    // straight into it, one allocation) and the one-element result
+    // vector of `try_score_batch` — under argmax and sampling alike. Counting is per
     // thread, so this is the observed value, not a ceiling with slack.
     const BUDGET_ALLOCS_PER_STEP: u64 = 2;
     let bpe = corpus::standard_bpe();

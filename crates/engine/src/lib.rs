@@ -8,13 +8,12 @@
 //! use lmql_engine::Engine;
 //! ```
 
-pub mod radix;
 pub mod router;
 pub mod sched;
 
 mod run;
 
-pub use radix::{RadixCache, RadixCacheConfig, RadixStats};
+pub use lmql_lm::{RadixCache, RadixCacheConfig, RadixStats};
 pub use router::{
     is_busy, prompt_prefix, Permit, ReplicaStats, Router, RouterConfig, RouterObs, RouterStats,
 };

@@ -35,12 +35,11 @@
 //! never what it computes — the multi-replica soak test pins
 //! byte-identity against that reference.
 
-use crate::radix::RadixStats;
 use crate::run::{EngineConfig, QueryStream, Replica};
 use lmql::{ModelErrorClass, QueryRequest, QueryResult, StreamSink};
 use lmql_lm::{
-    BreakerConfig, BreakerState, CancelToken, LanguageModel, LmError, LmResult, Logits, Usage,
-    UsageMeter,
+    BreakerConfig, BreakerState, CancelToken, LanguageModel, LmError, LmResult, Logits, RadixStats,
+    Usage, UsageMeter,
 };
 use lmql_obs::{Registry, RouterMetrics, Tracer};
 use lmql_tokenizer::{fingerprint_tokens, Bpe, TokenId};

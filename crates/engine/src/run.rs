@@ -15,7 +15,6 @@
 //! its own RNG stream. Thread scheduling can change *when* work runs,
 //! never what it computes.
 
-use crate::radix::RadixCacheConfig;
 use crate::router::{RouterConfig, RouterObs};
 use crate::sched::{BatchPolicy, BatchedLm, Scheduler, SchedulerObs};
 use lmql::constraints::{AutomataCache, MaskMemo};
@@ -23,7 +22,10 @@ use lmql::{
     EventSink, ModelErrorClass, QueryEvent, QueryRequest, QueryResult, Runtime, StreamSink,
     SubqueryLimits, ToolRegistry,
 };
-use lmql_lm::{CancelToken, CircuitBreaker, LanguageModel, MeteredLm, RetryPolicy, UsageMeter};
+use lmql_lm::{
+    CancelToken, CircuitBreaker, LanguageModel, MeteredLm, RadixCacheConfig, RetryPolicy,
+    UsageMeter,
+};
 use lmql_obs::{Counter, StreamMetrics};
 use lmql_tokenizer::Bpe;
 use std::sync::atomic::{AtomicBool, Ordering};

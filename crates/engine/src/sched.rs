@@ -36,10 +36,9 @@
 //! logits or with an error — so no waiter is ever left hanging, and the
 //! dispatcher thread itself never dies to a model fault.
 
-use crate::radix::{RadixCache, RadixCacheConfig};
 use lmql_lm::{
     call_with_retry, context_token, validated, CancelToken, LanguageModel, LmError, LmResult,
-    Logits, RetryMetrics, RetryPolicy, UsageMeter,
+    Logits, RadixCache, RadixCacheConfig, RadixStats, RetryMetrics, RetryPolicy, UsageMeter,
 };
 use lmql_obs::{Counter, Gauge, Histogram, Registry, Tracer};
 use lmql_tokenizer::{TokenId, Vocabulary};
@@ -418,7 +417,7 @@ impl Scheduler {
     }
 
     /// Prefix-cache counters and occupancy.
-    pub fn cache_stats(&self) -> crate::radix::RadixStats {
+    pub fn cache_stats(&self) -> RadixStats {
         self.shared.cache.lock().expect("cache poisoned").stats()
     }
 
@@ -756,7 +755,7 @@ fn dispatch_loop(shared: &Shared) {
     // metrics by delta — so several schedulers registered under the same
     // names (a replica pool) sum to pool totals instead of clobbering
     // each other.
-    let mut seen = crate::radix::RadixStats::default();
+    let mut seen = RadixStats::default();
     loop {
         let (batch, held) = {
             let mut st = shared.state.lock().expect("scheduler poisoned");

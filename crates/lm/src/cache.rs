@@ -6,61 +6,18 @@
 //! samples run in lockstep over shared prefixes: identical contexts need
 //! only one forward pass. [`CachedLm`] memoises `score()` per context.
 //!
-//! The cache is bounded: least-recently-used entries are evicted past a
-//! configurable capacity, so long-lived processes (servers, benchmark
-//! sweeps) reach a steady state instead of holding every context ever
-//! scored. The cross-query variant, a radix tree shared by every
-//! execution on a replica, lives in the engine crate as `RadixCache`.
+//! The cache is the same path-compressed [`RadixCache`] the engine's
+//! scheduler keeps per replica, bounded here by an entry count alone:
+//! least-recently-used entries are evicted past a configurable capacity,
+//! so long-lived processes (servers, benchmark sweeps) reach a steady
+//! state instead of holding every context ever scored. A decode step
+//! extends the previous context by one token, so storing it adds one
+//! node with a one-token edge; neither the context nor the logits are
+//! copied.
 
-use crate::{LanguageModel, LmResult, Logits};
+use crate::{LanguageModel, LmResult, Logits, RadixCache, RadixCacheConfig};
 use lmql_tokenizer::{TokenId, Vocabulary};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// LRU bookkeeping: entries carry a monotonically increasing use stamp,
-/// and a stamp-ordered index finds the coldest entry in `O(log n)`. The
-/// map key and the stamp index share one `Arc<[TokenId]>` allocation per
-/// entry (lookups by `&[TokenId]` go through the std `Borrow<[T]>` impl).
-#[derive(Debug, Default)]
-struct CacheState {
-    map: HashMap<Arc<[TokenId]>, (Logits, u64)>,
-    order: BTreeMap<u64, Arc<[TokenId]>>,
-    stamp: u64,
-}
-
-impl CacheState {
-    fn touch(&mut self, context: &[TokenId]) -> Option<Logits> {
-        let (logits, old) = self.map.get_mut(context)?;
-        let logits = logits.clone();
-        let old = std::mem::replace(old, self.stamp);
-        self.stamp += 1;
-        let key = self.order.remove(&old).expect("stamp index out of sync");
-        self.order.insert(self.stamp - 1, key);
-        Some(logits)
-    }
-
-    fn insert(&mut self, context: Arc<[TokenId]>, logits: Logits) {
-        let stamp = self.stamp;
-        self.stamp += 1;
-        let key = Arc::clone(&context);
-        if let Some((_, old)) = self.map.insert(context, (logits, stamp)) {
-            self.order.remove(&old);
-        }
-        self.order.insert(stamp, key);
-    }
-
-    /// Evicts entries down to `capacity`, returning how many were dropped.
-    fn evict_to(&mut self, capacity: usize) -> u64 {
-        let mut dropped = 0;
-        while self.map.len() > capacity {
-            let (_, key) = self.order.pop_first().expect("cache non-empty");
-            self.map.remove(&key);
-            dropped += 1;
-        }
-        dropped
-    }
-}
+use std::sync::{Mutex, MutexGuard};
 
 /// A memoising wrapper: `score()` results are cached by context, with LRU
 /// eviction past a capacity (default [`CachedLm::DEFAULT_CAPACITY`]).
@@ -86,10 +43,7 @@ impl CacheState {
 pub struct CachedLm<L> {
     inner: L,
     capacity: usize,
-    state: Mutex<CacheState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    tree: Mutex<RadixCache>,
 }
 
 impl<L: LanguageModel> CachedLm<L> {
@@ -112,10 +66,10 @@ impl<L: LanguageModel> CachedLm<L> {
         CachedLm {
             inner,
             capacity,
-            state: Mutex::new(CacheState::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            tree: Mutex::new(RadixCache::new(RadixCacheConfig {
+                max_entries: capacity,
+                max_bytes: usize::MAX,
+            })),
         }
     }
 
@@ -126,22 +80,22 @@ impl<L: LanguageModel> CachedLm<L> {
 
     /// Number of cache hits so far.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.tree().stats().hits
     }
 
     /// Number of cache misses so far.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.tree().stats().misses
     }
 
     /// Number of entries evicted to stay within capacity.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.tree().stats().evictions
     }
 
     /// Number of contexts currently cached.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("lm cache poisoned").map.len()
+        self.tree().stats().entries
     }
 
     /// Whether the cache is empty.
@@ -149,25 +103,8 @@ impl<L: LanguageModel> CachedLm<L> {
         self.len() == 0
     }
 
-    /// Empties the cache.
-    pub fn clear(&self) {
-        let mut st = self.state.lock().expect("lm cache poisoned");
-        st.map.clear();
-        st.order.clear();
-    }
-
-    /// Consumes the wrapper, returning the inner model.
-    pub fn into_inner(self) -> L {
-        self.inner
-    }
-
-    fn store(&self, context: &[TokenId], logits: Logits) {
-        let mut st = self.state.lock().expect("lm cache poisoned");
-        st.insert(Arc::from(context), logits);
-        let dropped = st.evict_to(self.capacity);
-        if dropped > 0 {
-            self.evictions.fetch_add(dropped, Ordering::Relaxed);
-        }
+    fn tree(&self) -> MutexGuard<'_, RadixCache> {
+        self.tree.lock().expect("lm cache poisoned")
     }
 }
 
@@ -183,25 +120,22 @@ impl<L: LanguageModel> LanguageModel for CachedLm<L> {
     /// failed call must stay retryable, not become a poisoned entry).
     fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
         // Per output slot: the cached logits, or which entry of `need`
-        // (distinct misses, first-appearance order) answers it. Batches
-        // are a decoder step wide, so a scan of `need` finds duplicates
-        // without hashing every context a second time.
+        // (distinct misses, first-appearance order) answers it. A repeat
+        // of an earlier miss in the same batch misses the tree too (it is
+        // stored only after scoring), so every slot counts as one lookup;
+        // batches are a decoder step wide, so a scan of `need` finds the
+        // repeat.
         let mut out: Vec<Result<Logits, usize>> = Vec::with_capacity(contexts.len());
         let mut need: Vec<&[TokenId]> = Vec::new();
         {
-            let mut st = self.state.lock().expect("lm cache poisoned");
+            let mut tree = self.tree();
             for &ctx in contexts {
-                if let Some(j) = need.iter().position(|n| *n == ctx) {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    out.push(Err(j));
-                } else if let Some(hit) = st.touch(ctx) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    out.push(Ok(hit));
-                } else {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    out.push(Err(need.len()));
-                    need.push(ctx);
-                }
+                out.push(tree.get(ctx).ok_or_else(|| {
+                    need.iter().position(|n| *n == ctx).unwrap_or_else(|| {
+                        need.push(ctx);
+                        need.len() - 1
+                    })
+                }));
             }
         }
         // Hits never touch the inner model.
@@ -214,9 +148,10 @@ impl<L: LanguageModel> LanguageModel for CachedLm<L> {
             .into_iter()
             .map(|slot| slot.or_else(|j| scored[j].clone()))
             .collect();
+        let mut tree = self.tree();
         for (ctx, result) in need.iter().zip(scored) {
             if let Ok(logits) = result {
-                self.store(ctx, logits);
+                tree.insert(ctx, logits);
             }
         }
         results
@@ -253,16 +188,6 @@ mod tests {
             let _ = lm.score(&[TokenId(7)]);
         }
         assert_eq!(meter.snapshot().model_queries, 1);
-    }
-
-    #[test]
-    fn clear_forgets() {
-        let lm = CachedLm::new(uniform());
-        let _ = lm.score(&[TokenId(0)]);
-        lm.clear();
-        assert!(lm.is_empty());
-        let _ = lm.score(&[TokenId(0)]);
-        assert_eq!(lm.misses(), 2);
     }
 
     #[test]

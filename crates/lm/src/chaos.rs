@@ -166,7 +166,7 @@ impl<L: LanguageModel> ChaosLm<L> {
                 self.stats.truncations.inc();
                 let full = self.inner.try_score(context)?;
                 let keep = full.len() / 2;
-                Ok(Logits::from_vec(full.scores()[..keep].to_vec()))
+                Ok(full.scores()[..keep].iter().copied().collect())
             }
             Fault::Fatal => {
                 self.stats.fatal.inc();

@@ -16,7 +16,10 @@
 //! - [`MockLm`] and [`UniformLm`] — deterministic models for unit tests,
 //! - [`UsageMeter`] / [`MeteredLm`] — the paper's §6 cost metrics (model
 //!   queries, decoder calls, billable tokens),
-//! - [`CachedLm`] — prefix-keyed score caching,
+//! - [`RadixCache`] — the one score cache: a path-compressed radix tree
+//!   of shared [`Logits`] with LRU eviction, kept per replica by the
+//!   engine's scheduler and per run by [`CachedLm`], which memoises a
+//!   model's scores by context so lockstep revisits are not billed,
 //! - [`LmError`] / [`call_with_retry`] / [`ChaosLm`] — the fault-tolerant
 //!   serving layer: transient-vs-fatal error taxonomy, the one retry loop
 //!   (exponential backoff, deterministic jitter, circuit breaking) that
@@ -39,6 +42,7 @@ mod meter;
 mod mock;
 mod model;
 mod ngram;
+mod radix;
 mod retry;
 mod scripted;
 
@@ -51,6 +55,7 @@ pub use meter::{MeteredLm, Usage, UsageMeter};
 pub use mock::{MockLm, UniformLm};
 pub use model::LanguageModel;
 pub use ngram::NGramLm;
+pub use radix::{RadixCache, RadixCacheConfig, RadixStats};
 pub use retry::{
     call_with_retry, context_token, validated, BreakerConfig, BreakerState, CircuitBreaker,
     RetryMetrics, RetryPolicy,

@@ -2,12 +2,20 @@
 
 use lmql_tokenizer::{TokenId, TokenSet};
 use rand::Rng;
+use std::sync::Arc;
 
 /// Raw per-token scores `z = f(t_1, …, t_k)` returned by a model.
 ///
 /// Convert to probabilities with [`Logits::softmax`], optionally with a
 /// temperature `τ` (`softmax(z/τ)`, §2.1), and apply decoding masks with
 /// [`Distribution::masked`].
+///
+/// The scores are a shared, immutable buffer: a clone is a refcount bump,
+/// so a cache and every caller it answers hold one vector between them.
+/// [`Logits::set`] and [`Logits::raise`] copy on write, and only when
+/// the buffer is shared. A model builds its vector in one allocation by
+/// collecting the scores straight into a `Logits` (it implements
+/// `FromIterator<f64>`); [`Logits::from_vec`] copies into a new buffer.
 ///
 /// # Example
 ///
@@ -22,20 +30,30 @@ use rand::Rng;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Logits {
-    scores: Vec<f64>,
+    scores: Arc<[f64]>,
+}
+
+impl FromIterator<f64> for Logits {
+    /// Collects the scores into one allocation when the iterator knows
+    /// its exact length (a `map` over the vocabulary's ids does).
+    fn from_iter<I: IntoIterator<Item = f64>>(scores: I) -> Self {
+        Logits {
+            scores: scores.into_iter().collect(),
+        }
+    }
 }
 
 impl Logits {
     /// Wraps a raw score vector.
     pub fn from_vec(scores: Vec<f64>) -> Self {
-        Logits { scores }
+        Logits {
+            scores: scores.into(),
+        }
     }
 
     /// A constant score vector of the given length.
     pub fn constant(len: usize, value: f64) -> Self {
-        Logits {
-            scores: vec![value; len],
-        }
+        std::iter::repeat_n(value, len).collect()
     }
 
     /// Number of entries (= vocabulary size).
@@ -63,7 +81,7 @@ impl Logits {
     ///
     /// Panics if the id is out of range.
     pub fn set(&mut self, id: TokenId, value: f64) {
-        self.scores[id.index()] = value;
+        Arc::make_mut(&mut self.scores)[id.index()] = value;
     }
 
     /// Raises the score of `id` to at least `value`.
@@ -72,9 +90,8 @@ impl Logits {
     ///
     /// Panics if the id is out of range.
     pub fn raise(&mut self, id: TokenId, value: f64) {
-        let s = &mut self.scores[id.index()];
-        if *s < value {
-            *s = value;
+        if self.scores[id.index()] < value {
+            Arc::make_mut(&mut self.scores)[id.index()] = value;
         }
     }
 
@@ -401,6 +418,19 @@ mod tests {
                 .map(|p| p.to_bits())
                 .collect::<Vec<_>>(),
         );
+    }
+
+    #[test]
+    fn clones_share_one_buffer_until_written() {
+        let a: Logits = [1.0, 2.0, 3.0].into_iter().collect();
+        let mut b = a.clone();
+        assert!(std::ptr::eq(a.scores(), b.scores()), "a clone shares");
+        b.raise(TokenId(0), 0.5); // no change: stays shared
+        assert!(std::ptr::eq(a.scores(), b.scores()));
+        b.set(TokenId(1), 9.0); // copy on write
+        assert_eq!(a.scores(), &[1.0, 2.0, 3.0]);
+        assert_eq!(b.scores(), &[1.0, 9.0, 3.0]);
+        assert_eq!(Logits::constant(2, 4.0), Logits::from_vec(vec![4.0; 2]));
     }
 
     #[test]

@@ -144,14 +144,15 @@ impl LanguageModel for NGramLm {
         contexts
             .iter()
             .map(|ctx| {
-                let scores = self
+                // Collected straight into the shared buffer: one
+                // allocation per call.
+                Ok(self
                     .bpe
                     .vocab()
                     .ids()
                     .zip(&self.unigram)
                     .map(|(t, &base)| self.prob_from_base(ctx, t, base).ln())
-                    .collect();
-                Ok(Logits::from_vec(scores))
+                    .collect())
             })
             .collect()
     }

@@ -21,16 +21,22 @@
 //! child into that child — so the tree keeps at most `2·entries + 1`
 //! nodes.
 //!
-//! Like the per-run [`CachedLm`](lmql_lm::CachedLm), this cache is
-//! LRU-bounded so long-running servers reach a steady state instead of
-//! leaking; here the budgets are an entry count and approximate bytes.
+//! This is the workspace's one score cache, at two scopes. The engine's
+//! scheduler keeps one per replica, shared by every query it serves and
+//! bounded by entries and bytes. A run's [`CachedLm`](crate::CachedLm)
+//! wraps one bounded by entries alone, so lockstep samples and beam
+//! revisits inside that run cost no model query. Either way the cache is
+//! LRU-bounded, so long-running servers reach a steady state instead of
+//! leaking.
 //!
 //! Keys stay zero-copy on the lookup path: walks take borrowed
 //! `&[TokenId]` slices (the scheduler hands over the same `Arc<[TokenId]>`
 //! payload it queued), and an insert copies only the part of its key that
-//! no cached path already spells out.
+//! no cached path already spells out. Values are [`Logits`], a shared
+//! buffer: storing one and answering a hit are refcount bumps, never a
+//! copy of the vocabulary-sized vector.
 
-use lmql_lm::Logits;
+use crate::Logits;
 use lmql_tokenizer::TokenId;
 
 /// Sentinel for "no node" in the arena / LRU links.
@@ -50,7 +56,10 @@ pub struct RadixCacheConfig {
     /// Maximum approximate bytes across all cached entries. An entry
     /// is charged 8 bytes per score, 4 per key token and 96 for its
     /// bookkeeping. The most recent entry is kept even when it alone is
-    /// over budget.
+    /// over budget. The charge is nominal: score vectors are shared
+    /// buffers, so an entry whose logits a caller still holds, or that
+    /// another cache holds too, costs less than it is charged, and a
+    /// key's tokens are stored once per tree edge, not once per entry.
     pub max_bytes: usize,
 }
 
@@ -141,8 +150,8 @@ impl Node {
     }
 }
 
-/// The cache. Single-threaded by itself; the
-/// [`Scheduler`](crate::Scheduler) wraps it in a mutex.
+/// The cache. Single-threaded by itself; its users (the engine's
+/// scheduler, [`CachedLm`](crate::CachedLm)) wrap it in a mutex.
 #[derive(Debug)]
 pub struct RadixCache {
     config: RadixCacheConfig,
@@ -207,8 +216,9 @@ impl RadixCache {
     /// A second look at a `key` whose [`get`](Self::get) just missed: a
     /// miss counts nothing more, and a hit turns that earlier miss into a
     /// hit, so one logical lookup counts once however often it is
-    /// re-checked.
-    pub(crate) fn recheck(&mut self, key: &[TokenId]) -> Option<Logits> {
+    /// re-checked. The engine's scheduler re-checks under its own lock,
+    /// where a dispatcher racing the first look may have filled `key`.
+    pub fn recheck(&mut self, key: &[TokenId]) -> Option<Logits> {
         let hit = self.lookup(key);
         if hit.is_some() {
             self.misses -= 1;

@@ -7,11 +7,16 @@
 //! thousands of randomised operations at several entry and byte budgets.
 //! After every operation the tree must also keep its compressed shape:
 //! every non-root node holds an entry or branches.
+//!
+//! [`CachedLm`] runs on the same tree, so the same oracle also drives it
+//! over a counting model: every answer must be the model's own, and the
+//! model must be called exactly on the oracle's misses.
 
-use lmql_engine::{RadixCache, RadixCacheConfig};
-use lmql_lm::Logits;
-use lmql_tokenizer::TokenId;
+use lmql_lm::{CachedLm, LanguageModel, LmResult, Logits, RadixCache, RadixCacheConfig};
+use lmql_tokenizer::{Bpe, TokenId, Vocabulary};
 use rand::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The naive reference: most recently used last.
 struct Oracle {
@@ -214,4 +219,103 @@ fn unbounded_cache_matches_hashmap() {
     }
     assert_eq!(cache.stats().entries, map.len());
     assert_eq!(cache.stats().evictions, 0);
+}
+
+/// A model whose scores are a pure function of the context and which
+/// counts the contexts it is asked to score.
+struct CountingLm {
+    bpe: Arc<Bpe>,
+    scored: AtomicU64,
+}
+
+impl CountingLm {
+    fn logits(&self, context: &[TokenId]) -> Logits {
+        let tag = context
+            .iter()
+            .fold(context.len() as f64, |h, t| h * 5.0 + f64::from(t.0));
+        (0..self.bpe.vocab().len())
+            .map(|i| tag - i as f64 / 7.0)
+            .collect()
+    }
+}
+
+impl LanguageModel for CountingLm {
+    fn vocab(&self) -> &Vocabulary {
+        self.bpe.vocab()
+    }
+
+    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
+        self.scored
+            .fetch_add(contexts.len() as u64, Ordering::Relaxed);
+        contexts.iter().map(|c| Ok(self.logits(c))).collect()
+    }
+}
+
+fn bits(logits: &Logits) -> Vec<u64> {
+    logits.scores().iter().map(|s| s.to_bits()).collect()
+}
+
+/// Drives `CachedLm::with_capacity(capacity)` with batches of one to
+/// three keys (a decode-shaped batch often repeats a key). The oracle
+/// does what the cache must: look every context up, score the distinct
+/// misses, then store them in first-appearance order.
+fn cached_lm_against_oracle(capacity: usize, keys: KeyGen, seed: u64, calls: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let model = CountingLm {
+        bpe: Arc::new(Bpe::char_level("")),
+        scored: AtomicU64::new(0),
+    };
+    let lm = CachedLm::with_capacity(&model, capacity);
+    let mut oracle = Oracle::new(entry_budget(capacity));
+    // The oracle's misses, less repeats of a miss within one batch: those
+    // share the first one's model call.
+    let mut scored = 0u64;
+    let mut last = Vec::new();
+
+    for call in 0..calls {
+        let batch: Vec<Vec<TokenId>> = (0..rng.gen_range(1..=3))
+            .map(|_| {
+                last = keys(&mut rng, &last);
+                last.clone()
+            })
+            .collect();
+        let contexts: Vec<&[TokenId]> = batch.iter().map(Vec::as_slice).collect();
+        let out = lm.try_score_batch(&contexts);
+
+        let mut missed: Vec<&[TokenId]> = Vec::new();
+        for &ctx in &contexts {
+            if oracle.get(ctx).is_none() && !missed.contains(&ctx) {
+                missed.push(ctx);
+            }
+        }
+        scored += missed.len() as u64;
+        for ctx in missed {
+            oracle.insert(ctx, model.logits(ctx));
+        }
+
+        let at = format!("call {call} (capacity {capacity}, seed {seed})");
+        for (ctx, got) in contexts.iter().zip(&out) {
+            let got = got.as_ref().expect("the counting model never fails");
+            assert_eq!(bits(got), bits(&model.logits(ctx)), "logits at {at}");
+        }
+        assert_eq!(
+            model.scored.load(Ordering::Relaxed),
+            scored,
+            "inner calls at {at}"
+        );
+        assert_eq!(lm.hits(), oracle.hits, "hits at {at}");
+        assert_eq!(lm.misses(), oracle.misses, "misses at {at}");
+        assert_eq!(lm.evictions(), oracle.evictions, "evictions at {at}");
+        assert_eq!(lm.len(), oracle.entries.len(), "len at {at}");
+    }
+}
+
+#[test]
+fn cached_lm_matches_lru_oracle() {
+    for capacity in [1, 2, 3, 8, 64] {
+        for seed in 0..4 {
+            cached_lm_against_oracle(capacity, short_key, seed, 1_000);
+            cached_lm_against_oracle(capacity, decode_key, seed, 1_000);
+        }
+    }
 }
