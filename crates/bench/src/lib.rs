@@ -1,17 +1,15 @@
 //! Experiment harness reproducing every table and figure of the LMQL
 //! paper's evaluation (§6) on the simulated substrate.
 //!
-//! Binaries (run with `cargo run -p lmql-bench --bin <name>`):
-//!
-//! - `table3` — chain-of-thought on Odd One Out and Date Understanding:
-//!   accuracy, decoder calls, model queries, billable tokens, cost
-//!   savings; Standard Decoding vs LMQL, two model profiles (plus a
-//!   `--profile large` GPT-3.5-style control run),
-//! - `table4` — lines-of-code comparison per task,
-//! - `table5` — ReAct and arithmetic evaluation cost metrics,
-//! - `fig12` — the baseline chunk-size sweep against LMQL's flat line,
-//! - `run_all` — everything above in sequence, then the three DESIGN.md
-//!   §16 retrieval scenarios (used by EXPERIMENTS.md).
+//! [`report()`] runs every experiment once and fills a [`Report`]; its
+//! rendering is the whole result: Table 3 (chain-of-thought on Odd One
+//! Out and Date Understanding under two model profiles, plus §6.1's
+//! GPT-3.5-style control), Table 4 (lines of code), Table 5 (ReAct and
+//! arithmetic), Fig. 12 (the baseline chunk-size sweep against LMQL's
+//! flat line) and the three DESIGN.md §16 retrieval scenarios, followed
+//! by the exact counters behind every number. The one binary, `run_all`,
+//! prints it (`cargo run --release -p lmql-bench --bin run_all [-- --quick]`);
+//! `tests/report.rs` pins the `--quick` output byte for byte.
 //!
 //! Everything here is a count (accuracy, decoder calls, model queries,
 //! billable tokens); wall time is measured only by the end-to-end
@@ -19,7 +17,10 @@
 
 pub mod experiments;
 pub mod loc;
+pub mod report;
 pub mod table;
+
+pub use report::{report, Report, Size};
 
 /// The LMQL query sources evaluated by the experiments (also the inputs
 /// to the Table 4 LOC counts).

@@ -1,7 +1,8 @@
-//! Row formatting shared by the experiment binaries.
+//! Row formatting for the §6 report.
 
 use crate::experiments::Stats;
 use lmql_lm::Usage;
+use std::fmt;
 
 /// GPT-3 davinci pricing the paper uses for cost estimates: $0.02 per 1k
 /// billable tokens, i.e. 2¢/1k.
@@ -16,23 +17,31 @@ pub fn delta_pct(baseline: f64, lmql: f64) -> f64 {
     }
 }
 
-/// Prints the paper's per-task metric block (Table 3 / Table 5 layout):
+/// Writes the paper's per-task metric block (Table 3 / Table 5 layout):
 /// accuracy (if measured), decoder calls, model queries, billable tokens,
 /// estimated cost savings per query.
-pub fn print_metric_block(label: &str, baseline: &Stats, lmql: &Stats, with_accuracy: bool) {
-    println!("{label}");
-    println!(
+pub(crate) fn metric_block(
+    out: &mut impl fmt::Write,
+    label: &str,
+    baseline: &Stats,
+    lmql: &Stats,
+    with_accuracy: bool,
+) -> fmt::Result {
+    writeln!(out, "{label}")?;
+    writeln!(
+        out,
         "  {:<18} {:>12} {:>12} {:>9}",
         "", "Standard", "LMQL", "delta"
-    );
+    )?;
     if with_accuracy {
-        println!(
+        writeln!(
+            out,
             "  {:<18} {:>11.2}% {:>11.2}% {:>8.2}%",
             "Accuracy",
             baseline.accuracy() * 100.0,
             lmql.accuracy() * 100.0,
             (lmql.accuracy() - baseline.accuracy()) * 100.0
-        );
+        )?;
     }
     let rows: [(&str, f64, f64); 3] = [
         (
@@ -52,30 +61,33 @@ pub fn print_metric_block(label: &str, baseline: &Stats, lmql: &Stats, with_accu
         ),
     ];
     for (name, b, l) in rows {
-        println!(
+        writeln!(
+            out,
             "  {:<18} {:>12.2} {:>12.2} {:>8.2}%",
             name,
             b,
             l,
             delta_pct(b, l)
-        );
+        )?;
     }
     // Engine statistics appear once runs are routed through the batching
     // scheduler; sequential runs leave them at zero and skip the rows.
     if baseline.usage.batch_dispatches + lmql.usage.batch_dispatches > 0 {
-        println!(
+        writeln!(
+            out,
             "  {:<18} {:>12.2} {:>12.2} {:>8.2}%",
             "Dispatches",
             baseline.avg_dispatches(),
             lmql.avg_dispatches(),
             delta_pct(baseline.avg_dispatches(), lmql.avg_dispatches())
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "  {:<18} {:>12.2} {:>12.2}",
             "Mean Batch Size",
             mean_batch_size(&baseline.usage),
             mean_batch_size(&lmql.usage)
-        );
+        )?;
     }
     if baseline.usage.cache_hits
         + baseline.usage.cache_misses
@@ -83,19 +95,21 @@ pub fn print_metric_block(label: &str, baseline: &Stats, lmql: &Stats, with_accu
         + lmql.usage.cache_misses
         > 0
     {
-        println!(
+        writeln!(
+            out,
             "  {:<18} {:>11.2}% {:>11.2}%",
             "Cache Hit Rate",
             baseline.usage.cache_hit_rate() * 100.0,
             lmql.usage.cache_hit_rate() * 100.0
-        );
+        )?;
     }
     let saved_cents = (baseline.avg_billable_tokens() - lmql.avg_billable_tokens()) / 1000.0
         * CENTS_PER_1K_TOKENS;
-    println!(
+    writeln!(
+        out,
         "  {:<18} {saved_cents:>32.2} cents/query",
         "Est. Cost Savings"
-    );
+    )
 }
 
 /// The "Mean Batch Size" cell for one side: contexts per batched
@@ -122,34 +136,6 @@ pub fn metric_slug(label: &str) -> String {
         }
     }
     out.trim_end_matches('_').to_owned()
-}
-
-/// Dumps each experiment arm's aggregated usage through the metrics
-/// registry's text exposition — the `--metrics` flag of the experiment
-/// binaries. This is a separate block after the tables, so the table
-/// columns themselves stay byte-identical with or without the flag.
-pub fn print_metrics_registry(arms: &[(String, Stats)]) {
-    let registry = lmql_obs::Registry::new();
-    for (label, stats) in arms {
-        let slug = metric_slug(label);
-        let u = stats.usage;
-        let counters: [(&str, u64); 9] = [
-            ("instances", stats.n as u64),
-            ("correct", stats.correct as u64),
-            ("model_queries", u.model_queries),
-            ("decoder_calls", u.decoder_calls),
-            ("billable_tokens", u.billable_tokens),
-            ("batch_dispatches", u.batch_dispatches),
-            ("batched_queries", u.batched_queries),
-            ("cache_hits", u.cache_hits),
-            ("cache_misses", u.cache_misses),
-        ];
-        for (name, value) in counters {
-            registry.counter(&format!("bench.{slug}.{name}")).add(value);
-        }
-    }
-    println!("--- metrics ---");
-    print!("{}", registry.snapshot().render_text());
 }
 
 #[cfg(test)]

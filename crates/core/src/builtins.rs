@@ -57,18 +57,49 @@ pub fn is_int_string(s: &str) -> bool {
     !digits.is_empty() && digits.chars().all(|c| c.is_ascii_digit())
 }
 
-/// Names that are built-in functions (callable in query bodies and
-/// `where` clauses).
-pub const BUILTIN_FUNCTIONS: &[&str] = &[
-    "words",
-    "sentences",
-    "characters",
-    "len",
-    "int",
-    "str",
-    "range",
-    "stops_at",
+/// The built-in functions (callable in query bodies and `where`
+/// clauses), each with its least and greatest argument count (the forms
+/// of Tables 1 and 2; `range(n)` and `range(a, b)` as in Python).
+pub const BUILTIN_FUNCTIONS: &[(&str, usize, usize)] = &[
+    ("words", 1, 1),
+    ("sentences", 1, 1),
+    ("characters", 1, 1),
+    ("len", 1, 1),
+    ("int", 1, 1),
+    ("str", 1, 1),
+    ("range", 1, 2),
+    ("stops_at", 2, 2),
 ];
+
+/// Whether `name` is a built-in function.
+pub fn is_builtin(name: &str) -> bool {
+    BUILTIN_FUNCTIONS.iter().any(|&(n, ..)| n == name)
+}
+
+/// Rejects a call to the built-in `name` with the wrong number of
+/// arguments as a compile error at the call's `span` (any other name
+/// passes), so evaluation only ever sees the forms of Tables 1 and 2.
+///
+/// # Errors
+///
+/// Returns [`Error::Compile`] when `argc` is outside the built-in's
+/// arity.
+pub fn check_arity(name: &str, argc: usize, span: Span) -> Result<()> {
+    match BUILTIN_FUNCTIONS.iter().find(|&&(n, ..)| n == name) {
+        Some(&(_, min, max)) if !(min..=max).contains(&argc) => {
+            let takes = if min == max {
+                format!("{min}")
+            } else {
+                format!("{min} to {max}")
+            };
+            Err(Error::compile(
+                format!("{name}() takes {takes} argument(s), got {argc}"),
+                span,
+            ))
+        }
+        _ => Ok(()),
+    }
+}
 
 /// Calls a built-in function with concrete arguments (the VM's and the
 /// constraint value level's shared implementation).

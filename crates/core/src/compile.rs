@@ -1,6 +1,6 @@
 //! Lowering from the parsed AST to VM instructions.
 
-use crate::builtins::BUILTIN_FUNCTIONS;
+use crate::builtins::{check_arity, is_builtin};
 use crate::program::{CompiledSegment, Instr, Program, PromptTemplate};
 use crate::{Error, Result, Value};
 use lmql_syntax::ast::{Expr, Query, Stmt};
@@ -356,7 +356,7 @@ impl Compiler {
                     });
                     return Ok(());
                 }
-                if !BUILTIN_FUNCTIONS.contains(&name.as_str()) {
+                if !is_builtin(name) {
                     return Err(Error::compile(
                         format!(
                             "unknown function `{name}` (user-defined functions are not \
@@ -365,6 +365,7 @@ impl Compiler {
                         span,
                     ));
                 }
+                check_arity(name, args.len(), span)?;
                 for a in args {
                     self.expr(a)?;
                 }

@@ -133,7 +133,7 @@ impl CustomOps {
     /// Panics if the name collides with a built-in function.
     pub fn register(&mut self, name: &str, op: Arc<dyn CustomOp>) {
         assert!(
-            !crate::builtins::BUILTIN_FUNCTIONS.contains(&name),
+            !crate::builtins::is_builtin(name),
             "`{name}` is a built-in function and cannot be overridden"
         );
         static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);

@@ -220,8 +220,14 @@ fn eval_builtin_final(
     match name {
         // Table 1: words/sentences/len propagate the argument's annotation
         // (appending to a string can only add words/sentences/length).
+        // `Runtime` rejects other arities at compile time
+        // (`builtins::check_arity`); a bare expression evaluated with one
+        // is undetermined rather than a panic.
         "words" | "sentences" | "characters" | "len" => {
-            let a = eval_final(&args[0], ctx);
+            let [arg] = args else {
+                return FinalValue::undetermined();
+            };
+            let a = eval_final(arg, ctx);
             let Some(av) = a.value else {
                 return FinalValue::undetermined();
             };
@@ -237,7 +243,10 @@ fn eval_builtin_final(
         // While the value grows: a malformed prefix can never be repaired
         // by appending, so non-prefix-of-integer is FIN(⊥).
         "int" => {
-            let a = eval_final(&args[0], ctx);
+            let [arg] = args else {
+                return FinalValue::undetermined();
+            };
+            let a = eval_final(arg, ctx);
             let Some(av) = a.value else {
                 return FinalValue::undetermined();
             };

@@ -48,7 +48,9 @@ pub enum ModelErrorClass {
     Deadline,
     /// Shed at admission: back-pressure, not a replica failure.
     Shed,
-    /// The query's worker panicked and was fenced off.
+    /// The query's worker panicked and was fenced off. A property of the
+    /// query, not of a replica: it is neither retried elsewhere nor
+    /// charged to a breaker.
     Panic,
 }
 

@@ -847,15 +847,14 @@ impl Runtime {
     /// Rejects `where` clauses calling functions that are neither
     /// built-in nor registered custom operators (a misspelled constraint
     /// would otherwise silently evaluate as *undetermined* and prune
-    /// nothing).
+    /// nothing), and built-ins called with the wrong number of arguments.
     fn validate_where(&self, expr: &lmql_syntax::ast::Expr) -> Result<()> {
         use lmql_syntax::ast::Expr as E;
         match expr {
             E::Call { func, args, span } => {
                 if let E::Name { name, .. } = func.as_ref() {
-                    if !crate::builtins::BUILTIN_FUNCTIONS.contains(&name.as_str())
-                        && !self.custom_ops.contains(name)
-                    {
+                    crate::builtins::check_arity(name, args.len(), *span)?;
+                    if !crate::builtins::is_builtin(name) && !self.custom_ops.contains(name) {
                         return Err(Error::compile(
                             format!(
                                 "unknown constraint function `{name}` (register it with \
@@ -1326,6 +1325,37 @@ mod tests {
             )
             .unwrap();
         assert_eq!(result.best().trace, "calc: 2*3 = 6");
+    }
+
+    /// A built-in called with the wrong number of arguments is the
+    /// query's compile error at the call, in `where` and in the body
+    /// alike; it never reaches the constraint evaluator.
+    #[test]
+    fn builtin_with_wrong_arity_is_a_compile_error() {
+        let rt = runtime(vec![Episode::plain("Out:", " a b. c")]);
+        for form in [
+            "len() < 5",
+            "words() < 2",
+            "sentences() < 1",
+            "int()",
+            "characters()",
+            "stops_at(X)",
+            "len(X, X) < 5",
+        ] {
+            let src = format!("argmax\n    \"Out:[X]\"\nfrom \"m\"\nwhere {form}\n");
+            match rt.execute(&QueryRequest::new(src)) {
+                Err(Error::Compile { message, span }) => {
+                    assert!(message.contains("argument"), "{form}: {message}");
+                    assert_eq!(span.start, lmql_syntax::Pos::new(4, 7), "{form}");
+                }
+                other => panic!("{form}: expected a compile error, got {other:?}"),
+            }
+        }
+        let err = rt
+            .run("argmax\n    n = len()\n    \"Out:[X]\"\nfrom \"m\"\n")
+            .unwrap_err();
+        assert!(matches!(err, Error::Compile { .. }), "{err:?}");
+        assert!(err.to_string().contains("len() takes 1"), "{err}");
     }
 
     #[test]

@@ -325,14 +325,14 @@ impl Shared {
     /// The loop behind [`Router::serve`] (which documents the contract):
     /// admit, compute the route order, then run `request` down it via
     /// [`Replica::serve`]. A replica failure — a model fault past its
-    /// retry budget (transient or fatal: the replica's backend is gone)
-    /// or a fenced panic — counts against the replica's breaker and moves
-    /// on (`engine.replica.failover`). Any other outcome ends the loop:
+    /// retry budget (transient or fatal: the replica's backend is gone) —
+    /// counts against the replica's breaker and moves on
+    /// (`engine.replica.failover`). Any other outcome ends the loop:
     /// success, a deterministic query error or cancellation (the replica
-    /// did its job: breaker success), and an expired deadline, which is
-    /// the caller's verdict, not the replica's — it would expire the same
-    /// way everywhere (breaker untouched, as in
-    /// [`Router::try_score_many`]).
+    /// did its job: breaker success), and, with the breaker untouched, an
+    /// expired deadline (the caller's verdict, as in
+    /// [`Router::try_score_many`]) or a fenced panic (a property of the
+    /// query: it would panic the same way on every replica).
     fn serve(
         self: &Arc<Self>,
         request: &QueryRequest,
@@ -358,7 +358,9 @@ impl Shared {
             result = replica.serve(request, sink.clone(), cancel);
             match &result {
                 Err(lmql::Error::Model { class, .. }) => match class {
-                    ModelErrorClass::Deadline | ModelErrorClass::Shed => break,
+                    ModelErrorClass::Deadline | ModelErrorClass::Shed | ModelErrorClass::Panic => {
+                        break
+                    }
                     _ => replica.breaker.record_failure(),
                 },
                 _ => {
@@ -475,8 +477,8 @@ impl Router {
     /// Routes and runs one request **on the calling thread**: admission,
     /// prefix-affinity placement (keyed on the request's source), and
     /// fail-over to the next healthy replica when a replica fails (a
-    /// model fault past its retry budget, or a panic; deadline expiry
-    /// does not fail over). An active `sink` receives the query's events —
+    /// model fault past its retry budget; deadline expiry and a panic in
+    /// the query do not fail over). An active `sink` receives the query's events —
     /// after a fail-over the retried attempt's events follow the failed
     /// attempt's partial ones, from the start — and firing `cancel` stops
     /// the query (it is never retried). Every attempt executes the same
@@ -796,6 +798,66 @@ mod tests {
             1,
             "a dead backend does fail over"
         );
+    }
+
+    /// A panic inside a query is the query's own: it fails once, on one
+    /// replica, and charges no breaker — even one that trips on a single
+    /// failure.
+    #[test]
+    fn query_panic_neither_fails_over_nor_charges_a_breaker() {
+        let bpe = Arc::new(Bpe::char_level(""));
+        let router = Router::new(
+            Arc::new(ScriptedLm::new(
+                Arc::clone(&bpe),
+                [Episode::plain("Q:", " a.")],
+            )),
+            bpe,
+            RouterConfig {
+                replicas: 2,
+                health: BreakerConfig {
+                    failure_threshold: 1,
+                    ..BreakerConfig::default()
+                },
+                ..RouterConfig::default()
+            },
+        );
+        let boom = Arc::new(lmql::FnTool::new("boom", "go", |_| panic!("tool bug")));
+        let request = QueryRequest::new(
+            "import boom\nargmax\n    \"Q:[A]\"\n    x = boom.go()\nfrom \"m\"\nwhere stops_at(A, \".\")\n",
+        )
+        .tool(boom);
+        let err = router.run_query(request).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                lmql::Error::Model {
+                    class: ModelErrorClass::Panic,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        let stats = router.stats();
+        assert_eq!(stats.failovers, 0);
+        let loads: Vec<u64> = stats.replicas.iter().map(|r| r.queries).collect();
+        assert_eq!(
+            loads.iter().sum::<u64>(),
+            1,
+            "ran on one replica: {loads:?}"
+        );
+        assert!(
+            stats
+                .replicas
+                .iter()
+                .all(|r| r.breaker == BreakerState::Closed),
+            "{:?}",
+            stats.replicas
+        );
+        // The pool still serves.
+        let ok = router
+            .run_query("argmax\n    \"Q:[A]\"\nfrom \"m\"\nwhere stops_at(A, \".\")\n")
+            .unwrap();
+        assert_eq!(ok.best().var_str("A"), Some(" a."));
     }
 
     #[test]
