@@ -68,3 +68,21 @@ pub fn run(profile: &ModelProfile, n: usize, seed: u64, chunk_size: usize) -> Ar
         lmql: lmql_stats,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lmql_datasets::GPT_J_PROFILE;
+
+    #[test]
+    fn arithmetic_shape_holds() {
+        let row = run(&GPT_J_PROFILE, 5, 9, 30);
+        assert_eq!(row.baseline.accuracy(), 1.0, "{:?}", row.baseline);
+        assert_eq!(row.lmql.accuracy(), 1.0, "{:?}", row.lmql);
+        // LMQL: one decoder call; the baseline needs one per hook plus
+        // extra chunks.
+        assert!((row.lmql.avg_decoder_calls() - 1.0).abs() < 1e-9);
+        assert!(row.baseline.avg_decoder_calls() >= 3.0);
+        assert!(row.lmql.avg_billable_tokens() < row.baseline.avg_billable_tokens() / 2.0);
+    }
+}

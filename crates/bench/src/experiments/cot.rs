@@ -160,3 +160,29 @@ pub fn run(task: Task, profile: &ModelProfile, n: usize, seed: u64, chunk_size: 
         lmql: lmql_stats,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lmql_datasets::GPT_J_PROFILE;
+
+    #[test]
+    fn odd_one_out_shape_holds() {
+        let row = run(Task::OddOneOut, &GPT_J_PROFILE, 12, 42, 30);
+        assert_eq!(row.baseline.n, 12);
+        assert_eq!(row.lmql.n, 12);
+        // LMQL accuracy at least matches the baseline.
+        assert!(row.lmql.accuracy() >= row.baseline.accuracy());
+        // LMQL reduces all three cost metrics.
+        assert!(row.lmql.avg_model_queries() < row.baseline.avg_model_queries());
+        assert!(row.lmql.avg_decoder_calls() < row.baseline.avg_decoder_calls());
+        assert!(row.lmql.avg_billable_tokens() < row.baseline.avg_billable_tokens());
+    }
+
+    #[test]
+    fn date_understanding_shape_holds() {
+        let row = run(Task::DateUnderstanding, &GPT_J_PROFILE, 10, 7, 30);
+        assert!(row.lmql.accuracy() >= row.baseline.accuracy());
+        assert!(row.lmql.avg_billable_tokens() < row.baseline.avg_billable_tokens());
+    }
+}

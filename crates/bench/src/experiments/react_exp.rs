@@ -78,3 +78,23 @@ pub fn sweep(profile: &ModelProfile, n: usize, seed: u64, chunk_sizes: &[usize])
         .map(|&c| run(profile, n, seed, c))
         .collect()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lmql_datasets::GPT_J_PROFILE;
+
+    #[test]
+    fn react_shape_holds() {
+        let row = run(&GPT_J_PROFILE, 5, 3, 30);
+        // Both sides answer the two-hop questions correctly.
+        assert_eq!(row.baseline.accuracy(), 1.0, "{:?}", row.baseline);
+        assert_eq!(row.lmql.accuracy(), 1.0, "{:?}", row.lmql);
+        // LMQL: a single decoder call (no distribute clause).
+        assert!((row.lmql.avg_decoder_calls() - 1.0).abs() < 1e-9);
+        // Structural savings.
+        assert!(row.lmql.avg_decoder_calls() < row.baseline.avg_decoder_calls() / 3.0);
+        assert!(row.lmql.avg_billable_tokens() < row.baseline.avg_billable_tokens() / 2.0);
+        assert!(row.lmql.avg_model_queries() < row.baseline.avg_model_queries());
+    }
+}

@@ -290,3 +290,50 @@ pub fn run_all(n: usize, seed: u64, chunk_size: usize) -> Vec<ScenarioRow> {
         run_chat(n, seed, chunk_size),
     ]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn qa_shape_holds() {
+        let row = run_qa(4, 7, 32);
+        assert_eq!(row.lmql.accuracy(), 1.0, "{:?}", row.lmql);
+        assert_eq!(row.baseline.accuracy(), 1.0, "{:?}", row.baseline);
+        // One decoder run, evidence-only prompt: structurally cheaper.
+        assert!((row.lmql.avg_decoder_calls() - 1.0).abs() < 1e-9);
+        assert!(
+            row.lmql.avg_billable_tokens() < row.baseline.avg_billable_tokens() / 2.0,
+            "lmql {:.0} vs baseline {:.0}",
+            row.lmql.avg_billable_tokens(),
+            row.baseline.avg_billable_tokens()
+        );
+        assert!(row.tool_calls >= 8, "search + spans per instance");
+    }
+
+    #[test]
+    fn needle_shape_holds() {
+        let row = run_needle(4, 11, 32);
+        assert_eq!(row.lmql.accuracy(), 1.0, "{:?}", row.lmql);
+        assert_eq!(row.baseline.accuracy(), 1.0, "{:?}", row.baseline);
+        assert!(
+            row.lmql.avg_billable_tokens() < row.baseline.avg_billable_tokens(),
+            "lmql {:.0} vs baseline {:.0}",
+            row.lmql.avg_billable_tokens(),
+            row.baseline.avg_billable_tokens()
+        );
+    }
+
+    #[test]
+    fn chat_shape_holds() {
+        let row = run_chat(4, 3, 32);
+        assert_eq!(row.lmql.accuracy(), 1.0, "{:?}", row.lmql);
+        assert_eq!(row.baseline.accuracy(), 1.0, "{:?}", row.baseline);
+        assert!(
+            row.lmql.avg_billable_tokens() < row.baseline.avg_billable_tokens(),
+            "lmql {:.0} vs baseline {:.0}",
+            row.lmql.avg_billable_tokens(),
+            row.baseline.avg_billable_tokens()
+        );
+    }
+}
