@@ -1,7 +1,7 @@
 //! Integration tests for scripted beam search (§4) through the public
 //! runtime API.
 
-use lmql::{FnTool, QueryEvent, Runtime, StreamSink, Value};
+use lmql::{FnTool, QueryEvent, Runtime, StopReason, StreamSink, Value};
 use lmql_lm::{Branch, Episode, LanguageModel, LmResult, Logits, ScriptedLm, SCRIPT_LOGIT};
 use lmql_tokenizer::{Bpe, TokenId, Vocabulary};
 use std::sync::{Arc, Mutex};
@@ -112,14 +112,174 @@ where stops_at(SIDE, "'")
     );
 }
 
+/// What `argmax` and `beam(n=1)` must agree on for one query: the
+/// result, every `TokenDelta` (log-prob compared bit for bit), every
+/// `VariableDone`'s value and stop reason, and the `Usage` counters.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    trace: String,
+    /// `(var, text, log-prob bits, admissible count, EOS admissible)`.
+    deltas: Vec<(String, String, u64, usize, bool)>,
+    /// `(var, value, stopped_by, picked EOS's (admissible count,
+    /// log-prob bits))`.
+    holes: Vec<(String, String, StopReason, Option<(usize, u64)>)>,
+    /// `(model queries, decoder calls, billable tokens)`.
+    usage: Option<(u64, u64, u64)>,
+}
+
+/// Runs `source` on a fresh runtime and reduces its event stream to an
+/// [`Observed`] plus the best run's cumulative log-prob.
+fn observe(episodes: &[Episode], source: &str, automata: bool) -> (Observed, f64) {
+    let mut rt = runtime(episodes.to_vec());
+    rt.options_mut().mask.automata = automata;
+    let (sink, collector) = StreamSink::collector();
+    let result = rt
+        .run_streamed(source, sink)
+        .unwrap_or_else(|e| panic!("{source}: {e}"));
+    let mut observed = Observed {
+        trace: result.best().trace.clone(),
+        deltas: Vec::new(),
+        holes: Vec::new(),
+        usage: None,
+    };
+    for event in collector.take() {
+        match event {
+            QueryEvent::TokenDelta {
+                var,
+                text,
+                log_prob,
+                allowed,
+                eos_allowed,
+                ..
+            } => observed
+                .deltas
+                .push((var, text, log_prob.to_bits(), allowed, eos_allowed)),
+            QueryEvent::VariableDone {
+                var,
+                value,
+                stopped_by,
+                eos_step,
+                ..
+            } => observed.holes.push((
+                var,
+                value,
+                stopped_by,
+                eos_step.map(|(allowed, lp)| (allowed, lp.to_bits())),
+            )),
+            QueryEvent::Usage {
+                model_queries,
+                decoder_calls,
+                billable_tokens,
+            } => observed.usage = Some((model_queries, decoder_calls, billable_tokens)),
+            _ => {}
+        }
+    }
+    (observed, result.best().log_prob)
+}
+
+/// `beam(n=1)` is `argmax`: one hypothesis, the most likely token per
+/// step. A grid over every way a step ends or is forced — a stop phrase,
+/// an option list whose tail the automaton forces, n-gram blocking, the
+/// token budget, EOS, and a two-hole query — each with the automata on
+/// (fast-forward) and off (every token scored).
 #[test]
 fn beam_n1_matches_argmax() {
-    let query_beam = "beam(n=1)\n    \"P:[X]\"\nfrom \"m\"\nwhere stops_at(X, \".\")\n";
-    let query_argmax = "argmax\n    \"P:[X]\"\nfrom \"m\"\nwhere stops_at(X, \".\")\n";
-    let rt = runtime(vec![Episode::plain("P:", " same answer. more")]);
-    let beam = rt.run(query_beam).unwrap();
-    let argmax = rt.run(query_argmax).unwrap();
-    assert_eq!(beam.best().trace, argmax.best().trace);
+    let mut stops = Vec::new();
+    let mut fast_forwarded = 0;
+    let rows: [(&str, &str, &str, Vec<Episode>); 7] = [
+        (
+            "",
+            "P:[X]",
+            "where stops_at(X, \".\")",
+            vec![Episode::plain("P:", " same answer. more")],
+        ),
+        (
+            "",
+            "P:[X]",
+            "where X in [\" yes please\", \" no thanks\"]",
+            vec![Episode::plain("P:", " yes please")],
+        ),
+        (
+            "no_repeat_ngram_size=2, max_length=12",
+            "P:[X]",
+            "where not \"\\n\" in X",
+            vec![Episode::plain("P:", "abababababababab")],
+        ),
+        (
+            "no_repeat_ngram_size=2",
+            "P:[X]",
+            "where X in [\"abab\"]",
+            vec![Episode::plain("P:", "abab")],
+        ),
+        (
+            "max_length=5",
+            "P:[X]",
+            "where not \"\\n\" in X",
+            vec![Episode::plain("P:", " this is a long script")],
+        ),
+        (
+            "",
+            "P:[X]",
+            "where len(X) < 10",
+            vec![Episode::plain("P:", " hi")],
+        ),
+        (
+            "",
+            "P:[X]\\nQ:[Y]",
+            "where X in [\" red\", \" blue\"] and stops_at(Y, \".\")",
+            vec![
+                Episode::plain("P:", " blue"),
+                Episode::plain("Q:", " a colour. more"),
+            ],
+        ),
+    ];
+    for (params, prompt, clause, episodes) in &rows {
+        let mut model_queries = Vec::new();
+        for automata in [true, false] {
+            let query = |decoder: &str| {
+                let decoder = match (decoder, params.is_empty()) {
+                    ("argmax", true) => "argmax".to_owned(),
+                    ("argmax", false) => format!("argmax({params})"),
+                    (_, true) => "beam(n=1)".to_owned(),
+                    (_, false) => format!("beam(n=1, {params})"),
+                };
+                format!("{decoder}\n    \"{prompt}\"\nfrom \"m\"\n{clause}\n")
+            };
+            let label = format!("{prompt} {clause} ({params}), automata {automata}");
+            let (argmax, argmax_lp) = observe(episodes, &query("argmax"), automata);
+            let (beam, beam_lp) = observe(episodes, &query("beam"), automata);
+            assert!(!argmax.deltas.is_empty(), "{label}: nothing decoded");
+            assert_eq!(argmax, beam, "{label}");
+            // A beam's score also counts each picked EOS (it ranks
+            // hypotheses that end at different places); argmax's sums
+            // the appended tokens only. Beyond that, only the summation
+            // order differs.
+            let eos: f64 = argmax
+                .holes
+                .iter()
+                .filter_map(|h| h.3)
+                .map(|(_, bits)| f64::from_bits(bits))
+                .sum();
+            assert!(
+                (argmax_lp + eos - beam_lp).abs() <= 1e-12,
+                "{label}: {argmax_lp} + {eos} vs {beam_lp}"
+            );
+            stops.extend(argmax.holes.iter().map(|h| h.2));
+            model_queries.push(argmax.usage.expect("a Usage event").0);
+        }
+        fast_forwarded += usize::from(model_queries[0] < model_queries[1]);
+    }
+    // The grid reaches every way a hole ends, and the automata rows
+    // really skip model calls.
+    for stop in [
+        StopReason::StopPhrase,
+        StopReason::MaskExhausted,
+        StopReason::Budget,
+        StopReason::Eos,
+    ] {
+        assert!(stops.contains(&stop), "no row stops by {stop:?}");
+    }
+    assert!(fast_forwarded >= 2, "{fast_forwarded} rows fast-forward");
 }
 
 /// A model that wants to repeat "ab" forever (with "c" a distant second,
