@@ -23,20 +23,60 @@ pub struct ReactRow {
     pub lmql: Stats,
 }
 
+/// Fig. 12: the baseline at each chunk size, and LMQL once (it does not
+/// decode chunk-wise).
+#[derive(Debug, Clone)]
+pub struct Sweep {
+    /// `(chunk size, Standard Decoding metrics)`, in sweep order.
+    pub baseline: Vec<(usize, Stats)>,
+    /// LMQL metrics.
+    pub lmql: Stats,
+}
+
 /// Runs the ReAct experiment over `n` instances.
 pub fn run(profile: &ModelProfile, n: usize, seed: u64, chunk_size: usize) -> ReactRow {
+    ReactRow {
+        chunk_size,
+        baseline: run_baseline(profile, n, seed, chunk_size),
+        lmql: run_lmql(profile, n, seed),
+    }
+}
+
+/// The Fig. 12 sweep: the baseline at several chunk sizes, LMQL once.
+pub fn sweep(profile: &ModelProfile, n: usize, seed: u64, chunk_sizes: &[usize]) -> Sweep {
+    Sweep {
+        baseline: chunk_sizes
+            .iter()
+            .map(|&c| (c, run_baseline(profile, n, seed, c)))
+            .collect(),
+        lmql: run_lmql(profile, n, seed),
+    }
+}
+
+/// The `n` instances, each with the scripted model that answers it.
+fn instances(
+    profile: &ModelProfile,
+    n: usize,
+    seed: u64,
+) -> Vec<(hotpot::Instance, Arc<ScriptedLm>)> {
     let bpe = corpus::standard_bpe();
+    hotpot::generate(n, seed, profile)
+        .into_iter()
+        .map(|inst| {
+            let episode = Episode::plain(format!("{}\n", inst.question), inst.script.clone());
+            let lm = Arc::new(ScriptedLm::new(Arc::clone(&bpe), [episode]));
+            (inst, lm)
+        })
+        .collect()
+}
+
+/// Standard Decoding: the chunk-wise line interpreter.
+fn run_baseline(profile: &ModelProfile, n: usize, seed: u64, chunk_size: usize) -> Stats {
     let wiki = MiniWiki::standard();
-    let mut baseline = Stats::default();
-    let mut lmql_stats = Stats::default();
-
-    for inst in hotpot::generate(n, seed, profile) {
-        let episode = Episode::plain(format!("{}\n", inst.question), inst.script.clone());
-        let lm = Arc::new(ScriptedLm::new(Arc::clone(&bpe), [episode]));
-
-        // Standard Decoding: chunk-wise line interpreter.
+    let mut stats = Stats::default();
+    for (inst, lm) in instances(profile, n, seed) {
         let meter = UsageMeter::new();
-        let generator = Generator::new(lm.clone(), Arc::clone(&bpe), meter.clone());
+        let generator = Generator::new(lm, corpus::standard_bpe(), meter.clone());
         let out = baseline_react::run(
             &generator,
             &wiki,
@@ -48,10 +88,17 @@ pub fn run(profile: &ModelProfile, n: usize, seed: u64, chunk_size: usize) -> Re
             },
         );
         let correct = out.answer.as_deref().is_some_and(|a| inst.is_correct(a));
-        baseline.record(correct, meter.snapshot());
+        stats.record(correct, meter.snapshot());
+    }
+    stats
+}
 
-        // LMQL: one decoder run with real lookups from the query body.
-        let mut rt = Runtime::new(lm, Arc::clone(&bpe));
+/// LMQL: one decoder run with real lookups from the query body.
+fn run_lmql(profile: &ModelProfile, n: usize, seed: u64) -> Stats {
+    let wiki = MiniWiki::standard();
+    let mut stats = Stats::default();
+    for (inst, lm) in instances(profile, n, seed) {
+        let mut rt = Runtime::new(lm, corpus::standard_bpe());
         rt.register_tool(Arc::new(WikiTool::new(wiki.clone())));
         rt.bind("FEWSHOT", Value::Str(hotpot::FEW_SHOT.into()));
         rt.bind("QUESTION", Value::Str(inst.question.clone()));
@@ -61,22 +108,9 @@ pub fn run(profile: &ModelProfile, n: usize, seed: u64, chunk_size: usize) -> Re
             .var_str("SUBJECT")
             .map(|s| s.trim_end_matches('\'').to_owned());
         let correct = answer.as_deref().is_some_and(|a| inst.is_correct(a));
-        lmql_stats.record(correct, rt.meter().snapshot());
+        stats.record(correct, rt.meter().snapshot());
     }
-
-    ReactRow {
-        chunk_size,
-        baseline,
-        lmql: lmql_stats,
-    }
-}
-
-/// The Fig. 12 sweep: the baseline at several chunk sizes, LMQL once.
-pub fn sweep(profile: &ModelProfile, n: usize, seed: u64, chunk_sizes: &[usize]) -> Vec<ReactRow> {
-    chunk_sizes
-        .iter()
-        .map(|&c| run(profile, n, seed, c))
-        .collect()
+    stats
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 
 use crate::experiments::arith_exp::{self, ArithRow};
 use crate::experiments::cot::{self, CotRow, Task};
-use crate::experiments::react_exp::{self, ReactRow};
+use crate::experiments::react_exp::{self, ReactRow, Sweep};
 use crate::experiments::retrieval_exp::{self, ScenarioRow};
 use crate::experiments::Stats;
 use crate::loc::{functional_loc, Language};
@@ -68,8 +68,8 @@ pub struct Report {
     pub react: ReactRow,
     /// Table 5, arithmetic evaluation (Case Study 3).
     pub arith: ArithRow,
-    /// Fig. 12: the ReAct workload at each of [`FIG12_CHUNKS`].
-    pub fig12: Vec<ReactRow>,
+    /// Fig. 12: the ReAct baseline at each of [`FIG12_CHUNKS`], and LMQL.
+    pub fig12: Sweep,
     /// The three retrieval scenarios (DESIGN.md §16).
     pub retrieval: Vec<ScenarioRow>,
 }
@@ -113,12 +113,6 @@ pub fn report(size: Size) -> Report {
 }
 
 impl Report {
-    /// Fig. 12's LMQL line: LMQL does not decode chunk-wise, so every
-    /// sweep row's LMQL side is the same; the first one is reported.
-    pub fn fig12_lmql(&self) -> &Stats {
-        &self.fig12[0].lmql
-    }
-
     /// The exact counters behind every printed number, as
     /// `bench.<arm>.<counter>`.
     fn registry(&self) -> Registry {
@@ -133,10 +127,10 @@ impl Report {
         arms.push(("react.lmql".to_owned(), &self.react.lmql));
         arms.push(("arithmetic.standard".to_owned(), &self.arith.baseline));
         arms.push(("arithmetic.lmql".to_owned(), &self.arith.lmql));
-        for row in &self.fig12 {
-            arms.push((format!("chunk_{}.standard", row.chunk_size), &row.baseline));
+        for (chunk_size, baseline) in &self.fig12.baseline {
+            arms.push((format!("chunk_{chunk_size}.standard"), baseline));
         }
-        arms.push(("fig12.lmql".to_owned(), self.fig12_lmql()));
+        arms.push(("fig12.lmql".to_owned(), &self.fig12.lmql));
         for row in &self.retrieval {
             arms.push((format!("{}.standard", row.name), &row.baseline));
             arms.push((format!("{}.lmql", row.name), &row.lmql));
@@ -234,12 +228,12 @@ impl fmt::Display for Report {
             "{:>10} {:>15} {:>15} {:>17}",
             "chunk", "decoder calls", "model queries", "billable tokens"
         )?;
-        let lmql = self.fig12_lmql();
         let lines = self
             .fig12
+            .baseline
             .iter()
-            .map(|row| (row.chunk_size.to_string(), &row.baseline))
-            .chain([("LMQL".to_owned(), lmql)]);
+            .map(|(chunk_size, baseline)| (chunk_size.to_string(), baseline))
+            .chain([("LMQL".to_owned(), &self.fig12.lmql)]);
         for (label, stats) in lines {
             writeln!(
                 f,

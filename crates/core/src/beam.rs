@@ -6,15 +6,14 @@
 //! branches into the lookup arm while a `Tho` beam does not). Discarded
 //! beams are pruned and never extended further.
 
-use crate::constraints::{fingerprint_scope_full, MaskOutcome, Masker};
+use crate::constraints::Masker;
 use crate::debug::StopReason;
-use crate::decode::{ngram_blocked_into, DecodeOptions};
+use crate::decode::{DecodeOptions, HoleState, StepPlan, StepScratch};
 use crate::interp::{Externals, Step, VmState};
 use crate::stream::{QueryEvent, StreamSink};
 use crate::{Error, Program, Result, Value};
 use lmql_lm::LanguageModel;
 use lmql_tokenizer::{Bpe, TokenId, TokenSet};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Safety cap on beam-search iterations (tokens per beam across the whole
@@ -24,51 +23,38 @@ const MAX_TOTAL_STEPS: usize = 100_000;
 #[derive(Debug, Clone)]
 struct Beam {
     vm: VmState,
-    /// Hole currently being decoded, with its partial value.
-    hole: Option<(String, String)>,
-    /// Token context `uv` for the current hole (prompt tokens + picked
-    /// tokens); rebuilt when the VM advances past template text.
-    context: Vec<lmql_tokenizer::TokenId>,
-    /// Tokens generated into the current hole.
-    hole_tokens: usize,
+    /// Hole currently being decoded; `None` once the VM has finished.
+    hole: Option<(String, HoleState)>,
     /// Cumulative log-probability of all chosen tokens.
     log_prob: f64,
     /// Streaming hypothesis id: stable for this beam's lifetime; forks
     /// mint fresh ids for every clone but the first.
     path: u32,
-    done: bool,
     /// This step's admissible-token count (taken only under an active
     /// sink) and EOS flag, for the picked token's stream event.
     step: (usize, bool),
 }
 
-/// A live beam's fate for one search step, decided before any scoring so
-/// the step's forward passes can go out as one batch.
+/// A beam's fate for one search step, decided before any scoring so the
+/// step's forward passes can go out as one batch.
 #[derive(Debug)]
 enum Planned {
     /// Already finished; carried through unchanged.
     Done(Beam),
-    /// The hole ends here (stop condition, exhausted mask, budget).
-    Finish(Beam, StopReason),
-    /// Extend by one token under this mask.
-    Extend { beam: Beam, mask: TokenSet },
-    /// The automaton proved exactly one admissible continuation (and no
-    /// EOS): extend without scoring (fast-forward, DESIGN.md §12). The
-    /// scored path would see a singleton mask renormalise to probability
-    /// exactly 1.0 — one pick, no forks, log-prob delta 0 — so skipping
-    /// the batch entry leaves scores and events byte-identical.
-    Forced { beam: Beam, token: TokenId },
+    /// The shared decode step's plan for a live beam (a dead end is
+    /// pruned while planning and never gets here).
+    Live(Beam, StepPlan),
 }
 
 /// A finished beam: its VM (trace, scope, hole records) and score.
 #[derive(Debug, Clone)]
-pub struct FinishedBeam {
+pub(crate) struct FinishedBeam {
     /// The completed execution.
-    pub vm: VmState,
+    pub(crate) vm: VmState,
     /// Cumulative log-probability.
-    pub log_prob: f64,
+    pub(crate) log_prob: f64,
     /// The streaming hypothesis id this beam's events were tagged with.
-    pub path: u32,
+    pub(crate) path: u32,
 }
 
 /// Runs scripted beam search with `n` beams over a compiled program.
@@ -80,7 +66,7 @@ pub struct FinishedBeam {
 /// Fails when every beam dies on constraint dead ends, or on evaluation
 /// errors inside the query body.
 #[allow(clippy::too_many_arguments)]
-pub fn run_beam_search<L: LanguageModel + ?Sized>(
+pub(crate) fn run_beam_search<L: LanguageModel + ?Sized>(
     lm: &L,
     bpe: &Arc<Bpe>,
     masker: &mut Masker,
@@ -100,116 +86,57 @@ pub fn run_beam_search<L: LanguageModel + ?Sized>(
 
     let tracer = options.tracer.clone();
     let sink = &options.sink;
-    let eos = bpe.vocab().eos();
+    let vocab = bpe.vocab();
     let mut init = Beam {
         vm: VmState::new(bindings.iter().cloned()),
         hole: None,
-        context: Vec::new(),
-        hole_tokens: 0,
         log_prob: 0.0,
         path: sink.path(),
-        done: false,
         step: (0, false),
     };
     advance(&mut init, program, externals, bpe, sink)?;
     let mut beams = vec![init];
     // Fresh hypothesis ids for forked beams, starting past the root.
     let mut next_path: u32 = sink.path() + 1;
-    // Per-step mask dedup: beams that have not diverged in (scope, hole,
-    // value) — e.g. right after a fork, before their values differ — share
-    // one mask computation. Keyed on the full scope hash because beams may
-    // follow different control-flow paths with different scopes.
-    let mut step_masks: HashMap<(u64, String, String), (MaskOutcome, Option<TokenId>)> =
-        HashMap::new();
-    // `no_repeat_ngram_size` scratch, refilled per beam from its own
-    // token context (absent — and free — when blocking is off).
-    let mut ngram_blocked =
-        (options.no_repeat_ngram > 0).then(|| TokenSet::empty(bpe.vocab().len()));
+    // Per-search scratch, as `decode_hole` keeps per hole: the step's
+    // mask and n-gram block, and the renormalised distribution.
+    let mut step = StepScratch::new(vocab, options);
+    let mut dist = lmql_lm::Distribution::empty();
 
     for _ in 0..MAX_TOTAL_STEPS {
-        if beams.iter().all(|b| b.done) {
+        if beams.iter().all(|b| b.hole.is_none()) {
             break;
         }
         if sink.cancelled() {
             return Err(Error::Cancelled);
         }
-        // Pass 1: compute every live beam's mask and classify it, so all
-        // contexts that need scores this step are known up front.
-        step_masks.clear();
+        // Pass 1: compute every live beam's mask and plan its step, so
+        // all contexts that need scores this step are known up front
+        // (with their masks, in the same order).
         let mut planned: Vec<Planned> = Vec::with_capacity(beams.len());
+        let mut masks: Vec<TokenSet> = Vec::new();
         for mut beam in beams.drain(..) {
-            if beam.done {
+            let Some((var, hole)) = &beam.hole else {
                 planned.push(Planned::Done(beam));
                 continue;
-            }
-            let (var, value) = beam.hole.clone().expect("active beam has a hole");
-            let key = (fingerprint_scope_full(beam.vm.scope()), var, value);
-            let (outcome, forced) = match step_masks.get(&key) {
-                Some(hit) => hit.clone(),
-                None => {
-                    let o = masker.compute(
-                        program.where_clause.as_ref(),
-                        beam.vm.scope(),
-                        &key.1,
-                        &key.2,
-                    );
-                    let f = masker.forced_token(&o);
-                    step_masks.insert(key, (o.clone(), f));
-                    (o, f)
-                }
             };
-
-            let stop = if outcome.must_stop {
-                Some(StopReason::StopPhrase)
-            } else if outcome.allowed.is_empty() && outcome.eos_allowed {
-                Some(StopReason::MaskExhausted)
-            } else {
-                (beam.hole_tokens >= options.max_tokens_per_hole).then_some(StopReason::Budget)
-            };
-            if let Some(stop) = stop {
-                planned.push(Planned::Finish(beam, stop));
-                masker.recycle(outcome);
-                continue;
-            }
-            if outcome.is_dead_end() {
-                tracer.instant_with("beam", "prune", || {
-                    vec![("reason".to_owned(), "dead_end".into())]
-                });
-                sink.emit(QueryEvent::BeamPrune { path: beam.path });
-                masker.recycle(outcome);
-                continue; // prune this beam
-            }
+            let where_clause = program.where_clause.as_ref();
+            let outcome = masker.compute(where_clause, beam.vm.scope(), var, &hole.value);
+            let plan = step.plan(masker, &outcome, hole.tokens, &hole.context, options);
             beam.step = (sink.mask_size(&outcome.allowed), outcome.eos_allowed);
-            if let Some(blocked) = &mut ngram_blocked {
-                ngram_blocked_into(&beam.context, options.no_repeat_ngram, blocked);
-            }
-            if let Some(token) = forced {
-                // A blocked forced token leaves nothing admissible.
-                planned.push(match &ngram_blocked {
-                    Some(blocked) if blocked.contains(token) => {
-                        Planned::Finish(beam, StopReason::MaskExhausted)
-                    }
-                    _ => Planned::Forced { beam, token },
-                });
-                masker.recycle(outcome);
-                continue;
-            }
-            let mut mask = masker.pooled_copy(&outcome.allowed);
-            if outcome.eos_allowed {
-                mask.insert(eos);
-            }
             masker.recycle(outcome);
-            if let Some(blocked) = &ngram_blocked {
-                mask.subtract_with(blocked);
-                if mask.is_empty() {
-                    // Blocking exhausted the mask: the hole ends here, as
-                    // in `decode_hole`.
-                    masker.recycle_mask(mask);
-                    planned.push(Planned::Finish(beam, StopReason::MaskExhausted));
+            match plan {
+                StepPlan::DeadEnd => {
+                    tracer.instant_with("beam", "prune", || {
+                        vec![("reason".to_owned(), "dead_end".into())]
+                    });
+                    sink.emit(QueryEvent::BeamPrune { path: beam.path });
                     continue;
                 }
+                StepPlan::Score => masks.push(masker.pooled_copy(&step.mask)),
+                StepPlan::Stop(_) | StepPlan::Forced(_) => {}
             }
-            planned.push(Planned::Extend { beam, mask });
+            planned.push(Planned::Live(beam, plan));
         }
 
         // One batched forward pass covers the whole step — through a
@@ -219,7 +146,9 @@ pub fn run_beam_search<L: LanguageModel + ?Sized>(
         let contexts: Vec<&[TokenId]> = planned
             .iter()
             .filter_map(|p| match p {
-                Planned::Extend { beam, .. } => Some(beam.context.as_slice()),
+                Planned::Live(beam, StepPlan::Score) => {
+                    beam.hole.as_ref().map(|(_, h)| &h.context[..])
+                }
                 _ => None,
             })
             .collect();
@@ -228,42 +157,41 @@ pub fn run_beam_search<L: LanguageModel + ?Sized>(
             span.arg("contexts", contexts.len() as u64);
             lm.try_score_batch(&contexts).into_iter()
         };
+        let mut masks = masks.into_iter();
 
         // Pass 2: expand in the original beam order.
         let mut candidates: Vec<Beam> = Vec::new();
         for plan in planned {
             match plan {
                 Planned::Done(beam) => candidates.push(beam),
-                Planned::Finish(mut beam, stop) => {
+                Planned::Live(mut beam, StepPlan::Stop(stop)) => {
                     finish_hole(&mut beam, program, externals, bpe, sink, stop, None)?;
                     candidates.push(beam);
                 }
-                Planned::Forced { mut beam, token } => {
+                Planned::Live(_, StepPlan::DeadEnd) => {
+                    unreachable!("dead ends are pruned while planning")
+                }
+                Planned::Live(mut beam, StepPlan::Forced(token)) => {
                     masker.note_fast_forward(1);
-                    let (allowed, eos_allowed) = beam.step;
-                    let (var, v) = beam.hole.as_mut().expect("active beam has a hole");
-                    let text = bpe.vocab().token_str(token);
-                    sink.with_path(beam.path)
-                        .token_delta(var, text, 0.0, allowed, eos_allowed);
-                    v.push_str(text);
-                    beam.context.push(token);
-                    beam.hole_tokens += 1;
+                    let (var, hole) = beam.hole.as_mut().expect("active beam has a hole");
+                    let path_sink = sink.with_path(beam.path);
+                    hole.append(&path_sink, vocab, var, token, 0.0, beam.step);
                     candidates.push(beam);
                 }
-                Planned::Extend { beam, mask } => {
-                    let (allowed, eos_allowed) = beam.step;
+                Planned::Live(beam, StepPlan::Score) => {
+                    let mask = masks.next().expect("one mask per extending beam");
                     let logits = scored.next().expect("one score per extending beam")?;
-                    let dist = logits.softmax(options.temperature);
-                    let masked = dist.masked(&mask);
+                    logits.softmax_into(options.temperature, &mut dist);
+                    let alive = dist.mask_in_place(&mask);
                     masker.recycle_mask(mask);
-                    let Some(masked) = masked else {
+                    if !alive {
                         tracer.instant_with("beam", "prune", || {
                             vec![("reason".to_owned(), "numerically_dead".into())]
                         });
                         sink.emit(QueryEvent::BeamPrune { path: beam.path });
                         continue; // numerically dead: prune
-                    };
-                    let picks: Vec<(TokenId, f64)> = masked
+                    }
+                    let picks: Vec<(TokenId, f64)> = dist
                         .top_k(n)
                         .into_iter()
                         .filter(|(_, p)| *p > 0.0)
@@ -291,8 +219,8 @@ pub fn run_beam_search<L: LanguageModel + ?Sized>(
                         let mut b = beam.clone();
                         b.path = id;
                         b.log_prob += p.ln();
-                        if t == eos {
-                            let eos_step = sink.is_active().then(|| (allowed, p.ln()));
+                        if t == vocab.eos() {
+                            let eos_step = sink.is_active().then(|| (b.step.0, p.ln()));
                             finish_hole(
                                 &mut b,
                                 program,
@@ -303,13 +231,8 @@ pub fn run_beam_search<L: LanguageModel + ?Sized>(
                                 eos_step,
                             )?;
                         } else {
-                            let (var, v) = b.hole.as_mut().expect("active beam has a hole");
-                            let text = bpe.vocab().token_str(t);
-                            sink.with_path(id)
-                                .token_delta(var, text, p.ln(), allowed, eos_allowed);
-                            v.push_str(text);
-                            b.context.push(t);
-                            b.hole_tokens += 1;
+                            let (var, hole) = b.hole.as_mut().expect("active beam has a hole");
+                            hole.append(&sink.with_path(id), vocab, var, t, p.ln(), b.step);
                         }
                         candidates.push(b);
                     }
@@ -321,11 +244,6 @@ pub fn run_beam_search<L: LanguageModel + ?Sized>(
                     }
                 }
             }
-        }
-        // Retire this step's deduped outcomes into the masker's scratch
-        // pool so the next step's computations reuse their bitsets.
-        for (_, (o, _)) in step_masks.drain() {
-            masker.recycle(o);
         }
         if candidates.is_empty() {
             return Err(Error::NoValidContinuation {
@@ -355,7 +273,7 @@ pub fn run_beam_search<L: LanguageModel + ?Sized>(
 
     let mut finished: Vec<FinishedBeam> = beams
         .into_iter()
-        .filter(|b| b.done)
+        .filter(|b| b.hole.is_none())
         .map(|b| FinishedBeam {
             vm: b.vm,
             log_prob: b.log_prob,
@@ -389,14 +307,13 @@ fn finish_hole(
     stopped_by: StopReason,
     eos_step: Option<(usize, f64)>,
 ) -> Result<()> {
-    let (var, value) = beam
+    let (var, hole) = beam
         .hole
         .take()
         .expect("finish_hole without an active hole");
     sink.with_path(beam.path)
-        .variable_done(&var, &value, beam.log_prob, stopped_by, eos_step);
-    beam.vm.provide_hole(value);
-    beam.hole_tokens = 0;
+        .variable_done(&var, &hole.value, beam.log_prob, stopped_by, eos_step);
+    beam.vm.provide_hole(hole.value);
     advance(beam, program, externals, bpe, sink)
 }
 
@@ -421,12 +338,16 @@ fn advance(
     match step {
         Step::NeedHole(req) => {
             sink.with_path(beam.path).variable_start(&req.var);
-            beam.hole = Some((req.var, String::new()));
-            beam.context = bpe.encode(&beam.vm.trace().to_string());
+            let context = bpe.encode(&beam.vm.trace().to_string());
+            beam.hole = Some((
+                req.var,
+                HoleState {
+                    context,
+                    ..HoleState::default()
+                },
+            ));
         }
-        Step::Done => {
-            beam.done = true;
-        }
+        Step::Done => {}
     }
     Ok(())
 }

@@ -101,21 +101,6 @@ pub(crate) fn fingerprint_expr(
     (eh.finish(), sh.finish())
 }
 
-/// Hashes every binding in a scope (sorted by name, so iteration order of
-/// the underlying map cannot leak into the hash). Used for beam-level
-/// per-step mask dedup, where over-keying on unreferenced variables only
-/// costs reuse, never soundness.
-pub(crate) fn fingerprint_scope_full(scope: &HashMap<String, Value>) -> u64 {
-    let mut names: Vec<&str> = scope.keys().map(String::as_str).collect();
-    names.sort_unstable();
-    let mut h = DefaultHasher::new();
-    for name in names {
-        name.hash(&mut h);
-        hash_value(&scope[name], &mut h);
-    }
-    h.finish()
-}
-
 fn hash_value<H: Hasher>(v: &Value, h: &mut H) {
     match v {
         Value::None => 0u8.hash(h),

@@ -17,5 +17,3 @@ pub use mask::{
     collect_stop_phrases, MaskConfig, MaskEngine, MaskMetrics, MaskOutcome, Masker, VocabSource,
 };
 pub use memo::MaskMemo;
-
-pub(crate) use memo::fingerprint_scope_full;

@@ -1,10 +1,10 @@
 //! Constrained decoding (the paper's Alg. 2) and decoder strategies.
 
-use crate::constraints::{MaskConfig, MaskEngine, Masker};
+use crate::constraints::{MaskConfig, MaskEngine, MaskOutcome, Masker};
 use crate::debug::StopReason;
-use crate::{Error, Result};
+use crate::{Error, Result, StreamSink};
 use lmql_lm::LanguageModel;
-use lmql_tokenizer::{Bpe, TokenSet};
+use lmql_tokenizer::{Bpe, TokenId, TokenSet, Vocabulary};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -90,9 +90,9 @@ impl DecodeOptions {
 /// present in `context` (HuggingFace's `no_repeat_ngram_size` semantics):
 /// for the last `n-1` context tokens as a prefix, every token that
 /// completed that prefix to an existing `n`-gram is blocked. The buffer is
-/// caller-owned, so per-step callers (the decode loop, beam search)
-/// allocate the set once per hole instead of once per token.
-pub fn ngram_blocked_into(context: &[lmql_tokenizer::TokenId], n: usize, blocked: &mut TokenSet) {
+/// the step's scratch ([`StepScratch`]), allocated once per hole instead
+/// of once per token.
+fn ngram_blocked_into(context: &[TokenId], n: usize, blocked: &mut TokenSet) {
     blocked.clear();
     if n == 0 || context.len() < n {
         return;
@@ -143,6 +143,119 @@ pub struct DecodedValue {
     pub eos_step: Option<(usize, f64)>,
 }
 
+/// What one Alg. 2 step does, decided from its mask before any model
+/// call. Argmax, sampling and beam search all classify a step through
+/// [`StepScratch::plan`], so they stop, fail and fast-forward alike.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum StepPlan {
+    /// The hole ends here, its value as-is.
+    Stop(StopReason),
+    /// No token is admissible and EOS is not: Alg. 2's failure exit.
+    DeadEnd,
+    /// The automaton forces this token (EOS inadmissible): append it with
+    /// log-prob 0.0 without scoring (fast-forward, DESIGN.md §12).
+    Forced(TokenId),
+    /// Score the context and pick under [`StepScratch::mask`].
+    Score,
+}
+
+/// The decode step's caller-owned scratch, refilled in place each step
+/// (one per hole, or one per beam search).
+pub(crate) struct StepScratch {
+    /// The last [`StepPlan::Score`] step's mask: the admissible tokens,
+    /// plus EOS when admissible, minus the `no_repeat_ngram` block.
+    pub(crate) mask: TokenSet,
+    /// The n-gram block (absent, and free, when blocking is off).
+    blocked: Option<TokenSet>,
+    eos: TokenId,
+}
+
+impl StepScratch {
+    pub(crate) fn new(vocab: &Vocabulary, options: &DecodeOptions) -> Self {
+        StepScratch {
+            mask: TokenSet::empty(vocab.len()),
+            blocked: (options.no_repeat_ngram > 0).then(|| TokenSet::empty(vocab.len())),
+            eos: vocab.eos(),
+        }
+    }
+
+    /// Classifies one step of a hole that has generated `tokens` tokens
+    /// onto `context`, given `outcome`, the mask `masker` computed last.
+    /// The checks run in one order for every decoder: a completed stop
+    /// phrase, then an empty mask with EOS admissible, then the token
+    /// budget, then the dead end, then the n-gram block (which may
+    /// exhaust the mask), then the automaton's forced token.
+    pub(crate) fn plan(
+        &mut self,
+        masker: &Masker,
+        outcome: &MaskOutcome,
+        tokens: usize,
+        context: &[TokenId],
+        options: &DecodeOptions,
+    ) -> StepPlan {
+        if outcome.must_stop {
+            return StepPlan::Stop(StopReason::StopPhrase);
+        }
+        if outcome.allowed.is_empty() && outcome.eos_allowed {
+            return StepPlan::Stop(StopReason::MaskExhausted);
+        }
+        if tokens >= options.max_tokens_per_hole {
+            return StepPlan::Stop(StopReason::Budget);
+        }
+        if outcome.is_dead_end() {
+            return StepPlan::DeadEnd;
+        }
+        self.mask.fill_from(&outcome.allowed);
+        if outcome.eos_allowed {
+            self.mask.insert(self.eos);
+        }
+        if let Some(blocked) = &mut self.blocked {
+            ngram_blocked_into(context, options.no_repeat_ngram, blocked);
+            self.mask.subtract_with(blocked);
+            if self.mask.is_empty() {
+                return StepPlan::Stop(StopReason::MaskExhausted);
+            }
+        }
+        masker
+            .forced_token(outcome)
+            .map_or(StepPlan::Score, StepPlan::Forced)
+    }
+}
+
+/// A hole being decoded: its value so far, the token context `uv` Alg. 2
+/// extends, and the tokens generated into it. The prompt is encoded once
+/// and picked tokens are appended as-is (no per-step re-encoding, which
+/// could even re-factorise the value differently).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HoleState {
+    pub(crate) value: String,
+    pub(crate) context: Vec<TokenId>,
+    pub(crate) tokens: usize,
+}
+
+impl HoleState {
+    /// Alg. 2's append: streams `t` as `var`'s next
+    /// [`TokenDelta`](crate::QueryEvent::TokenDelta) with its log-prob and
+    /// the step's `(admissible count, EOS admissible)`, then extends the
+    /// value and the context. Returns the token's text.
+    pub(crate) fn append<'v>(
+        &mut self,
+        sink: &StreamSink,
+        vocab: &'v Vocabulary,
+        var: &str,
+        t: TokenId,
+        log_prob: f64,
+        (allowed, eos_allowed): (usize, bool),
+    ) -> &'v str {
+        let text = vocab.token_str(t);
+        sink.token_delta(var, text, log_prob, allowed, eos_allowed);
+        self.value.push_str(text);
+        self.context.push(t);
+        self.tokens += 1;
+        text
+    }
+}
+
 /// Decodes a value for hole `var` given the current interaction trace.
 ///
 /// Implements Alg. 2: at each step compute the mask, stop on dead ends or
@@ -170,26 +283,24 @@ pub fn decode_hole<L: LanguageModel + ?Sized>(
 ) -> Result<DecodedValue> {
     let (tracer, sink) = (options.tracer.clone(), &options.sink);
     let mut hole_span = tracer.span_lazy("decode", || format!("hole:{var}"));
-    let eos = bpe.vocab().eos();
-    let mut value = String::new();
+    let vocab = bpe.vocab();
+    let mut hole = HoleState {
+        context: bpe.encode(trace),
+        ..HoleState::default()
+    };
     let mut log_prob = 0.0;
-    let mut tokens = 0;
-    let stopped_by;
     let mut eos_step = None;
-    // Alg. 2 operates on the token sequence `uv`: the prompt is encoded
-    // once, picked tokens are appended as-is (no per-step re-encoding,
-    // which could even re-factorise the value differently).
-    let mut context = bpe.encode(trace);
     // Per-hole scratch, refilled in place each step: with the automata
     // path serving pooled outcomes and the in-place softmax/mask below,
     // the steady-state loop body allocates nothing beyond the model's
     // own logits buffer (pinned by `tests/alloc_budget.rs`).
-    let mut mask = TokenSet::empty(bpe.vocab().len());
+    let mut step = StepScratch::new(vocab, options);
     let mut dist = lmql_lm::Distribution::empty();
-    let mut ngram_blocked =
-        (options.no_repeat_ngram > 0).then(|| TokenSet::empty(bpe.vocab().len()));
+    let no_valid_continuation = || Error::NoValidContinuation {
+        var: var.to_owned(),
+    };
 
-    loop {
+    let stopped_by = loop {
         // Cooperative cancellation: a dropped stream handle (or a
         // disconnected client) stops the run between tokens.
         if sink.cancelled() {
@@ -198,72 +309,28 @@ pub fn decode_hole<L: LanguageModel + ?Sized>(
         // Speculative mode (§4): kick off the forward pass while the mask
         // is being computed; the logits are wasted if this step turns out
         // to stop decoding.
-        let speculative_logits = if options.speculative {
+        let (speculative_logits, outcome) = if options.speculative {
             let (logits, outcome) = std::thread::scope(|scope_| {
                 let handle = scope_.spawn(|| {
                     let _span = tracer.span("model", "score_speculative");
-                    lm.try_score(&context)
+                    lm.try_score(&hole.context)
                 });
-                let outcome = masker.compute(where_expr, scope, var, &value);
+                let outcome = masker.compute(where_expr, scope, var, &hole.value);
                 (handle.join().expect("scoring thread panicked"), outcome)
             });
-            Some((logits, outcome))
+            (Some(logits), outcome)
         } else {
-            None
+            (None, masker.compute(where_expr, scope, var, &hole.value))
         };
-
-        let outcome = match &speculative_logits {
-            Some((_, outcome)) => outcome.clone(),
-            None => masker.compute(where_expr, scope, var, &value),
-        };
-        if outcome.must_stop {
-            stopped_by = StopReason::StopPhrase;
-            masker.recycle(outcome);
-            break;
-        }
-        if outcome.is_dead_end() {
-            masker.recycle(outcome);
-            return Err(Error::NoValidContinuation {
-                var: var.to_owned(),
-            });
-        }
-        if outcome.allowed.is_empty() {
-            stopped_by = StopReason::MaskExhausted;
-            masker.recycle(outcome);
-            break;
-        }
-        if tokens >= options.max_tokens_per_hole {
-            stopped_by = StopReason::Budget;
-            masker.recycle(outcome);
-            break;
-        }
-
-        let allowed = sink.mask_size(&outcome.allowed);
-        mask.fill_from(&outcome.allowed);
-        if outcome.eos_allowed {
-            mask.insert(eos);
-        }
-
-        if let Some(blocked) = &mut ngram_blocked {
-            ngram_blocked_into(&context, options.no_repeat_ngram, blocked);
-            mask.subtract_with(blocked);
-            if mask.is_empty() {
-                stopped_by = StopReason::MaskExhausted;
-                masker.recycle(outcome);
-                break; // blocking exhausted the mask: end the hole
-            }
-        }
-        // Fast-forwarding (DESIGN.md §12): when the automaton proves the
-        // mask is a singleton without EOS, the model's answer is
-        // irrelevant — the forced token is appended without scoring.
-        // Chains of forced states (template text, closing brackets)
-        // therefore cost zero LM calls, while the per-token stream
-        // events and log-prob stay byte-identical to the scored path: a
-        // singleton renormalises to probability exactly 1.0, log-prob
-        // exactly 0.0. (Speculative mode already paid for the forward
-        // pass, so it keeps the scored path.)
-        if speculative_logits.is_none() {
-            if let Some(t) = masker.forced_token(&outcome) {
+        let plan = step.plan(masker, &outcome, hole.tokens, &hole.context, options);
+        let allowed = (sink.mask_size(&outcome.allowed), outcome.eos_allowed);
+        masker.recycle(outcome);
+        match plan {
+            StepPlan::Stop(reason) => break reason,
+            StepPlan::DeadEnd => return Err(no_valid_continuation()),
+            // Speculative mode already paid for the forward pass, so it
+            // keeps the scored path.
+            StepPlan::Forced(t) if speculative_logits.is_none() => {
                 let mut ff_span = tracer.span("decode", "fast_forward");
                 if let Pick::Sample(rng) = pick {
                     // The scored path draws one uniform sample per
@@ -272,25 +339,21 @@ pub fn decode_hole<L: LanguageModel + ?Sized>(
                     // every later sampled token — stays identical.
                     let _: f64 = rng.gen();
                 }
-                let text = bpe.vocab().token_str(t);
+                masker.note_fast_forward(1);
+                let text = hole.append(sink, vocab, var, t, 0.0, allowed);
                 if ff_span.is_recording() {
                     ff_span.arg("token", text.to_owned());
                 }
-                masker.note_fast_forward(1);
-                sink.token_delta(var, text, 0.0, allowed, outcome.eos_allowed);
-                value.push_str(text);
-                context.push(t);
-                tokens += 1;
-                masker.recycle(outcome);
                 continue;
             }
+            StepPlan::Forced(_) | StepPlan::Score => {}
         }
         let logits = match speculative_logits {
-            Some((logits, _)) => logits?,
+            Some(logits) => logits?,
             None => {
                 let mut span = tracer.span("model", "score");
-                span.arg("context_tokens", context.len() as u64);
-                lm.try_score(&context)?
+                span.arg("context_tokens", hole.context.len() as u64);
+                lm.try_score(&hole.context)?
             }
         };
         // In-place softmax + mask renormalisation into the per-hole
@@ -298,40 +361,30 @@ pub fn decode_hole<L: LanguageModel + ?Sized>(
         // floating-point operation order), zero allocations at steady
         // state.
         logits.softmax_into(options.temperature, &mut dist);
-        if !dist.mask_in_place(&mask) {
-            masker.recycle(outcome);
-            return Err(Error::NoValidContinuation {
-                var: var.to_owned(),
-            });
+        if !dist.mask_in_place(&step.mask) {
+            return Err(no_valid_continuation());
         }
         let t = match pick {
             Pick::Argmax => dist.argmax(),
             Pick::Sample(rng) => dist.sample(rng),
         };
-        let eos_allowed = outcome.eos_allowed;
-        masker.recycle(outcome);
-        if t == eos {
-            stopped_by = StopReason::Eos;
-            eos_step = sink.is_active().then(|| (allowed, dist.log_prob(t)));
-            break;
-        }
         let lp = dist.log_prob(t);
-        let text = bpe.vocab().token_str(t);
+        if t == vocab.eos() {
+            eos_step = sink.is_active().then_some((allowed.0, lp));
+            break StopReason::Eos;
+        }
         log_prob += lp;
-        sink.token_delta(var, text, lp, allowed, eos_allowed);
-        value.push_str(text);
-        context.push(t);
-        tokens += 1;
-    }
+        hole.append(sink, vocab, var, t, lp, allowed);
+    };
 
     if hole_span.is_recording() {
-        hole_span.arg("tokens", tokens as u64);
+        hole_span.arg("tokens", hole.tokens as u64);
         hole_span.arg("stopped_by", format!("{stopped_by:?}"));
     }
     Ok(DecodedValue {
-        value,
+        value: hole.value,
         log_prob,
-        tokens,
+        tokens: hole.tokens,
         stopped_by,
         eos_step,
     })

@@ -67,7 +67,6 @@ mod runtime;
 mod tool;
 mod value;
 
-pub use beam::{run_beam_search, FinishedBeam};
 pub use compile::{compile_query, compile_source};
 pub use debug::{DebugTrace, HoleTrace, StepTrace, StopReason};
 pub use decode::{decode_hole, DecodeOptions, DecodedValue, Pick};

@@ -12,13 +12,16 @@
 //! cannot inflate it.
 
 use lmql::constraints::{MaskConfig, MaskEngine, Masker};
-use lmql::{compile_source, decode_hole, DecodeOptions, Externals, Pick, Step, VmState};
+use lmql::{compile_source, decode_hole, DecodeOptions, Externals, Pick, Runtime, Step, VmState};
 use lmql_arena::Rope;
-use lmql_lm::{corpus, CachedLm, LanguageModel, Logits, RadixCache, RadixCacheConfig, UniformLm};
-use lmql_tokenizer::TokenId;
+use lmql_lm::{
+    corpus, CachedLm, LanguageModel, LmResult, Logits, RadixCache, RadixCacheConfig, UniformLm,
+};
+use lmql_tokenizer::{Bpe, TokenId, Vocabulary};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 struct CountingAlloc;
 
@@ -29,11 +32,18 @@ thread_local! {
     /// Bytes requested by those allocations (a `realloc` counts its new
     /// size).
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Allocations of at least [`LARGE_MIN`] bytes.
+    static LARGE: Cell<u64> = const { Cell::new(0) };
+    /// The size from which an allocation counts as large (off: `MAX`).
+    static LARGE_MIN: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
 fn bump(bytes: usize) {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
     let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+    if LARGE_MIN.try_with(Cell::get).is_ok_and(|min| bytes >= min) {
+        let _ = LARGE.try_with(|c| c.set(c.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -72,6 +82,15 @@ fn count_allocs_and_bytes(f: impl FnOnce()) -> (u64, u64) {
         ALLOCS.with(Cell::get) - start.0,
         BYTES.with(Cell::get) - start.1,
     )
+}
+
+/// Allocations of at least `min_bytes` made by `f` on the calling thread.
+fn count_large_allocs(min_bytes: usize, f: impl FnOnce()) -> u64 {
+    LARGE_MIN.with(|c| c.set(min_bytes));
+    let start = LARGE.with(Cell::get);
+    f();
+    LARGE_MIN.with(|c| c.set(usize::MAX));
+    LARGE.with(Cell::get) - start
 }
 
 /// A finished `VmState` whose trace is one emitted literal of `chars`
@@ -249,6 +268,64 @@ fn decode_steady_state_stays_within_alloc_budget() {
              ({marginal} allocs over {steps} steps), budget {BUDGET_ALLOCS_PER_STEP}"
         );
     }
+}
+
+/// A model that answers every context with the same shared score
+/// vector, so scoring costs a refcount bump and a step's allocation
+/// count holds none of the model's own buffers.
+struct SharedLogitsLm {
+    bpe: Arc<Bpe>,
+    logits: Logits,
+}
+
+impl LanguageModel for SharedLogitsLm {
+    fn vocab(&self) -> &Vocabulary {
+        self.bpe.vocab()
+    }
+    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
+        contexts.iter().map(|_| Ok(self.logits.clone())).collect()
+    }
+}
+
+#[test]
+fn warm_beam_step_renormalises_in_place() {
+    // Marginal vocabulary-sized allocations per `beam(n=1)` step, from
+    // the difference of a short and a long run of the same query: the
+    // softmax and the masked renormalisation reuse one per-search
+    // scratch distribution, as in `decode_hole`, so the two left are
+    // `Distribution::top_k`'s: the index vector it sorts and the stable
+    // sort's scratch buffer.
+    const VOCAB_SIZED_PER_STEP: u64 = 2;
+    let bpe = corpus::standard_bpe();
+    let vocab = bpe.vocab().len();
+    let lm = Arc::new(SharedLogitsLm {
+        bpe: bpe.clone(),
+        logits: Logits::constant(vocab, 0.0),
+    });
+    let rt = Runtime::new(lm, bpe);
+    // `len(X) > 2000` keeps EOS inadmissible, so every run decodes to its
+    // token cap and the two runs differ by exactly the steady-state steps.
+    let run = |max_length: usize| {
+        let source = format!(
+            "beam(n=1, max_length={max_length})\n    \"The little prince said: [X]\"\n\
+             from \"m\"\nwhere not \"\\n\" in X and len(X) > 2000\n"
+        );
+        count_large_allocs(vocab * std::mem::size_of::<f64>(), || {
+            let result = rt.run(&source).expect("beam search succeeds");
+            std::hint::black_box(result);
+        })
+    };
+    // Warm-up over the longest run: automaton compilation, first-visit
+    // state discovery, scan caches, pool population.
+    let _ = run(80);
+    let short = run(16);
+    let long = run(80);
+    let per_step = long.saturating_sub(short) / 64;
+    assert_eq!(
+        per_step, VOCAB_SIZED_PER_STEP,
+        "a warm beam step makes {per_step} vocabulary-sized allocations \
+         ({short} over 16 steps, {long} over 80)"
+    );
 }
 
 #[test]

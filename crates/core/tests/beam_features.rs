@@ -112,6 +112,10 @@ where stops_at(SIDE, "'")
     );
 }
 
+/// One finished hole: `(var, value, stopped_by, picked EOS's
+/// (admissible count, log-prob bits))`.
+type HoleEnd = (String, String, StopReason, Option<(usize, u64)>);
+
 /// What `argmax` and `beam(n=1)` must agree on for one query: the
 /// result, every `TokenDelta` (log-prob compared bit for bit), every
 /// `VariableDone`'s value and stop reason, and the `Usage` counters.
@@ -120,9 +124,7 @@ struct Observed {
     trace: String,
     /// `(var, text, log-prob bits, admissible count, EOS admissible)`.
     deltas: Vec<(String, String, u64, usize, bool)>,
-    /// `(var, value, stopped_by, picked EOS's (admissible count,
-    /// log-prob bits))`.
-    holes: Vec<(String, String, StopReason, Option<(usize, u64)>)>,
+    holes: Vec<HoleEnd>,
     /// `(model queries, decoder calls, billable tokens)`.
     usage: Option<(u64, u64, u64)>,
 }
@@ -180,13 +182,14 @@ fn observe(episodes: &[Episode], source: &str, automata: bool) -> (Observed, f64
 /// `beam(n=1)` is `argmax`: one hypothesis, the most likely token per
 /// step. A grid over every way a step ends or is forced — a stop phrase,
 /// an option list whose tail the automaton forces, n-gram blocking, the
-/// token budget, EOS, and a two-hole query — each with the automata on
-/// (fast-forward) and off (every token scored).
+/// token budget (also where it meets a dead end), EOS, and a two-hole
+/// query — each with the automata on (fast-forward) and off (every token
+/// scored).
 #[test]
 fn beam_n1_matches_argmax() {
     let mut stops = Vec::new();
     let mut fast_forwarded = 0;
-    let rows: [(&str, &str, &str, Vec<Episode>); 7] = [
+    let rows: [(&str, &str, &str, Vec<Episode>); 8] = [
         (
             "",
             "P:[X]",
@@ -216,6 +219,12 @@ fn beam_n1_matches_argmax() {
             "P:[X]",
             "where not \"\\n\" in X",
             vec![Episode::plain("P:", " this is a long script")],
+        ),
+        (
+            "max_length=2",
+            "P:[X]",
+            "where X in [\"aaaa\"] and len(X) < 3",
+            vec![Episode::plain("P:", "aaaa")],
         ),
         (
             "",

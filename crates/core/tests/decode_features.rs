@@ -86,6 +86,27 @@ fn max_length_param_caps_generation() {
     assert_eq!(result.best().var_str("X").unwrap().chars().count(), 4);
 }
 
+/// The token budget is checked before the dead end: a hole whose cap
+/// falls where the constraint still needs more tokens stops with its
+/// value as-is (`DecodeOptions::max_tokens_per_hole`), under every
+/// decoder alike.
+#[test]
+fn budget_stops_before_a_dead_end_under_every_decoder() {
+    let rt = runtime("aaaa");
+    for decoder in [
+        "argmax(max_length=2)",
+        "sample(n=1, max_length=2)",
+        "beam(n=1, max_length=2)",
+    ] {
+        let source =
+            format!("{decoder}\n    \"P:[X]\"\nfrom \"m\"\nwhere X in [\"aaaa\"] and len(X) < 3\n");
+        let (result, trace) = run_traced(&rt, &source);
+        assert_eq!(result.best().var_str("X"), Some("aa"), "{decoder}");
+        assert_eq!(trace.holes.len(), 1, "{decoder}");
+        assert_eq!(trace.holes[0].stopped_by, StopReason::Budget, "{decoder}");
+    }
+}
+
 #[test]
 fn speculative_mode_same_output_extra_queries() {
     let script = " speculative output.";

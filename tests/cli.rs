@@ -245,6 +245,23 @@ fn stdout_of(query: &std::path::Path, args: &[&str]) -> String {
     String::from_utf8(out.stdout).unwrap()
 }
 
+/// A token budget that falls where the constraint still needs more
+/// tokens stops the hole with its value as-is, under argmax and beam
+/// alike.
+#[test]
+fn budget_keeps_the_value_under_every_decoder() {
+    for decoder in ["argmax(max_length=2)", "beam(n=1, max_length=2)"] {
+        let q = write_query(
+            "budget.lmql",
+            &format!(
+                "{decoder}\n    \"P:[X]\"\nfrom \"m\"\nwhere X in [\"aaaa\"] and len(X) < 3\n"
+            ),
+        );
+        let stdout = stdout_of(&q, &["--model", "script:P:=aaaa"]);
+        assert!(stdout.contains("X = \"aa\""), "{decoder}: {stdout}");
+    }
+}
+
 #[test]
 fn sequential_holes_print_the_same_bytes() {
     let q = write_query(
