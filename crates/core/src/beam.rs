@@ -8,12 +8,12 @@
 
 use crate::constraints::Masker;
 use crate::debug::StopReason;
-use crate::decode::{DecodeOptions, HoleState, StepPlan, StepScratch};
+use crate::decode::{sync_context, DecodeOptions, HoleState, StepPlan, StepScratch};
 use crate::interp::{Externals, Step, VmState};
 use crate::stream::{QueryEvent, StreamSink};
 use crate::{Error, Program, Result, Value};
 use lmql_lm::LanguageModel;
-use lmql_tokenizer::{Bpe, TokenId, TokenSet};
+use lmql_tokenizer::{Bpe, TokenContext, TokenId, TokenSet};
 use std::sync::Arc;
 
 /// Safety cap on beam-search iterations (tokens per beam across the whole
@@ -23,6 +23,8 @@ const MAX_TOTAL_STEPS: usize = 100_000;
 #[derive(Debug, Clone)]
 struct Beam {
     vm: VmState,
+    /// The encoding of `vm`'s trace, plus the current hole's tokens.
+    context: TokenContext,
     /// Hole currently being decoded; `None` once the VM has finished.
     hole: Option<(String, HoleState)>,
     /// Cumulative log-probability of all chosen tokens.
@@ -55,6 +57,8 @@ pub(crate) struct FinishedBeam {
     pub(crate) log_prob: f64,
     /// The streaming hypothesis id this beam's events were tagged with.
     pub(crate) path: u32,
+    /// Number of tokens the final trace encodes to.
+    pub(crate) trace_tokens: usize,
 }
 
 /// Runs scripted beam search with `n` beams over a compiled program.
@@ -89,6 +93,7 @@ pub(crate) fn run_beam_search<L: LanguageModel + ?Sized>(
     let vocab = bpe.vocab();
     let mut init = Beam {
         vm: VmState::new(bindings.iter().cloned()),
+        context: TokenContext::new(),
         hole: None,
         log_prob: 0.0,
         path: sink.path(),
@@ -122,7 +127,13 @@ pub(crate) fn run_beam_search<L: LanguageModel + ?Sized>(
             };
             let where_clause = program.where_clause.as_ref();
             let outcome = masker.compute(where_clause, beam.vm.scope(), var, &hole.value);
-            let plan = step.plan(masker, &outcome, hole.tokens, &hole.context, options);
+            let plan = step.plan(
+                masker,
+                &outcome,
+                hole.tokens,
+                beam.context.tokens(),
+                options,
+            );
             beam.step = (sink.mask_size(&outcome.allowed), outcome.eos_allowed);
             masker.recycle(outcome);
             match plan {
@@ -146,9 +157,7 @@ pub(crate) fn run_beam_search<L: LanguageModel + ?Sized>(
         let contexts: Vec<&[TokenId]> = planned
             .iter()
             .filter_map(|p| match p {
-                Planned::Live(beam, StepPlan::Score) => {
-                    beam.hole.as_ref().map(|(_, h)| &h.context[..])
-                }
+                Planned::Live(beam, StepPlan::Score) => Some(beam.context.tokens()),
                 _ => None,
             })
             .collect();
@@ -175,7 +184,8 @@ pub(crate) fn run_beam_search<L: LanguageModel + ?Sized>(
                     masker.note_fast_forward(1);
                     let (var, hole) = beam.hole.as_mut().expect("active beam has a hole");
                     let path_sink = sink.with_path(beam.path);
-                    hole.append(&path_sink, vocab, var, token, 0.0, beam.step);
+                    let context = &mut beam.context;
+                    hole.append(context, &path_sink, vocab, var, (token, 0.0), beam.step);
                     candidates.push(beam);
                 }
                 Planned::Live(beam, StepPlan::Score) => {
@@ -232,7 +242,15 @@ pub(crate) fn run_beam_search<L: LanguageModel + ?Sized>(
                             )?;
                         } else {
                             let (var, hole) = b.hole.as_mut().expect("active beam has a hole");
-                            hole.append(&sink.with_path(id), vocab, var, t, p.ln(), b.step);
+                            let path_sink = sink.with_path(id);
+                            hole.append(
+                                &mut b.context,
+                                &path_sink,
+                                vocab,
+                                var,
+                                (t, p.ln()),
+                                b.step,
+                            );
                         }
                         candidates.push(b);
                     }
@@ -278,6 +296,7 @@ pub(crate) fn run_beam_search<L: LanguageModel + ?Sized>(
             vm: b.vm,
             log_prob: b.log_prob,
             path: b.path,
+            trace_tokens: b.context.encoded_len(),
         })
         .collect();
     if finished.is_empty() {
@@ -317,9 +336,11 @@ fn finish_hole(
     advance(beam, program, externals, bpe, sink)
 }
 
-/// Runs the VM until the next hole or completion, re-encoding the token
-/// context to cover the template text the VM just emitted. Template text
-/// appended by this run streams out as a `PromptChunk` for this beam.
+/// Runs the VM until the next hole or completion, then brings the beam's
+/// token context up to its trace (the finished hole's value and the
+/// template text the VM just emitted; the hole's own tokens are dropped).
+/// Template text appended by this run streams out as a `PromptChunk` for
+/// this beam.
 fn advance(
     beam: &mut Beam,
     program: &Program,
@@ -335,19 +356,10 @@ fn advance(
         // sink listens leaves the event stream byte-identical.
         path_sink.prompt_chunk(&beam.vm.trace().suffix_string(before));
     }
-    match step {
-        Step::NeedHole(req) => {
-            sink.with_path(beam.path).variable_start(&req.var);
-            let context = bpe.encode(&beam.vm.trace().to_string());
-            beam.hole = Some((
-                req.var,
-                HoleState {
-                    context,
-                    ..HoleState::default()
-                },
-            ));
-        }
-        Step::Done => {}
+    sync_context(bpe, &mut beam.context, beam.vm.trace(), &mut String::new());
+    if let Step::NeedHole(req) = step {
+        sink.with_path(beam.path).variable_start(&req.var);
+        beam.hole = Some((req.var, HoleState::default()));
     }
     Ok(())
 }

@@ -3,8 +3,9 @@
 use crate::constraints::{MaskConfig, MaskEngine, MaskOutcome, Masker};
 use crate::debug::StopReason;
 use crate::{Error, Result, StreamSink};
+use lmql_arena::Rope;
 use lmql_lm::LanguageModel;
-use lmql_tokenizer::{Bpe, TokenId, TokenSet, Vocabulary};
+use lmql_tokenizer::{Bpe, TokenContext, TokenId, TokenSet, Vocabulary};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -222,14 +223,14 @@ impl StepScratch {
     }
 }
 
-/// A hole being decoded: its value so far, the token context `uv` Alg. 2
-/// extends, and the tokens generated into it. The prompt is encoded once
-/// and picked tokens are appended as-is (no per-step re-encoding, which
-/// could even re-factorise the value differently).
+/// A hole being decoded: its value so far and the number of tokens
+/// generated into it. The tokens themselves are pushed onto the run's
+/// [`TokenContext`] as-is, extending the trace's encoding into Alg. 2's
+/// `uv` (no per-step re-encoding, which could even re-factorise the value
+/// differently).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct HoleState {
     pub(crate) value: String,
-    pub(crate) context: Vec<TokenId>,
     pub(crate) tokens: usize,
 }
 
@@ -237,26 +238,49 @@ impl HoleState {
     /// Alg. 2's append: streams `t` as `var`'s next
     /// [`TokenDelta`](crate::QueryEvent::TokenDelta) with its log-prob and
     /// the step's `(admissible count, EOS admissible)`, then extends the
-    /// value and the context. Returns the token's text.
+    /// value and pushes `t` onto `context`. Returns the token's text.
     pub(crate) fn append<'v>(
         &mut self,
+        context: &mut TokenContext,
         sink: &StreamSink,
         vocab: &'v Vocabulary,
         var: &str,
-        t: TokenId,
-        log_prob: f64,
+        (t, log_prob): (TokenId, f64),
         (allowed, eos_allowed): (usize, bool),
     ) -> &'v str {
         let text = vocab.token_str(t);
         sink.token_delta(var, text, log_prob, allowed, eos_allowed);
         self.value.push_str(text);
-        self.context.push(t);
+        context.push(t);
         self.tokens += 1;
         text
     }
 }
 
-/// Decodes a value for hole `var` given the current interaction trace.
+/// Brings `context` up to `trace`, appending the bytes it has not seen
+/// (through `buf`, a reused scratch): a hole's value and the template
+/// text after it are encoded once, from the context's open chunk on.
+pub(crate) fn sync_context(bpe: &Bpe, context: &mut TokenContext, trace: &Rope, buf: &mut String) {
+    trace.write_suffix(context.text_len(), buf);
+    context.append(bpe, buf);
+}
+
+/// Drops the tokens a hole pushed onto the context when decoding ends,
+/// on every exit path.
+struct PushedTokens<'a>(&'a mut TokenContext);
+
+impl Drop for PushedTokens<'_> {
+    fn drop(&mut self) {
+        self.0.truncate_pushed();
+    }
+}
+
+/// Decodes a value for hole `var` given `context`, the encoding of the
+/// interaction trace so far.
+///
+/// The hole's tokens are pushed onto `context` while it decodes and
+/// truncated off again before this returns, so the caller's context is
+/// left as it was passed in.
 ///
 /// Implements Alg. 2: at each step compute the mask, stop on dead ends or
 /// forced stops, renormalise the masked distribution, pick a token, append.
@@ -276,7 +300,7 @@ pub fn decode_hole<L: LanguageModel + ?Sized>(
     masker: &mut Masker,
     where_expr: Option<&lmql_syntax::ast::Expr>,
     scope: &HashMap<String, crate::Value>,
-    trace: &str,
+    context: &mut TokenContext,
     var: &str,
     pick: &mut Pick,
     options: &DecodeOptions,
@@ -284,10 +308,8 @@ pub fn decode_hole<L: LanguageModel + ?Sized>(
     let (tracer, sink) = (options.tracer.clone(), &options.sink);
     let mut hole_span = tracer.span_lazy("decode", || format!("hole:{var}"));
     let vocab = bpe.vocab();
-    let mut hole = HoleState {
-        context: bpe.encode(trace),
-        ..HoleState::default()
-    };
+    let context = PushedTokens(context);
+    let mut hole = HoleState::default();
     let mut log_prob = 0.0;
     let mut eos_step = None;
     // Per-hole scratch, refilled in place each step: with the automata
@@ -313,7 +335,7 @@ pub fn decode_hole<L: LanguageModel + ?Sized>(
             let (logits, outcome) = std::thread::scope(|scope_| {
                 let handle = scope_.spawn(|| {
                     let _span = tracer.span("model", "score_speculative");
-                    lm.try_score(&hole.context)
+                    lm.try_score(context.0.tokens())
                 });
                 let outcome = masker.compute(where_expr, scope, var, &hole.value);
                 (handle.join().expect("scoring thread panicked"), outcome)
@@ -322,7 +344,7 @@ pub fn decode_hole<L: LanguageModel + ?Sized>(
         } else {
             (None, masker.compute(where_expr, scope, var, &hole.value))
         };
-        let plan = step.plan(masker, &outcome, hole.tokens, &hole.context, options);
+        let plan = step.plan(masker, &outcome, hole.tokens, context.0.tokens(), options);
         let allowed = (sink.mask_size(&outcome.allowed), outcome.eos_allowed);
         masker.recycle(outcome);
         match plan {
@@ -340,7 +362,7 @@ pub fn decode_hole<L: LanguageModel + ?Sized>(
                     let _: f64 = rng.gen();
                 }
                 masker.note_fast_forward(1);
-                let text = hole.append(sink, vocab, var, t, 0.0, allowed);
+                let text = hole.append(context.0, sink, vocab, var, (t, 0.0), allowed);
                 if ff_span.is_recording() {
                     ff_span.arg("token", text.to_owned());
                 }
@@ -352,8 +374,8 @@ pub fn decode_hole<L: LanguageModel + ?Sized>(
             Some(logits) => logits?,
             None => {
                 let mut span = tracer.span("model", "score");
-                span.arg("context_tokens", hole.context.len() as u64);
-                lm.try_score(&hole.context)?
+                span.arg("context_tokens", context.0.tokens().len() as u64);
+                lm.try_score(context.0.tokens())?
             }
         };
         // In-place softmax + mask renormalisation into the per-hole
@@ -374,7 +396,7 @@ pub fn decode_hole<L: LanguageModel + ?Sized>(
             break StopReason::Eos;
         }
         log_prob += lp;
-        hole.append(sink, vocab, var, t, lp, allowed);
+        hole.append(context.0, sink, vocab, var, (t, lp), allowed);
     };
 
     if hole_span.is_recording() {
@@ -396,6 +418,12 @@ mod tests {
     use lmql_lm::{Episode, ScriptedLm};
     use lmql_syntax::parse_expr;
 
+    fn context(bpe: &Bpe, trace: &str) -> TokenContext {
+        let mut context = TokenContext::new();
+        context.append(bpe, trace);
+        context
+    }
+
     fn setup(script: &str) -> (Arc<Bpe>, ScriptedLm, Masker) {
         let bpe = Arc::new(Bpe::char_level(""));
         let lm = ScriptedLm::new(Arc::clone(&bpe), [Episode::plain("P:", script)]);
@@ -412,7 +440,7 @@ mod tests {
             &mut masker,
             None,
             &HashMap::new(),
-            "P:",
+            &mut context(&bpe, "P:"),
             "X",
             &mut Pick::argmax(),
             &DecodeOptions::default(),
@@ -432,7 +460,7 @@ mod tests {
             &mut masker,
             Some(&e),
             &HashMap::new(),
-            "P:",
+            &mut context(&bpe, "P:"),
             "X",
             &mut Pick::argmax(),
             &DecodeOptions::default(),
@@ -453,7 +481,7 @@ mod tests {
             &mut masker,
             Some(&e),
             &HashMap::new(),
-            "P:",
+            &mut context(&bpe, "P:"),
             "X",
             &mut Pick::argmax(),
             &DecodeOptions::default(),
@@ -475,7 +503,7 @@ mod tests {
             &mut masker,
             None,
             &HashMap::new(),
-            "P:",
+            &mut context(&bpe, "P:"),
             "X",
             &mut Pick::argmax(),
             &opts,
@@ -494,7 +522,7 @@ mod tests {
             &mut masker,
             Some(&e),
             &HashMap::new(),
-            "P:",
+            &mut context(&bpe, "P:"),
             "X",
             &mut Pick::argmax(),
             &DecodeOptions::default(),
@@ -513,7 +541,7 @@ mod tests {
                 &mut masker,
                 None,
                 &HashMap::new(),
-                "P:",
+                &mut context(&bpe, "P:"),
                 "X",
                 &mut Pick::sample(seed),
                 &DecodeOptions {

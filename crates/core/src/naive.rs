@@ -283,13 +283,15 @@ mod tests {
         let meter = UsageMeter::new();
         let metered = MeteredLm::new(&lm, meter.clone());
         let mut masker = Masker::new(MaskEngine::Symbolic, bpe.clone());
+        let mut context = lmql_tokenizer::TokenContext::new();
+        context.append(&bpe, "P:");
         let masked = decode_hole(
             &metered,
             &bpe,
             &mut masker,
             Some(&e),
             &scope,
-            "P:",
+            &mut context,
             "X",
             &mut Pick::argmax(),
             &DecodeOptions::default(),

@@ -3,14 +3,14 @@
 use crate::beam::run_beam_search;
 use crate::constraints::{eval_expr, AutomataCache, CustomOp, CustomOps, MaskMemo, Masker};
 use crate::debug::StopReason;
-use crate::decode::{decode_hole, DecodeOptions, DecodedValue, Pick};
+use crate::decode::{decode_hole, sync_context, DecodeOptions, DecodedValue, Pick};
 use crate::interp::{Externals, HoleRecord, Step, VmState};
 use crate::program::Instr;
 use crate::stream::{EventSink, QueryEvent, StreamSink};
 use crate::tool::{Tool, ToolRegistry};
 use crate::{compile_source, Error, Program, QueryRequest, Result, Value};
 use lmql_lm::{CachedLm, LanguageModel, MeteredLm, UsageMeter};
-use lmql_tokenizer::{Bpe, TokenId};
+use lmql_tokenizer::{Bpe, TokenContext, TokenId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
@@ -486,6 +486,7 @@ impl Runtime {
                     &opts,
                 )?;
                 let ranking: Vec<u32> = beams.iter().map(|b| b.path).collect();
+                let trace_tokens = beams[0].trace_tokens;
                 let runs: Vec<QueryRun> = beams
                     .into_iter()
                     .map(|b| QueryRun {
@@ -495,8 +496,7 @@ impl Runtime {
                         hole_records: b.vm.hole_records().to_vec(),
                     })
                     .collect();
-                self.meter
-                    .record_decoder_call(self.bpe.token_count(&runs[0].trace) as u64);
+                self.meter.record_decoder_call(trace_tokens as u64);
                 Ok((
                     QueryResult {
                         runs,
@@ -593,9 +593,11 @@ impl Runtime {
         // VariableDone), so each suspension emits exactly the template
         // delta the interpreter appended since the last hole.
         let mut emitted = 0usize;
-        // Scratch for materialising the rope trace wherever contiguous
-        // bytes are needed (tokenisation, constraint evaluation). Reused
-        // across holes; the per-token step loop never touches it.
+        // The trace's encoding, grown by each delta as holes are reached.
+        let mut context = TokenContext::new();
+        // Scratch for materialising rope deltas (prompt chunks, context
+        // syncs) and the final trace. Reused across holes; the per-token
+        // step loop never touches it.
         let mut trace_buf = String::new();
 
         loop {
@@ -638,9 +640,8 @@ impl Runtime {
                         .is_some_and(|d| d.var == req.var);
                     if is_distribute {
                         let d = program.distribute.as_ref().expect("checked above");
-                        vm.trace().write_into(&mut trace_buf);
-                        let dist =
-                            self.compute_distribution(lm, &trace_buf, d, vm.scope(), &opts)?;
+                        sync_context(&self.bpe, &mut context, vm.trace(), &mut trace_buf);
+                        let dist = self.compute_distribution(lm, &context, d, vm.scope(), &opts)?;
                         let best = dist
                             .iter()
                             .max_by(|a, b| {
@@ -701,14 +702,14 @@ impl Runtime {
                                 member.result?
                             }
                             None => {
-                                vm.trace().write_into(&mut trace_buf);
+                                sync_context(&self.bpe, &mut context, vm.trace(), &mut trace_buf);
                                 decode_hole(
                                     lm,
                                     &self.bpe,
                                     masker,
                                     program.where_clause.as_ref(),
                                     vm.scope(),
-                                    &trace_buf,
+                                    &mut context,
                                     &req.var,
                                     &mut pick,
                                     &opts,
@@ -733,9 +734,9 @@ impl Runtime {
         // LMQL decodes the whole scripted interaction in one decoder run:
         // one decoder call billing the final trace once (§6 metrics; cf.
         // the ReAct case study's single decoder call).
+        sync_context(&self.bpe, &mut context, vm.trace(), &mut trace_buf);
+        self.meter.record_decoder_call(context.encoded_len() as u64);
         vm.trace().write_into(&mut trace_buf);
-        self.meter
-            .record_decoder_call(self.bpe.token_count(&trace_buf) as u64);
 
         Ok(QueryResult {
             runs: vec![QueryRun {
@@ -815,13 +816,15 @@ impl Runtime {
                                 .with_path(parent_sink.path());
                         }
                         let mut masker = self.make_masker();
+                        let mut context = TokenContext::new();
+                        context.append(&self.bpe, trace);
                         let result = decode_hole(
                             lm,
                             &self.bpe,
                             &mut masker,
                             program.where_clause.as_ref(),
                             job_scope,
-                            trace,
+                            &mut context,
                             var,
                             &mut Pick::argmax(),
                             &member_opts,
@@ -896,7 +899,7 @@ impl Runtime {
     fn compute_distribution<L: LanguageModel>(
         &self,
         lm: &L,
-        trace: &str,
+        context: &TokenContext,
         d: &lmql_syntax::ast::Distribute,
         scope: &HashMap<String, Value>,
         options: &DecodeOptions,
@@ -920,13 +923,23 @@ impl Runtime {
 
         let mut dist_span = options.tracer.span("query", "distribute");
         dist_span.arg("support", values.len() as u64);
-        let log_probs = self.score_continuations(lm, trace, &values, options)?;
+        // Each value's context re-encodes only the trace's open chunk
+        // with the value appended.
+        let continuations: Vec<TokenContext> = values
+            .iter()
+            .map(|v| {
+                let mut continuation = context.clone();
+                continuation.append(&self.bpe, v);
+                continuation
+            })
+            .collect();
+        let log_probs = self.score_continuations(lm, context, &continuations, options)?;
         drop(dist_span);
-        for v in &values {
+        for continuation in &continuations {
             // Each scored value starts its own decoding loop: one decoder
             // call billing prompt + continuation (§6 metrics).
             self.meter
-                .record_decoder_call(self.bpe.token_count(&format!("{trace}{v}")) as u64);
+                .record_decoder_call(continuation.encoded_len() as u64);
         }
 
         // Softmax over the sequence log-probabilities.
@@ -940,8 +953,8 @@ impl Runtime {
             .collect())
     }
 
-    /// Log-probability of each `text` as a continuation of `trace`,
-    /// scored token by token.
+    /// Log-probability of each continuation of `context` (its encoding
+    /// with a support value appended), scored token by token.
     ///
     /// Unlike hole decoding, every context to score is known before any
     /// scoring happens (the support values are fixed), so all of them —
@@ -949,18 +962,18 @@ impl Runtime {
     fn score_continuations<L: LanguageModel>(
         &self,
         lm: &L,
-        trace: &str,
-        texts: &[String],
+        context: &TokenContext,
+        continuations: &[TokenContext],
         options: &DecodeOptions,
     ) -> Result<Vec<f64>> {
-        let base = self.bpe.encode(trace);
+        let base = context.tokens();
         // The boundary token may re-tokenise; score from the first
         // divergence between the two encodings.
-        let plans: Vec<(Vec<TokenId>, usize)> = texts
+        let plans: Vec<(&[TokenId], usize)> = continuations
             .iter()
-            .map(|text| {
-                let full = self.bpe.encode(&format!("{trace}{text}"));
-                let common = base.iter().zip(&full).take_while(|(a, b)| a == b).count();
+            .map(|continuation| {
+                let full = continuation.tokens();
+                let common = base.iter().zip(full).take_while(|(a, b)| a == b).count();
                 (full, common)
             })
             .collect();

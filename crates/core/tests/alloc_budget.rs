@@ -17,7 +17,7 @@ use lmql_arena::Rope;
 use lmql_lm::{
     corpus, CachedLm, LanguageModel, LmResult, Logits, RadixCache, RadixCacheConfig, UniformLm,
 };
-use lmql_tokenizer::{Bpe, TokenId, Vocabulary};
+use lmql_tokenizer::{Bpe, TokenContext, TokenId, Vocabulary};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -228,6 +228,8 @@ fn decode_steady_state_stays_within_alloc_budget() {
             ..DecodeOptions::default()
         };
         let mut tokens = 0u64;
+        let mut context = TokenContext::new();
+        context.append(&bpe, "The little prince said: ");
         let allocs = count_allocs(|| {
             let out = decode_hole(
                 lm.as_ref(),
@@ -235,7 +237,7 @@ fn decode_steady_state_stays_within_alloc_budget() {
                 &mut masker,
                 Some(&expr),
                 &scope,
-                "The little prince said: ",
+                &mut context,
                 "X",
                 &mut pick,
                 &options,
@@ -400,4 +402,55 @@ fn masker_recycles_outcomes_through_the_pool() {
         }
     });
     assert_eq!(allocs, 0, "pooled mask copies must not allocate");
+}
+
+/// Allocations of at least 4 KiB that a second hole adds to a query under
+/// `decoder`: the difference between a two-hole and a one-hole query
+/// whose template opens with `chars` characters of text. Both holes are
+/// forced (fast-forwarded, never scored), so the difference is the
+/// second hole's start and its two appended tokens.
+fn second_hole_large_allocs(decoder: &str, chars: usize) -> u64 {
+    let bpe = Arc::new(Bpe::char_level(""));
+    let lm = Arc::new(SharedLogitsLm {
+        bpe: bpe.clone(),
+        logits: Logits::constant(bpe.vocab().len(), 0.0),
+    });
+    let rt = Runtime::new(lm, bpe);
+    let text: String = "word ".repeat(chars / 5 + 1)[..chars].to_owned();
+    // `Y` sits under a branch on `X`, so the two holes decode one after
+    // the other instead of as a parallel group.
+    let source = |tail: &str| {
+        format!(
+            "{decoder}\n    \"{text}[X]\"\n    if X == \"ab\":\n        \" and{tail} end\"\n\
+             from \"m\"\nwhere X in [\"ab\"] and Y in [\"cd\"]\n"
+        )
+    };
+    let (one, two) = (source(""), source("[Y]"));
+    let run = |source: &str| {
+        count_large_allocs(4096, || {
+            let result = rt.run(source).expect("forced holes decode");
+            std::hint::black_box(result);
+        })
+    };
+    // Warm-up: automata compilation and the tokenizer's chunk cache.
+    run(&one);
+    run(&two);
+    run(&two).saturating_sub(run(&one))
+}
+
+#[test]
+fn hole_start_allocates_no_trace_length_buffer() {
+    // A hole starts from the run's token context brought up to the trace
+    // by encoding only the bytes appended since the last hole (the
+    // previous value and the template after it): no trace-length string
+    // and no trace-length token vector, under argmax and in beam search's
+    // `advance` alike.
+    for decoder in ["argmax", "beam(n=2)"] {
+        let short = second_hole_large_allocs(decoder, 3);
+        let long = second_hole_large_allocs(decoder, 10_000);
+        assert_eq!(
+            short, long,
+            "{decoder}: a hole start must not allocate with the trace's length"
+        );
+    }
 }

@@ -163,3 +163,63 @@ fn debug_trace_covers_distribution_holes() {
     assert_eq!(trace.holes[0].stopped_by, StopReason::Distribution);
     assert!(trace.holes[0].steps.is_empty());
 }
+
+/// Records every context the run scores.
+struct Recording {
+    inner: Arc<dyn LanguageModel>,
+    contexts: std::sync::Mutex<Vec<Vec<TokenId>>>,
+}
+
+impl LanguageModel for Recording {
+    fn vocab(&self) -> &Vocabulary {
+        self.inner.vocab()
+    }
+    fn try_score_batch(&self, contexts: &[&[TokenId]]) -> Vec<LmResult<Logits>> {
+        self.contexts
+            .lock()
+            .unwrap()
+            .extend(contexts.iter().map(|c| c.to_vec()));
+        self.inner.try_score_batch(contexts)
+    }
+}
+
+/// The seam between a hole's decoded tokens and the re-encoded trace:
+/// every hole's first context is `encode(trace so far)` — its value text
+/// re-encoded together with the template around it — under every
+/// decoder, on a query whose values join the template mid-chunk ("ca" +
+/// "t" + "s" is one chunk, " the " + "mat" re-splits at the space).
+#[test]
+fn every_hole_starts_from_the_encoded_trace() {
+    let bpe = lmql_lm::corpus::standard_bpe();
+    for decoder in ["argmax", "sample(n=2, temperature=1.3)", "beam(n=2)"] {
+        let lm = Arc::new(Recording {
+            inner: lmql_lm::corpus::standard_ngram(),
+            contexts: std::sync::Mutex::new(Vec::new()),
+        });
+        let mut rt = Runtime::new(Arc::clone(&lm) as _, Arc::clone(&bpe));
+        // Parallel hole groups decode from a context without their
+        // siblings' values, which is not the trace so far.
+        rt.options_mut().parallel_holes = false;
+        let source = format!(
+            "{decoder}\n    \"The ca[X]s sat on[Y]mat. The do[Z] ran\"\nfrom \"m\"\n\
+             where X in [\"t\", \"ts\", \"r\"] and Y in [\" the \", \" a \", \" my\"] \
+             and len(Z) < 4\n"
+        );
+        let result = rt.run(&source).unwrap();
+        let scored = lm.contexts.lock().unwrap();
+        let mut holes = 0;
+        for run in &result.runs {
+            for hole in &run.hole_records {
+                let expected = bpe.encode(&run.trace[..hole.start]);
+                assert!(
+                    scored.contains(&expected),
+                    "{decoder}: hole {} never scored encode({:?})",
+                    hole.var,
+                    &run.trace[..hole.start]
+                );
+                holes += 1;
+            }
+        }
+        assert!(holes >= 3, "{decoder}: {holes} holes checked");
+    }
+}

@@ -5,8 +5,8 @@
 //! [`pretokenize`](crate::pretokenize) chunk boundaries, so decoded text is
 //! byte-identical to the input for covered characters.
 
-use crate::{pretokenize, TokenId, Vocabulary};
-use std::collections::HashMap;
+use crate::{chunks, pretokenize, TokenId, Vocabulary};
+use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
 /// Character every out-of-alphabet character is replaced with on encode.
@@ -160,8 +160,9 @@ fn apply_merge(syms: &mut Vec<String>, a: &str, b: &str) {
 #[derive(Debug)]
 pub struct Bpe {
     vocab: Vocabulary,
-    /// Merge priority: lower rank merges first.
-    merge_rank: HashMap<(String, String), usize>,
+    /// The merge table over token ids: a pair's rank (lower merges first)
+    /// and the token it merges into.
+    merges: HashMap<(TokenId, TokenId), (usize, TokenId)>,
     /// Per-chunk encode cache (chunk → token ids).
     cache: Mutex<HashMap<String, Vec<TokenId>>>,
 }
@@ -177,14 +178,20 @@ impl Bpe {
             }
         }
         let vocab = Vocabulary::from_tokens(token_strs);
-        let merge_rank = merges
-            .into_iter()
+        // A repeated pair keeps its last rank.
+        let id = |piece: &str| {
+            vocab
+                .id_of(piece)
+                .expect("every merge piece and product is in the vocabulary")
+        };
+        let merges = merges
+            .iter()
             .enumerate()
-            .map(|(i, p)| (p, i))
+            .map(|(rank, (a, b))| ((id(a), id(b)), (rank, id(&format!("{a}{b}")))))
             .collect();
         Bpe {
             vocab,
-            merge_rank,
+            merges,
             cache: Mutex::new(HashMap::new()),
         }
     }
@@ -215,16 +222,24 @@ impl Bpe {
         }
         out.push('\n');
 
-        let mut merges: Vec<(&(String, String), &usize)> = self.merge_rank.iter().collect();
-        merges.sort_by_key(|(_, &rank)| rank);
+        let mut merges: Vec<(usize, TokenId, TokenId)> = self
+            .merges
+            .iter()
+            .map(|(&(a, b), &(rank, _))| (rank, a, b))
+            .collect();
+        merges.sort_unstable();
         let piece = |s: &str| -> String {
             s.chars()
                 .map(|c| format!("{:x}", c as u32))
                 .collect::<Vec<_>>()
                 .join(".")
         };
-        for ((a, b), _) in merges {
-            out.push_str(&format!("merge {} {}\n", piece(a), piece(b)));
+        for (_, a, b) in merges {
+            out.push_str(&format!(
+                "merge {} {}\n",
+                piece(self.vocab.token_str(a)),
+                piece(self.vocab.token_str(b))
+            ));
         }
         out
     }
@@ -269,6 +284,20 @@ impl Bpe {
             let b = parse_piece(parts.next().ok_or("merge missing second piece")?)?;
             merges.push((a, b));
         }
+        // A merge piece must be a token: an alphabet character or the
+        // product of some merge.
+        let tokens: HashSet<String> = alphabet
+            .iter()
+            .map(|&c| String::from(c))
+            .chain(merges.iter().map(|(a, b)| format!("{a}{b}")))
+            .collect();
+        if let Some(piece) = merges
+            .iter()
+            .flat_map(|(a, b)| [a, b])
+            .find(|piece| !tokens.contains(*piece))
+        {
+            return Err(format!("merge piece {piece:?} is not a token"));
+        }
         Ok(Bpe::from_parts(alphabet, merges))
     }
 
@@ -295,59 +324,68 @@ impl Bpe {
     /// replaced by `'?'`.
     pub fn encode(&self, text: &str) -> Vec<TokenId> {
         let mut out = Vec::new();
-        for chunk in pretokenize(text) {
-            if let Some(ids) = self.cache.lock().expect("bpe cache poisoned").get(chunk) {
-                out.extend_from_slice(ids);
-                continue;
-            }
-            let ids = self.encode_chunk(chunk);
-            self.cache
-                .lock()
-                .expect("bpe cache poisoned")
-                .insert(chunk.to_owned(), ids.clone());
-            out.extend(ids);
-        }
+        self.encode_into(text, &mut out);
         out
     }
 
+    /// [`encode`](Self::encode), appending to `out` instead of returning
+    /// a fresh `Vec`.
+    pub fn encode_into(&self, text: &str, out: &mut Vec<TokenId>) {
+        for chunk in chunks(text) {
+            self.encode_chunk_into(chunk, out);
+        }
+    }
+
+    /// Appends one pretokenisation chunk's ids to `out`, through the
+    /// shared encode cache.
+    pub(crate) fn encode_chunk_into(&self, chunk: &str, out: &mut Vec<TokenId>) {
+        if let Some(ids) = self.cache.lock().expect("bpe cache poisoned").get(chunk) {
+            out.extend_from_slice(ids);
+            return;
+        }
+        let ids = self.encode_chunk(chunk);
+        out.extend_from_slice(&ids);
+        self.cache
+            .lock()
+            .expect("bpe cache poisoned")
+            .insert(chunk.to_owned(), ids);
+    }
+
+    /// Applies the merges to one chunk: repeatedly merge every occurrence,
+    /// left to right, of the adjacent pair with the lowest rank (the
+    /// leftmost such pair names it).
     fn encode_chunk(&self, chunk: &str) -> Vec<TokenId> {
-        let mut syms: Vec<String> = chunk
+        let id = |c: char| self.vocab.id_of(c.encode_utf8(&mut [0; 4]));
+        let mut syms: Vec<TokenId> = chunk
             .chars()
             .map(|c| {
-                if self.vocab.id_of(&String::from(c)).is_some() {
-                    String::from(c)
-                } else {
-                    String::from(UNKNOWN_CHAR)
-                }
+                id(c).unwrap_or_else(|| {
+                    id(UNKNOWN_CHAR).expect("an uncovered character needs `?` in the alphabet")
+                })
             })
             .collect();
-        loop {
-            // Find the adjacent pair with the lowest merge rank.
-            let mut best: Option<(usize, usize)> = None; // (rank, position)
-            for i in 0..syms.len().saturating_sub(1) {
-                if let Some(&rank) = self.merge_rank.get(&(syms[i].clone(), syms[i + 1].clone())) {
-                    if best.is_none_or(|(r, _)| rank < r) {
-                        best = Some((rank, i));
-                    }
+        while let Some((_, i)) = syms
+            .windows(2)
+            .enumerate()
+            .filter_map(|(i, w)| self.merges.get(&(w[0], w[1])).map(|&(rank, _)| (rank, i)))
+            .min()
+        {
+            let (a, b) = (syms[i], syms[i + 1]);
+            let merged = self.merges[&(a, b)].1;
+            let (mut read, mut write) = (0, 0);
+            while read < syms.len() {
+                if read + 1 < syms.len() && syms[read] == a && syms[read + 1] == b {
+                    syms[write] = merged;
+                    read += 2;
+                } else {
+                    syms[write] = syms[read];
+                    read += 1;
                 }
+                write += 1;
             }
-            let Some((rank, _)) = best else { break };
-            // Merge all occurrences of that exact pair.
-            let (a, b) = self
-                .merge_rank
-                .iter()
-                .find(|&(_, &r)| r == rank)
-                .map(|(p, _)| p.clone())
-                .expect("rank came from the table");
-            apply_merge(&mut syms, &a, &b);
+            syms.truncate(write);
         }
-        syms.iter()
-            .map(|s| {
-                self.vocab
-                    .id_of(s)
-                    .expect("every symbol is a base char or a merge product")
-            })
-            .collect()
+        syms
     }
 
     /// FNV-1a hash over the first `max_tokens` token ids of `text`'s
@@ -368,7 +406,7 @@ impl Bpe {
             return hash;
         }
         let mut taken = 0usize;
-        for chunk in crate::pretokenize::chunks(text) {
+        for chunk in chunks(text) {
             let cache = self.cache.lock().expect("bpe cache poisoned");
             if let Some(ids) = cache.get(chunk) {
                 for &id in ids {
@@ -407,12 +445,6 @@ impl Bpe {
     /// Panics if an id is out of range for this tokenizer's vocabulary.
     pub fn decode(&self, ids: &[TokenId]) -> String {
         self.vocab.decode(ids)
-    }
-
-    /// Number of tokens `text` encodes to — the unit in which API-gated
-    /// models bill ("Billable Tokens" in the paper's §6 metrics).
-    pub fn token_count(&self, text: &str) -> usize {
-        self.encode(text).len()
     }
 }
 
@@ -475,12 +507,6 @@ mod tests {
         let b = BpeTrainer::new().merges(50).train(CORPUS);
         assert_eq!(a.encode(CORPUS), b.encode(CORPUS));
         assert_eq!(a.vocab().len(), b.vocab().len());
-    }
-
-    #[test]
-    fn token_count_matches_encode_len() {
-        let bpe = BpeTrainer::new().merges(30).train(CORPUS);
-        assert_eq!(bpe.token_count("the cat"), bpe.encode("the cat").len());
     }
 
     /// The fingerprint is a pure function of the first `max_tokens` ids
@@ -566,6 +592,111 @@ mod tests {
         assert!(Bpe::from_text("lmql-bpe-v1\nwrong 61\n").is_err());
         assert!(Bpe::from_text("lmql-bpe-v1\nalphabet 61\nmerge zz 61\n").is_err());
         assert!(Bpe::from_text("lmql-bpe-v1\nalphabet 61\nmerge 61\n").is_err());
+        assert!(Bpe::from_text("lmql-bpe-v1\nalphabet 61\nmerge 61.61 61\n").is_err());
+    }
+
+    /// The merge loop as it stood over string symbols: every pair lookup
+    /// cloned both strings, and the winning rank was turned back into its
+    /// pair by a scan of the whole table.
+    fn encode_chunk_reference(
+        merge_rank: &HashMap<(String, String), usize>,
+        vocab: &Vocabulary,
+        chunk: &str,
+    ) -> Vec<TokenId> {
+        let mut syms: Vec<String> = chunk
+            .chars()
+            .map(|c| {
+                if vocab.id_of(&String::from(c)).is_some() {
+                    String::from(c)
+                } else {
+                    String::from(UNKNOWN_CHAR)
+                }
+            })
+            .collect();
+        loop {
+            let mut best: Option<(usize, usize)> = None;
+            for i in 0..syms.len().saturating_sub(1) {
+                if let Some(&rank) = merge_rank.get(&(syms[i].clone(), syms[i + 1].clone())) {
+                    if best.is_none_or(|(r, _)| rank < r) {
+                        best = Some((rank, i));
+                    }
+                }
+            }
+            let Some((rank, _)) = best else { break };
+            let (a, b) = merge_rank
+                .iter()
+                .find(|&(_, &r)| r == rank)
+                .map(|(p, _)| p.clone())
+                .unwrap();
+            apply_merge(&mut syms, &a, &b);
+        }
+        syms.iter().map(|s| vocab.id_of(s).unwrap()).collect()
+    }
+
+    /// The id-keyed merge loop encodes every chunk exactly as the string
+    /// loop did: trained tables, and hand-written ones with overlapping
+    /// pairs and a repeated pair.
+    #[test]
+    fn merge_loop_matches_string_reference() {
+        let pieces = |merges: &[(&str, &str)]| -> Vec<(String, String)> {
+            merges
+                .iter()
+                .map(|&(a, b)| (a.to_owned(), b.to_owned()))
+                .collect()
+        };
+        let trained = BpeTrainer::new().merges(200).train(CORPUS);
+        let trained_merges: Vec<(String, String)> = trained
+            .to_text()
+            .lines()
+            .filter_map(|l| l.strip_prefix("merge "))
+            .map(|l| {
+                let piece = |p: &str| -> String {
+                    p.split('.')
+                        .map(|h| char::from_u32(u32::from_str_radix(h, 16).unwrap()).unwrap())
+                        .collect()
+                };
+                let (a, b) = l.split_once(' ').unwrap();
+                (piece(a), piece(b))
+            })
+            .collect();
+        let alphabet: Vec<char> = (' '..='~').chain(['\n']).collect();
+        let tables = [
+            trained_merges,
+            pieces(&[("a", "a"), ("aa", "a"), ("a", "aa"), ("b", "a"), ("a", "b")]),
+            pieces(&[("t", "h"), ("th", "e"), ("t", "h"), ("e", " ")]),
+            pieces(&[(" ", "a"), (" a", "a"), ("a", "a"), (" aa", "aa")]),
+        ];
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut texts: Vec<String> = pretokenize(CORPUS).into_iter().map(str::to_owned).collect();
+        let letters: Vec<char> = "aabtthe .,\n?\u{e9}".chars().collect();
+        for _ in 0..400 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let len = (state % 12) as usize;
+            texts.push(
+                (0..len)
+                    .map(|k| letters[((state >> (8 + 3 * k)) % letters.len() as u64) as usize])
+                    .collect(),
+            );
+        }
+        for merges in tables {
+            let bpe = Bpe::from_parts(alphabet.clone(), merges.clone());
+            let merge_rank: HashMap<(String, String), usize> = merges
+                .into_iter()
+                .enumerate()
+                .map(|(i, p)| (p, i))
+                .collect();
+            for text in &texts {
+                for chunk in pretokenize(text) {
+                    assert_eq!(
+                        bpe.encode_chunk(chunk),
+                        encode_chunk_reference(&merge_rank, bpe.vocab(), chunk),
+                        "chunk {chunk:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   queries mask generation needs (`tokens_with_prefix`, `prefixes_of`),
 //! - [`Bpe`] — a byte-pair-encoding trainer/encoder/decoder
 //!   ([`BpeTrainer`]) operating on character sequences with GPT-2 style
-//!   leading-space pretokenisation ([`pretokenize`]).
+//!   leading-space pretokenisation ([`pretokenize`]),
+//! - [`TokenContext`] — the encoding of a growing text, re-encoding only
+//!   its last pretokenisation chunk on each append.
 //!
 //! # Example
 //!
@@ -28,12 +30,14 @@
 //! ```
 
 mod bpe;
+mod context;
 mod pretokenize;
 mod token_set;
 mod trie;
 mod vocab;
 
 pub use bpe::{fingerprint_tokens, Bpe, BpeTrainer};
+pub use context::TokenContext;
 pub use pretokenize::{chunks, pretokenize, Chunks};
 pub use token_set::TokenSet;
 pub use trie::TokenTrie;

@@ -1,6 +1,8 @@
 //! Property-based tests for the tokenizer crate.
 
-use lmql_tokenizer::{pretokenize, Bpe, BpeTrainer, TokenId, TokenSet, TokenTrie, Vocabulary};
+use lmql_tokenizer::{
+    pretokenize, Bpe, BpeTrainer, TokenContext, TokenId, TokenSet, TokenTrie, Vocabulary,
+};
 use proptest::prelude::*;
 
 fn ascii_text() -> impl Strategy<Value = String> {
@@ -11,7 +13,104 @@ fn ascii_text() -> impl Strategy<Value = String> {
     .prop_map(|v| v.into_iter().collect())
 }
 
+/// Text made of the runs pretokenisation splits on: words, digit runs,
+/// punctuation runs, runs of spaces, newlines, other whitespace, and
+/// characters outside the ASCII alphabet (alphanumeric or not), which
+/// encode as `?`.
+fn chunky_text() -> impl Strategy<Value = String> {
+    let run = prop_oneof![
+        "[a-z]{1,6}",
+        "[A-Z][a-z]{0,3}",
+        "[0-9]{1,4}",
+        "[.,!?<>=*]{1,3}",
+        "[ ]{1,3}",
+        Just("\n".to_owned()),
+        Just("\t".to_owned()),
+        proptest::char::range('\u{e0}', '\u{ff}').prop_map(String::from),
+        Just("\u{2713}".to_owned()),
+    ];
+    proptest::collection::vec(run, 0..30).prop_map(|runs| runs.concat())
+}
+
+/// A tokenizer whose merges span words, spaces, digits and punctuation.
+fn chunky_bpe() -> Bpe {
+    BpeTrainer::new().merges(150).train(
+        "The cat sat on the mat.  The cat sat!! 1234 12 34\n\nthe end... \
+         <<3*4=12>> the mat, the hat;   spaces   and\ttabs the the",
+    )
+}
+
+/// `text` cut into deltas at the given char positions (any order,
+/// repeats allowed, so empty deltas occur too).
+fn deltas<'a>(text: &'a str, cuts: &[usize]) -> Vec<&'a str> {
+    let bounds: Vec<usize> = text
+        .char_indices()
+        .map(|(i, _)| i)
+        .chain([text.len()])
+        .collect();
+    let mut at: Vec<usize> = cuts.iter().map(|c| bounds[c % bounds.len()]).collect();
+    at.push(0);
+    at.push(text.len());
+    at.sort_unstable();
+    at.windows(2).map(|w| &text[w[0]..w[1]]).collect()
+}
+
+/// Checks a context fed `pieces` against a full encode after every
+/// append, with a token pushed (and dropped again) in between.
+fn assert_incremental(bpe: &Bpe, pieces: &[&str]) {
+    let mut context = TokenContext::new();
+    let mut text = String::new();
+    for piece in pieces {
+        context.append(bpe, piece);
+        text.push_str(piece);
+        let full = bpe.encode(&text);
+        assert_eq!(context.tokens(), full, "after {pieces:?} up to {text:?}");
+        assert_eq!(context.encoded_len(), full.len());
+        assert_eq!(context.text_len(), text.len());
+        context.push(bpe.vocab().eos());
+        assert_eq!(context.tokens().len(), full.len() + 1);
+    }
+    context.truncate_pushed();
+    assert_eq!(context.tokens(), bpe.encode(&text));
+}
+
+/// Splits inside a chunk, deltas that are a lone trailing space, and
+/// deltas that close the open chunk from its own first character.
+#[test]
+fn incremental_context_at_chunk_seams() {
+    for bpe in [chunky_bpe(), Bpe::char_level("")] {
+        for pieces in [
+            &["The c", "at s", "at on", " the m", "at."][..],
+            &["the", " "],
+            &["the", " ", "cat"],
+            &["the", " ", " ", "cat", " ", "\n", " the"],
+            &["12", "34", " ", "!", "!", "."],
+            &["the mat", ".", "..", " \u{e9}t\u{e9}", " "],
+            &["", "", "a", ""],
+            &[" ", " ", " "],
+            &["\u{2713}", "\u{2713}x", "\t", "\t "],
+        ] {
+            assert_incremental(&bpe, pieces);
+        }
+    }
+}
+
 proptest! {
+    /// The incremental context equals a full encode of the concatenation
+    /// after every delta, however the text is cut.
+    #[test]
+    fn incremental_context_matches_full_encode(
+        text in chunky_text(),
+        cuts in proptest::collection::vec(0usize..1000, 0..10),
+    ) {
+        let mut pieces = deltas(&text, &cuts);
+        pieces.push(" ");
+        pieces.push("x");
+        for bpe in [chunky_bpe(), Bpe::char_level("")] {
+            assert_incremental(&bpe, &pieces);
+        }
+    }
+
     /// Pretokenisation chunks always concatenate back to the input.
     #[test]
     fn pretokenize_is_partition(text in ascii_text()) {
